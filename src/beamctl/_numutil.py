@@ -7,7 +7,11 @@ from typing import Optional, Union
 
 import mpmath as mp
 
+from .errors import ImaginaryResidue
+
 RealLike = Union[int, float, str, Fraction]
+
+_GUARD_BITS = 64
 
 
 def as_fraction(x: RealLike, what: str = "value") -> Fraction:
@@ -59,17 +63,19 @@ def strip_imag(z, precision_bits: int, scale=None):
     re, im = z.real, z.imag
     ref = scale if scale is not None else max(mp.mpf(1), abs(re))
     if abs(im) > ref * mp.mpf(2) ** (-(precision_bits // 2)):
-        raise ArithmeticError(
-            f"imaginary residue {mp.nstr(im, 8)} exceeds the roundoff budget "
-            f"(scale {mp.nstr(ref, 8)}, {precision_bits} bits)"
-        )
+        raise ImaginaryResidue(float(im), float(ref), precision_bits)
     return re
 
 
 def decimal_str(x, precision_bits: int) -> str:
-    """Deterministic decimal string carrying the full working precision."""
+    """Deterministic decimal string carrying the full working precision.
+
+    The value is converted at precision_bits plus guard bits, so mpf values
+    keep every digit and Fractions round once, at that precision.
+    """
     dps = max(17, int(precision_bits * 0.30103) + 2)
-    return mp.nstr(mp.mpf(x), dps)
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        return mp.nstr(to_mpf(x), dps)
 
 
 def ulp_close(a, b, ulps: int = 10) -> bool:

@@ -38,9 +38,11 @@ from .condensation import (
     write_condensation_csv,
 )
 from .errors import (
+    ImaginaryResidue,
     NumericalRankDeficiency,
     RationalResonance,
     ResonanceDefect,
+    SamplingError,
     StepSizeError,
     UncontrollableMode,
 )
@@ -64,6 +66,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNCONTROLLABLE = 3
 EXIT_NUMERICAL = 4
+
+UNCONTROLLABLE_ERRORS = (UncontrollableMode, ResonanceDefect, RationalResonance)
+NUMERICAL_ERRORS = (NumericalRankDeficiency, StepSizeError, SamplingError,
+                    ImaginaryResidue)
 
 _GUARD_BITS = 64
 
@@ -288,7 +294,8 @@ def _error_doc(command: str, exc: Exception) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
     for field in ("mode", "amplitude", "data_scale", "rate", "defect", "data_norm",
                   "pair", "ratio", "pivot_index", "pivot_ratio", "precision_bits",
-                  "attempted_bits", "steps", "growth"):
+                  "attempted_bits", "steps", "growth", "degree", "observed_error",
+                  "tolerance", "residue", "scale"):
         if hasattr(exc, field):
             value = getattr(exc, field)
             if isinstance(value, float):
@@ -351,18 +358,19 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         system = assemble(config, state0)
         report = solve_min_norm(system, autoscale=args.autoscale,
                                 ridge_fallback=args.ridge_fallback)
-    except (UncontrollableMode, ResonanceDefect, RationalResonance) as exc:
+        # sampling can still fail (SamplingError): before any success report
+        write_control_csv(report.control, _out_path(args, "control.csv"))
+    except UNCONTROLLABLE_ERRORS as exc:
         _write_json(_out_path(args, "synthesis.json"), _error_doc("synthesize", exc))
         print(f"synthesize: uncontrollable: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE
-    except (NumericalRankDeficiency, StepSizeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         _write_json(_out_path(args, "synthesis.json"), _error_doc("synthesize", exc))
         print(f"synthesize: numerically infeasible: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     doc = {"command": "synthesize"}
     doc.update(report.to_json_dict())
     _write_json(_out_path(args, "synthesis.json"), doc)
-    write_control_csv(report.control, _out_path(args, "control.csv"))
     print(f"synthesize: cost {report.cost:.6g}, condition ~{report.condition_estimate:.3g}, "
           f"{report.precision_bits_used} bits")
     return EXIT_OK
@@ -376,11 +384,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             config, state0, tolerance=args.tolerance, steps=args.steps,
             autoscale=args.autoscale, ridge_fallback=args.ridge_fallback,
             samples=args.samples)
-    except (UncontrollableMode, ResonanceDefect, RationalResonance) as exc:
+    except UNCONTROLLABLE_ERRORS as exc:
         _write_json(_out_path(args, "verification.json"), _error_doc("verify", exc))
         print(f"verify: uncontrollable: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE
-    except (NumericalRankDeficiency, StepSizeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         _write_json(_out_path(args, "verification.json"), _error_doc("verify", exc))
         print(f"verify: numerically infeasible: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -442,11 +450,11 @@ def cmd_cost_sweep(args: argparse.Namespace) -> int:
         raise ValueError("at least one horizon is required")
     try:
         sweep = cost_sweep(config, state0, horizons)
-    except (UncontrollableMode, ResonanceDefect, RationalResonance) as exc:
+    except UNCONTROLLABLE_ERRORS as exc:
         _write_json(_out_path(args, "cost_sweep.json"), _error_doc("cost-sweep", exc))
         print(f"cost-sweep: uncontrollable: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE
-    except (NumericalRankDeficiency, StepSizeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         _write_json(_out_path(args, "cost_sweep.json"), _error_doc("cost-sweep", exc))
         print(f"cost-sweep: numerically infeasible: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -475,10 +483,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"beamctl {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UncontrollableMode, ResonanceDefect, RationalResonance) as exc:
+    except UNCONTROLLABLE_ERRORS as exc:
         print(f"beamctl {args.command}: uncontrollable: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE
-    except (NumericalRankDeficiency, StepSizeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"beamctl {args.command}: numerically infeasible: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -79,6 +79,43 @@ class RationalResonance(BeamControlError):
         )
 
 
+class ImaginaryResidue(BeamControlError, ArithmeticError):
+    """A quantity known to be real carries an imaginary part above roundoff.
+
+    Conjugate-pair algebra cancels imaginary parts exactly in theory; a
+    residue above 2^(-precision_bits/2) of `scale` means the algebra upstream
+    is wrong, not that precision ran short.
+    """
+
+    def __init__(self, residue: float, scale: float, precision_bits: int):
+        self.residue = residue
+        self.scale = scale
+        self.precision_bits = precision_bits
+        super().__init__(
+            f"imaginary residue {residue:.8g} exceeds the roundoff budget "
+            f"(scale {scale:.8g}, {precision_bits} bits)"
+        )
+
+
+class SamplingError(BeamControlError):
+    """The Chebyshev proxy of a control did not reach float64 accuracy.
+
+    `degree` is the number of Chebyshev-Lobatto intervals the proxy was
+    built on; `observed_error` is the coefficient tail (when the series did
+    not decay under the node cap) or the worst held-out gap (when it did),
+    both relative to the series' own scale, against `tolerance`.
+    """
+
+    def __init__(self, degree: int, observed_error: float, tolerance: float, what: str):
+        self.degree = degree
+        self.observed_error = observed_error
+        self.tolerance = tolerance
+        super().__init__(
+            f"control sampling proxy failed at degree {degree}: {what} "
+            f"{observed_error:.3e} against tolerance {tolerance:.3e}"
+        )
+
+
 class StepSizeError(BeamControlError):
     """The explicit integrator went unstable at the requested step count."""
 

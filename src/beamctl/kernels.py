@@ -19,20 +19,23 @@ primitive needed is the truncated moment
     M_d(nu, t) = int_0^t w^d e^(nu w) dw,
 
 computed by a stable series for small |nu t| and by the usual recursion in d
-otherwise.
+otherwise.  Float64 samples of a control come from one Chebyshev proxy of
+f, f', f'' per signal, built from extended-precision values at
+Chebyshev-Lobatto nodes (ControlSignal.proxy).
 """
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
 
 from ._numutil import decimal_str, strip_imag, to_mpf
+from .errors import SamplingError
 
 __all__ = [
     "Kernel",
@@ -41,11 +44,18 @@ __all__ = [
     "gram_entry",
     "kernel_value",
     "kernel_antiderivatives",
-    "monomial_kernel_product",
     "convolution_moment",
+    "ChebyshevProxy",
 ]
 
 _GUARD_BITS = 64
+
+# Chebyshev proxy of a control's samples (ControlSignal.proxy)
+_FIRST_NODES = 16           # Lobatto intervals of the first round
+_MAX_NODES = 4096           # no plateau by here: SamplingError
+_HELDOUT_RTOL = 1e-12       # held-out gap against the series' largest value
+_EPS = 2.0 ** -52
+_TINY = np.finfo(np.float64).tiny
 
 
 def power_exp_moment(d: int, nu, t):
@@ -186,19 +196,6 @@ def gram_entry(kernel_a: Kernel, kernel_b: Kernel, horizon,
         return strip_imag(total, precision_bits)
 
 
-def monomial_kernel_product(degree: int, kernel: Kernel, horizon,
-                            precision_bits: int = 256):
-    """<s^degree, kernel> over [0, T]: monomials expand as (T - u)^degree."""
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        T = to_mpf(horizon)
-        total = mp.mpf(0)
-        for (b, q, mu) in kernel.exponential_parts(T):
-            for j in range(degree + 1):
-                coef = comb(degree, j) * (-1) ** j * T ** (degree - j)
-                total = total + coef * mp.conj(b) * power_exp_moment(j + q, mp.conj(mu), T)
-        return strip_imag(total, precision_bits)
-
-
 def convolution_moment(part, d: int, lam, t, horizon):
     """int_0^t (T-s)^p e^(mu (T-s)) (t-s)^d e^(lam (t-s)) ds for one kernel part.
 
@@ -329,193 +326,195 @@ class ControlSignal:
         return bound * max(1.0, T, T * T / 2)
 
     def sample(self, times) -> dict:
-        """Float64 samples {t, f, f_prime, f_second} for export and integration.
+        """Float64 samples {t, f, f_prime, f_second} at times in [0, T].
 
-        Each returned number is the signal's value at that time, rounded to
-        float64.  When every term of the exponential sum is modest the
-        evaluation runs vectorized in complex128; when the terms are huge and
-        the values small (the normal situation for synthesized controls, where
-        coefficients of 1e10 and beyond cancel pointwise) plain float64
-        evaluation would lose the value entirely, so the sum is carried out in
-        extended precision sized to the cancellation and only the final values
-        are rounded.
+        Synthesized controls are small numbers written as differences of huge
+        terms, so no float64 sum of the terms can be trusted.  Every sample is
+        read off the control's Chebyshev proxy (`proxy`) by Clenshaw
+        recurrence, within _HELDOUT_RTOL of its series' largest value; a
+        control the proxy cannot capture raises SamplingError.
         """
         t = np.asarray([float(x) for x in times], dtype=np.float64)
         if t.size == 0:
             return {"t": t, "f": t.copy(), "f_prime": t.copy(), "f_second": t.copy()}
-        if self.term_scale_bound() <= 1e6:
-            return self._sample_float64(t)
-        return self._sample_extended(t)
-
-    def _sample_float64(self, t: np.ndarray) -> dict:
-        T = float(self.horizon)
-        f = np.zeros_like(t)
-        fp = np.zeros_like(t)
-        fpp = np.zeros_like(t)
-        for c, k in zip(self.coefficients, self.kernels):
-            cf = float(c)
-            for (a, p, lam) in k.exponential_parts(self.horizon):
-                af = complex(a)
-                lf = complex(lam)
-                u = T - t
-                if lf == 0:
-                    if p == 0:
-                        fpp_k = np.ones_like(t)
-                        f1 = t.copy()
-                        f2 = t * t / 2
-                    else:
-                        fpp_k = u
-                        f1 = T * t - t * t / 2
-                        f2 = T * t * t / 2 - t ** 3 / 6
-                    fpp += cf * (af * fpp_k).real
-                    fp += cf * (af * f1).real
-                    f += cf * (af * f2).real
-                else:
-                    eu = np.exp(lf * u)
-                    eT = np.exp(lf * T)
-                    fpp_k = (u ** p) * eu
-                    if p == 0:
-                        F = lambda w, ew: ew / lf
-                        G = lambda w, ew: ew / lf ** 2
-                    else:
-                        F = lambda w, ew: ew * (w / lf - 1 / lf ** 2)
-                        G = lambda w, ew: ew * (w / lf ** 2 - 2 / lf ** 3)
-                    f1 = F(T, eT) - F(u, eu)
-                    f2 = t * F(T, eT) - (G(T, eT) - G(u, eu))
-                    fpp += cf * (af * fpp_k).real
-                    fp += cf * (af * f1).real
-                    f += cf * (af * f2).real
+        f, fp, fpp = self.proxy(t)
         return {"t": t, "f": f, "f_prime": fp, "f_second": fpp}
 
-    def _sample_extended(self, t: np.ndarray) -> dict:
-        """Cancellation-proof sampling at precision sized to the term bound.
+    @cached_property
+    def proxy(self) -> "ChebyshevProxy":
+        """Chebyshev series of f, f' and f'' good to float64, built once.
 
-        All terms are evaluated on one shared time basis (an exact uniform
-        ladder when the grid is uniform, the exact given times otherwise):
-        evaluating different terms at times differing even by one float64
-        ulp would smear the cancellation by bound * ulp, which is exactly
-        the failure mode this path exists to avoid.  Uniform ladders advance
-        each exponential by a single precomputed ratio per step.
+        f, f', f'' are summed in extended precision (`_sample_extended`) at
+        the Chebyshev-Lobatto nodes of [0, T], doubling the node count from
+        _FIRST_NODES (each round evaluates only the new half) until the
+        standard chop of Aurentz & Trefethen (ACM TOMS 2017) finds all three
+        coefficient tails flat at float64 roundoff.  The chopped series are
+        then checked at held-out times: the angular midpoints of the node
+        intervals next to both ends (the fast kernels peak next to t = T)
+        and of a spread across the interior.  No plateau by _MAX_NODES, or a
+        held-out gap above _HELDOUT_RTOL of the series' largest node value,
+        raises SamplingError.
+        """
+        T = float(self.horizon)
+        n = _FIRST_NODES
+        values = self._sample_extended(_lobatto_times(T, np.arange(n + 1), n))
+        while True:
+            coeffs = _chebyshev_coefficients(values)
+            cuts = [_standard_chop(row) for row in coeffs]
+            if max(cuts) <= n:
+                break
+            if 2 * n > _MAX_NODES:
+                tail = np.abs(coeffs[:, -(n // 8):]).max(axis=1)
+                top = np.maximum(np.abs(coeffs).max(axis=1), _TINY)
+                raise SamplingError(n, float((tail / top).max()), _EPS,
+                                    "coefficient tail")
+            fresh = self._sample_extended(_lobatto_times(T, 2 * np.arange(n) + 1, 2 * n))
+            merged = np.empty((3, 2 * n + 1))
+            merged[:, ::2] = values
+            merged[:, 1::2] = fresh
+            values, n = merged, 2 * n
+
+        table = np.zeros((max(cuts), 3))
+        for i, cut in enumerate(cuts):
+            table[:cut, i] = coeffs[i, :cut]
+        ends = np.concatenate([np.arange(min(8, n)), np.arange(n - 4, n),
+                               np.arange(0, n, max(1, n // 16))])
+        held = _lobatto_times(T, 2 * np.unique(ends) + 1, 2 * n)
+        gap = np.abs(_clenshaw(2.0 * held / T - 1.0, table) - self._sample_extended(held))
+        scale = np.maximum(np.abs(values).max(axis=1), _TINY)
+        worst = float((gap.max(axis=1) / scale).max())
+        if not worst <= _HELDOUT_RTOL:
+            raise SamplingError(n, worst, _HELDOUT_RTOL, "held-out error")
+        return ChebyshevProxy(T, table, n, tuple(cut - 1 for cut in cuts), worst)
+
+    def _sample_extended(self, t: np.ndarray) -> np.ndarray:
+        """Rows f, f', f'' at times t, each summed at precision sized to the
+        term bound and rounded to float64 once.  All terms see the same exact
+        time: one ulp between them would smear the cancellation by bound * ulp.
         """
         bound = self.term_scale_bound()
-        bits = max(128, int(math.log2(bound)) + 80) if math.isfinite(bound) \
+        bits = max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound) \
             else max(256, self.precision_bits)
-        n = t.size
-        h_f = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
-        uniform = n > 2 and bool(np.allclose(np.diff(t), h_f, rtol=1e-9, atol=1e-18))
-        out2 = np.empty(n)
-        out1 = np.empty(n)
-        out0 = np.empty(n)
+        out = np.empty((3, t.size))
         with mp.workprec(bits):
             T = to_mpf(self.horizon)
-            if uniform:
-                t0 = mp.mpf(float(t[0]))
-                h = (mp.mpf(float(t[-1])) - t0) / (n - 1)
-                ts = [t0 + j * h for j in range(n)]
-            else:
-                h = None
-                ts = [mp.mpf(float(x)) for x in t]
-            us = [T - tt for tt in ts]
-
-            # global polynomial parts (degrees 1 / 2 / 3 in t)
-            poly2 = [mp.mpf(0), mp.mpf(0)]
-            poly1 = [mp.mpf(0), mp.mpf(0), mp.mpf(0)]
-            poly0 = [mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.mpf(0)]
-            real_terms = []     # (C2, A2, C1, A1, C0, A0, z0, ratio, lam)
-            cplx_terms = []
-
+            lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t
+            fT = gT = mp.mpf(0)             # sum of Re(ca F(T)), Re(ca G(T)) over the rest
+            terms = []      # (lam, A, B): f^(i) += Re((A_i + B_i u) e^(lam u)), u = T - t
             for c, k in zip(self.coefficients, self.kernels):
                 c = to_mpf(c)
                 if c == 0:
                     continue
                 for (a, p, lam) in k.exponential_parts(T):
-                    lam_c = mp.mpc(lam)
-                    if lam_c.imag < 0:
+                    if mp.im(lam) < 0:
                         continue            # conjugate twin carries it
-                    fold = 2 if lam_c.imag > 0 else 1
-                    if lam_c == 0:
-                        ca = c * mp.mpf(fold) * mp.re(a)
-                        if p == 0:
-                            poly2[0] += ca
-                            poly1[1] += ca
-                            poly0[2] += ca / 2
-                        else:
-                            poly2[0] += ca * T
-                            poly2[1] -= ca
-                            poly1[1] += ca * T
-                            poly1[2] -= ca / 2
-                            poly0[2] += ca * T / 2
-                            poly0[3] -= ca / 6
+                    ca = c * a * (2 if mp.im(lam) > 0 else 1)
+                    if lam == 0:            # ca (T - t)^p
+                        lin[0] += ca * T ** p
+                        lin[1] -= ca * p
                         continue
-                    if lam_c.imag == 0:
-                        lam_r = lam_c.real
-                        ca = c * mp.re(a)
-                        eT = mp.e ** (lam_r * T)
-                        z0 = mp.e ** (lam_r * us[0])
-                        ratio = mp.e ** (-lam_r * h) if uniform else None
-                        if p == 0:
-                            FT = eT / lam_r
-                            GT = eT / lam_r ** 2
-                            poly1[0] += ca * FT
-                            poly0[1] += ca * FT
-                            poly0[0] -= ca * GT
-                            # f2: C2 z; f1: -(ca/lam) z; f0: +(ca/lam^2) z
-                            real_terms.append((ca, mp.mpf(0), -ca / lam_r, mp.mpf(0),
-                                               ca / lam_r ** 2, mp.mpf(0),
-                                               z0, ratio, lam_r))
-                        else:
-                            FT = eT * (T / lam_r - 1 / lam_r ** 2)
-                            GT = eT * (T / lam_r ** 2 - 2 / lam_r ** 3)
-                            poly1[0] += ca * FT
-                            poly0[1] += ca * FT
-                            poly0[0] -= ca * GT
-                            # f2: ca u z; f1: -(A1 u + B1) z; f0: (A0 u + B0) z
-                            real_terms.append((mp.mpf(0), ca,
-                                               ca / lam_r ** 2, -ca / lam_r,
-                                               -2 * ca / lam_r ** 3, ca / lam_r ** 2,
-                                               z0, ratio, lam_r))
+                    eT = mp.exp(lam * T)
+                    if p == 0:
+                        FT, GT = eT / lam, eT / lam ** 2
+                        terms.append((lam, (ca / lam ** 2, -ca / lam, ca), None))
                     else:
-                        ca = mp.mpf(fold) * c * mp.mpc(a)
-                        eT = mp.e ** (lam_c * T)
-                        FT = eT / lam_c
-                        GT = eT / lam_c ** 2
-                        poly1[0] += mp.re(ca * FT)
-                        poly0[1] += mp.re(ca * FT)
-                        poly0[0] -= mp.re(ca * GT)
-                        z0 = mp.e ** (lam_c * us[0])
-                        ratio = mp.e ** (-lam_c * h) if uniform else None
-                        cplx_terms.append((ca, -ca / lam_c, ca / lam_c ** 2,
-                                           z0, ratio, lam_c))
+                        FT = eT * (T / lam - 1 / lam ** 2)
+                        GT = eT * (T / lam ** 2 - 2 / lam ** 3)
+                        terms.append((lam, (-2 * ca / lam ** 3, ca / lam ** 2, 0),
+                                      (ca / lam ** 2, -ca / lam, ca)))
+                    fT += mp.re(ca * FT)
+                    gT += mp.re(ca * GT)
+            # f, f', f'' less their exponential terms, as cubics in t
+            poly = [(-gT, fT, lin[0] / 2, lin[1] / 6), (fT, lin[0], lin[1] / 2, 0),
+                    (lin[0], lin[1], 0, 0)]
 
-            r_state = [term[6] for term in real_terms]
-            c_state = [term[3] for term in cplx_terms]
-            for j in range(n):
-                tj = ts[j]
-                uj = us[j]
-                f2 = poly2[0] + poly2[1] * tj
-                f1 = poly1[0] + (poly1[1] + poly1[2] * tj) * tj
-                f0 = poly0[0] + (poly0[1] + (poly0[2] + poly0[3] * tj) * tj) * tj
-                for i, (C2, A2, C1, A1, C0, A0, z0, ratio, lam_r) in enumerate(real_terms):
-                    z = r_state[i] if uniform else mp.e ** (lam_r * uj)
-                    if A2 == 0:
-                        f2 += C2 * z
-                        f1 += C1 * z
-                        f0 += C0 * z
-                    else:
-                        uz = uj * z
-                        f2 += A2 * uz
-                        f1 += A1 * uz + C1 * z
-                        f0 += A0 * uz + C0 * z
-                    if uniform:
-                        r_state[i] = z * ratio
-                for i, (P, Q, R, z0, ratio, lam_c) in enumerate(cplx_terms):
-                    z = c_state[i] if uniform else mp.e ** (lam_c * uj)
-                    f2 += P.real * z.real - P.imag * z.imag
-                    f1 += Q.real * z.real - Q.imag * z.imag
-                    f0 += R.real * z.real - R.imag * z.imag
-                    if uniform:
-                        c_state[i] = z * ratio
-                out2[j] = float(f2)
-                out1[j] = float(f1)
-                out0[j] = float(f0)
-        return {"t": t, "f": out0, "f_prime": out1, "f_second": out2}
+            for j in range(t.size):
+                tj = mp.mpf(float(t[j]))
+                u = T - tj
+                f = [((q[3] * tj + q[2]) * tj + q[1]) * tj + q[0] for q in poly]
+                for lam, A, B in terms:
+                    z = mp.exp(lam * u)
+                    for i in range(3):
+                        f[i] += mp.re((A[i] if B is None else A[i] + B[i] * u) * z)
+                out[:, j] = [float(v) for v in f]
+        return out
+
+
+@dataclass(frozen=True)
+class ChebyshevProxy:
+    """Chopped Chebyshev series of f, f' and f'' on [0, T], in float64.
+
+    Row k of `coefficients` holds the T_k coefficients of (f, f', f'') in
+    x = 2t/T - 1, each series zero-padded past its own chopped degree.
+    """
+
+    horizon: float
+    coefficients: np.ndarray          # shape (max degree + 1, 3)
+    nodes: int                        # Lobatto intervals sampled in extended precision
+    degrees: Tuple[int, int, int]     # chopped degree of f, f', f''
+    heldout_error: float              # worst held-out gap relative to its series' scale
+
+    def __call__(self, t: np.ndarray):
+        """(f, f', f'') at times t in [0, T], by Clenshaw recurrence."""
+        if not (t.min() >= 0.0 and t.max() <= self.horizon):
+            raise ValueError(f"sample times must lie in [0, {self.horizon!r}]")
+        return tuple(_clenshaw(2.0 * t / self.horizon - 1.0, self.coefficients))
+
+
+def _lobatto_times(T: float, numer: np.ndarray, denom: int) -> np.ndarray:
+    """Times T (1 + cos(pi numer / denom)) / 2, written so t = 0 and t = T come out exact."""
+    return T * np.sin(np.pi * (denom - numer) / (2 * denom)) ** 2
+
+
+def _clenshaw(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k table[k] T_k(x) at every x, one output row per column of table."""
+    x2 = 2.0 * x
+    b1 = b2 = np.zeros((table.shape[1], x.size))
+    for c in table[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + c[:, None], b1
+    return x * b1 - b2 + table[0][:, None]
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """T_k coefficients, k = 0..n, of the interpolant through values at the
+    Lobatto points x_j = cos(pi j / n), j = 0..n (along the last axis)."""
+    n = values.shape[-1] - 1
+    even = np.concatenate([values, values[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(even, axis=-1).real / n
+    c[..., 0] /= 2
+    c[..., n] /= 2
+    return c
+
+
+def _standard_chop(coeffs: np.ndarray) -> int:
+    """Number of leading Chebyshev coefficients worth keeping.
+
+    Aurentz & Trefethen's standardChop at tol = _EPS: find where the monotone
+    envelope of |coeffs| flattens into a plateau below tol^(2/3), then cut at
+    the last point before it on the envelope tilted by tol^(1/3).  Returns
+    len(coeffs) when there is no plateau: the series is unresolved.
+    """
+    n = coeffs.size
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    for j in range(2, n + 1):           # 1-based indices, as in the paper
+        j2 = int(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_EPS)):
+            plateau = j - 1
+            break
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    floor = _EPS ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(envelope >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -math.log10(_EPS) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)

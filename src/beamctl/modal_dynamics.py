@@ -54,11 +54,14 @@ __all__ = [
     "sobolev_norm",
     "state_pair_norm",
     "default_steps",
+    "ORACLE_STEP_CAP",
     "simulate_oracle",
     "write_trajectory_csv",
 ]
 
 _GUARD_BITS = 64
+
+ORACLE_STEP_CAP = 200000    # largest RK4 step count a verification sizes itself
 
 
 @dataclass(frozen=True)
@@ -337,14 +340,16 @@ def default_steps(config: BeamConfig) -> int:
 
 
 def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
-                             target_abs: float, cap: int = 200000) -> int:
-    """Step count sized so RK4 truncation stays under target_abs.
+                             target_abs: float,
+                             cap: Optional[int] = ORACLE_STEP_CAP) -> int:
+    """Step count sized so RK4 truncation stays under target_abs, at most cap.
 
     The dominant local error of the forced system scales like
     h^4 |lambda|_max^2 sup|f''|; the constant 30 is calibrated against
     measured final-state deviations near the critical damping ratio and
     overshoots milder regimes, which only adds margin.  sup|f''| comes
-    from a coarse sample of the control.
+    from a coarse sample of the control.  cap=None returns the uncapped
+    count.
     """
     T = float(to_mpf(config.horizon))
     coarse = control.sample(np.linspace(0.0, T, 257))
@@ -352,7 +357,8 @@ def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
     lam_max = _stiffest_rate(config)
     target = max(float(target_abs), 1e-300)
     need = T * (30.0 * lam_max ** 2 * f_inf / target) ** 0.25
-    return min(cap, max(default_steps(config), ceil(need)))
+    steps = max(default_steps(config), ceil(need))
+    return steps if cap is None else min(cap, steps)
 
 
 def simulate_oracle(config: BeamConfig, state0: ModalState,

@@ -29,6 +29,7 @@ import numpy as np
 from ._numutil import to_mpf
 from .kernels import ControlSignal
 from .modal_dynamics import (
+    ORACLE_STEP_CAP,
     ModalState,
     Trajectory,
     forced_state_at,
@@ -48,6 +49,7 @@ __all__ = [
     "CostSweep",
     "pair_norm_scale",
     "closed_form_final_state",
+    "oracle_steps",
     "null_control_experiment",
     "cost_sweep",
     "crosscheck_suite",
@@ -104,6 +106,8 @@ class VerificationReport:
     final_norm: float                   # closed-form route
     oracle_final_norm: float            # independent integrator route
     oracle_deviation: float             # max componentwise gap between routes
+    oracle_steps_requested: int         # RK4 steps the verdict margin asks for
+    oracle_steps_used: int              # RK4 steps run, at most ORACLE_STEP_CAP
     verdict: Verdict
     trajectory: Trajectory
 
@@ -116,8 +120,22 @@ class VerificationReport:
             "final_norm": repr(self.final_norm),
             "oracle_final_norm": repr(self.oracle_final_norm),
             "oracle_deviation": repr(self.oracle_deviation),
+            "oracle_steps_requested": self.oracle_steps_requested,
+            "oracle_steps_used": self.oracle_steps_used,
             "synthesis": self.synthesis.to_json_dict(),
         }
+
+
+def oracle_steps(config: BeamConfig, control: ControlSignal, tolerance: float,
+                 initial_norm: float) -> Tuple[int, int]:
+    """(requested, used) RK4 step counts for a verdict at `tolerance`.
+
+    Requested keeps the oracle's truncation within a twentieth of the
+    verdict margin; used is the same count capped at ORACLE_STEP_CAP.
+    """
+    target = tolerance * max(initial_norm, 1e-300) / 20.0
+    requested = forcing_resolution_steps(config, control, target, cap=None)
+    return requested, min(requested, ORACLE_STEP_CAP)
 
 
 def null_control_experiment(config: BeamConfig, state0: ModalState,
@@ -145,9 +163,9 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
     p = pair_norm_scale(config.boundary)
     initial_norm = state_pair_norm(state0, p)
     if steps is None:
-        # size the oracle so its truncation cannot eat the verdict margin
-        target = tolerance * max(initial_norm, 1e-300) / 20.0
-        steps = forcing_resolution_steps(solved_config, control, target)
+        requested, steps = oracle_steps(solved_config, control, tolerance, initial_norm)
+    else:
+        requested = steps
     trajectory = simulate_oracle(solved_config, state0, control,
                                  steps=steps, samples=samples)
     oracle_final = trajectory.final_state()
@@ -170,6 +188,8 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
         final_norm=final_norm,
         oracle_final_norm=oracle_final_norm,
         oracle_deviation=deviation,
+        oracle_steps_requested=requested,
+        oracle_steps_used=steps,
         verdict=verdict,
         trajectory=trajectory,
     )

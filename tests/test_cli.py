@@ -207,3 +207,45 @@ def test_cost_sweep_outputs(tmp_path):
     doc = load(out, "cost_sweep.json")
     assert doc["monotone_nonincreasing"] is True
     assert doc["horizons"] == ["1/2", "1"]
+
+
+def test_verify_sampling_failure_exits_four(tmp_path, monkeypatch):
+    import beamctl.kernels
+
+    # a node cap no control of these rates can meet
+    monkeypatch.setattr(beamctl.kernels, "_MAX_NODES", 16)
+    code, out = run(tmp_path, "verify", "--modes", "2",
+                    "--data", "1:1:0,2:0:0.3", *FAST)
+    assert code == 4
+    doc = load(out, "verification.json")
+    assert doc["error"]["type"] == "SamplingError"
+    assert doc["error"]["degree"] == 16
+    assert float(doc["error"]["observed_error"]) > float(doc["error"]["tolerance"])
+
+
+def test_synthesize_sampling_failure_exits_four(tmp_path, monkeypatch):
+    import beamctl.kernels
+
+    monkeypatch.setattr(beamctl.kernels, "_MAX_NODES", 16)
+    code, out = run(tmp_path, "synthesize", "--modes", "2",
+                    "--data", "1:1:0,2:0:0.3", *FAST)
+    assert code == 4
+    assert load(out, "synthesis.json")["error"]["type"] == "SamplingError"
+    assert not (out / "control.csv").exists()
+
+
+def test_imaginary_residue_exits_four(tmp_path, monkeypatch):
+    import beamctl.cli
+    from beamctl.errors import ImaginaryResidue
+
+    def broken(config, state):
+        raise ImaginaryResidue(1e-3, 1.0, 128)
+
+    monkeypatch.setattr(beamctl.cli, "assemble", broken)
+    code, out = run(tmp_path, "synthesize", "--modes", "2", *FAST)
+    assert code == 4
+    err = load(out, "synthesis.json")["error"]
+    assert err["type"] == "ImaginaryResidue"
+    assert float(err["residue"]) == 1e-3
+    assert err["precision_bits"] == 128
+

@@ -181,3 +181,100 @@ def test_kernel_descriptor_round_trip():
         assert k2.kind == "expcos"
         assert ulp_close(k2.decay, k.decay, ulps=8)
         assert ulp_close(k2.freq, k.freq, ulps=8)
+
+
+def acceptance_control(boundary, rho, n_modes):
+    """The acceptance battery's minimum-norm control at 256 bits."""
+    from beamctl.modal_dynamics import ModalState
+    from beamctl.moment_problem import assemble
+    from beamctl.spectrum import BeamConfig, Boundary
+    from beamctl.synthesis import solve_min_norm
+
+    # Dirichlet: mode 1 value 1, mode 2 velocity 0.2, mode 3 value 0.3;
+    # Neumann (slot 0 is the constant mode): modes 1, 3, 5 likewise
+    neumann = boundary == "neumann"
+    slots = ((1, 0, 1), (3, 0, "0.3"), (5, 1, "0.2")) if neumann else \
+        ((0, 0, 1), (1, 1, "0.2"), (2, 0, "0.3"))
+    data = [[0] * (n_modes + neumann), [0] * (n_modes + neumann)]
+    for slot, part, amp in slots:
+        if slot < len(data[0]):
+            data[part][slot] = amp
+    state = ModalState(Boundary(boundary), tuple(data[0]), tuple(data[1]))
+    config = BeamConfig(Boundary(boundary), Fraction(rho), n_modes, Fraction(1), 256)
+    return solve_min_norm(assemble(config, state)).control
+
+
+@pytest.mark.parametrize("boundary,rho,n_modes", [
+    ("dirichlet", "0.5", 6), ("dirichlet", "1", 6), ("dirichlet", "2", 6),
+    ("dirichlet", "3", 6), ("neumann", "1", 5)])
+def test_sample_matches_evaluators_in_every_regime(boundary, rho, n_modes):
+    sig = acceptance_control(boundary, rho, n_modes)
+    rng = np.random.default_rng(20260)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 24),
+                        1.0 - rng.uniform(0.0, 0.02, 8)])   # the fast kernels peak at T
+    s = sig.sample(t)
+    dense = sig.sample(np.linspace(0.0, 1.0, 2001))
+    for key, exact in (("f_second", sig.curvature), ("f_prime", sig.slope),
+                       ("f", sig.value)):
+        scale = float(np.max(np.abs(dense[key])))
+        for i, ti in enumerate(t):
+            assert abs(s[key][i] - float(exact(mp.mpf(ti)))) <= 1e-12 * scale, (key, ti)
+
+
+def test_sample_reuses_one_proxy_per_control():
+    sig = acceptance_control("dirichlet", "1", 3)
+    assert sig.proxy is sig.proxy
+    assert sig.proxy.heldout_error <= 1e-12
+    assert 16 <= sig.proxy.nodes <= 4096
+    assert max(sig.proxy.degrees) < sig.proxy.nodes
+
+
+def test_sample_rejects_times_outside_the_horizon():
+    sig = ControlSignal(kernels=(Kernel("const"),), coefficients=(mp.mpf(1),),
+                        horizon=Fraction(1), precision_bits=128)
+    for bad in ([0.5, 1.5], [-1e-3, 0.5], [float("nan")]):
+        with pytest.raises(ValueError):
+            sig.sample(np.array(bad))
+
+
+def test_standard_chop_cuts_at_float64_roundoff():
+    from beamctl.kernels import _chebyshev_coefficients, _standard_chop
+
+    x = np.cos(np.pi * np.arange(33) / 32)      # Lobatto points, 32 intervals
+    c = _chebyshev_coefficients(np.exp(x))
+    # exp's coefficients are 2 I_k(1): 1.4e-15 at k = 14, 4.7e-17 at k = 15
+    cut = _standard_chop(c)
+    assert cut == 15
+    grid = np.linspace(-1.0, 1.0, 1001)
+    err = np.polynomial.chebyshev.chebval(grid, c[:cut]) - np.exp(grid)
+    assert np.max(np.abs(err)) < 1e-15 * np.e
+    # sin(20x) needs about 50 terms: 33 samples show no plateau
+    c = _chebyshev_coefficients(np.sin(20 * x))
+    assert _standard_chop(c) == c.size
+
+
+def test_sample_refuses_a_series_that_does_not_decay():
+    from beamctl.errors import SamplingError
+    from beamctl.kernels import _MAX_NODES
+
+    # about 3,200 periods on [0, 1] need over 10,000 Chebyshev terms
+    with mp.workprec(128):
+        sig = ControlSignal(kernels=(Kernel("expcos", decay=mp.mpf(0), freq=mp.mpf(20000)),),
+                            coefficients=(mp.mpf(1),), horizon=Fraction(1),
+                            precision_bits=128)
+    with pytest.raises(SamplingError) as info:
+        sig.sample(np.linspace(0.0, 1.0, 11))
+    assert info.value.degree == _MAX_NODES
+    assert info.value.observed_error > 1e-6
+
+
+def test_sample_refuses_a_failed_held_out_check(monkeypatch):
+    import beamctl.kernels
+    from beamctl.errors import SamplingError
+
+    monkeypatch.setattr(beamctl.kernels, "_HELDOUT_RTOL", 0.0)
+    sig = acceptance_control("dirichlet", "1", 2)
+    with pytest.raises(SamplingError) as info:
+        sig.sample(np.linspace(0.0, 1.0, 11))
+    assert info.value.tolerance == 0.0
+    assert info.value.observed_error > 0.0

@@ -65,3 +65,29 @@ def test_ulp_close_detects_separation():
         a = mp.mpf(1)
         assert ulp_close(a, a + mp.eps, ulps=2)
         assert not ulp_close(a, a + 1000 * mp.eps, ulps=2)
+
+
+def test_strip_imag_raises_typed_error():
+    from beamctl.errors import BeamControlError, ImaginaryResidue
+
+    with mp.workprec(64):
+        with pytest.raises(ImaginaryResidue) as info:
+            strip_imag(mp.mpc(2, 1e-3), 64)
+    assert isinstance(info.value, BeamControlError)
+    assert info.value.residue == pytest.approx(1e-3)
+    assert info.value.scale == 2.0
+    assert info.value.precision_bits == 64
+
+
+def test_decimal_str_keeps_full_precision_and_takes_fractions():
+    with mp.workprec(53):       # the ambient precision must not matter
+        text = decimal_str(Fraction(1, 3), 256)
+    with mp.workprec(320):
+        back = mp.mpf(text)
+        assert abs(back - mp.mpf(1) / 3) <= mp.mpf(2) ** -250
+    with mp.workprec(256):
+        x = mp.sqrt(3)
+    with mp.workprec(53):
+        text = decimal_str(x, 256)
+    with mp.workprec(320):
+        assert abs(mp.mpf(text) - x) <= mp.mpf(2) ** -250 * x

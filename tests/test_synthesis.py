@@ -155,3 +155,22 @@ def test_control_csv_shape(tmp_path):
     scale = max(1.0, max(abs(float(l.split(",")[1])) for l in lines[1:]))
     assert abs(float(first[1])) < 1e-12 * scale
     assert abs(float(first[2])) < 1e-12 * scale
+
+
+def test_report_json_carries_256_bit_coefficients():
+    report = solve_min_norm(small_system(256))
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    with mp.workprec(320):
+        for row, coeff in zip(doc["rows"], report.coefficients):
+            back = mp.mpf(row["coefficient"])
+            assert abs(back - coeff) <= mp.mpf(2) ** -240 * abs(coeff)
+
+
+def test_report_json_from_fraction_state():
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1), 128)
+    st = ModalState.dirichlet(values=(Fraction(1), Fraction(0)),
+                              velocities=(Fraction(0), Fraction(1, 3)))
+    doc = json.loads(json.dumps(solve_min_norm(assemble(cfg, st)).to_json_dict()))
+    with mp.workprec(256):
+        third = mp.mpf(doc["state0"]["velocities"][1])
+        assert abs(third - mp.mpf(1) / 3) <= mp.mpf(2) ** -120

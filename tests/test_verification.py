@@ -128,3 +128,29 @@ def test_crosscheck_battery():
         assert case["oracle_final_rel"] < 1e-6
     assert out["max_deviation"] < 1e-6
     assert out["max_final_rel"] < 1e-6
+
+
+def test_oracle_steps_report_the_cap():
+    from beamctl.modal_dynamics import ORACLE_STEP_CAP, state_pair_norm
+    from beamctl.moment_problem import assemble
+    from beamctl.synthesis import solve_min_norm
+    from beamctl.verification import oracle_steps
+
+    config = BeamConfig(Boundary.DIRICHLET, Fraction(3), 8, Fraction(1), 256)
+    state0 = ModalState.dirichlet(values=(1, 0, "0.3", 0, 0, 0, 0, 0),
+                                  velocities=(0, "0.2", 0, 0, 0, 0, 0, 0))
+    control = solve_min_norm(assemble(config, state0)).control
+    requested, used = oracle_steps(config, control, 1e-6, state_pair_norm(state0, 3))
+    assert requested == 344125
+    assert used == ORACLE_STEP_CAP == 200000
+
+
+def test_experiment_reports_oracle_steps():
+    state0 = ModalState.dirichlet(values=(1, 0), velocities=(0, "0.3"))
+    report = null_control_experiment(small_config(), state0, tolerance=1e-6)
+    assert report.oracle_steps_requested == report.oracle_steps_used >= 4000
+    doc = report.to_json_dict()
+    assert doc["oracle_steps_requested"] == report.oracle_steps_requested
+    assert doc["oracle_steps_used"] == report.oracle_steps_used
+    fixed = null_control_experiment(small_config(), state0, tolerance=1e-6, steps=5000)
+    assert fixed.oracle_steps_requested == fixed.oracle_steps_used == 5000
