@@ -54,7 +54,6 @@ from .modal_dynamics import (
     write_trajectory_csv,
 )
 from .moment_problem import (
-    MomentRHS,
     MomentSystem,
     assemble,
     data_l2_norm,
@@ -64,7 +63,6 @@ from .moment_problem import (
 from .synthesis import (
     SynthesisReport,
     biorthogonal_family,
-    evaluate_control,
     gram_matrix,
     solve_min_norm,
     write_control_csv,
@@ -130,7 +128,6 @@ __all__ = [
     "sobolev_norm",
     "state_pair_norm",
     "write_trajectory_csv",
-    "MomentRHS",
     "MomentSystem",
     "assemble",
     "data_l2_norm",
@@ -138,7 +135,6 @@ __all__ = [
     "neumann_admissibility",
     "SynthesisReport",
     "biorthogonal_family",
-    "evaluate_control",
     "gram_matrix",
     "solve_min_norm",
     "write_control_csv",

@@ -11,7 +11,7 @@ from .errors import ImaginaryResidue
 
 RealLike = Union[int, float, str, Fraction]
 
-_GUARD_BITS = 64
+GUARD_BITS = 64          # extra working bits over every requested precision
 
 
 def as_fraction(x: RealLike, what: str = "value") -> Fraction:
@@ -74,7 +74,7 @@ def decimal_str(x, precision_bits: int) -> str:
     keep every digit and Fractions round once, at that precision.
     """
     dps = max(17, int(precision_bits * 0.30103) + 2)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         return mp.nstr(to_mpf(x), dps)
 
 

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
-from ._numutil import decimal_str, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .condensation import (
     condensation_estimate,
     ratio_from_quotients,
@@ -71,7 +71,9 @@ UNCONTROLLABLE_ERRORS = (UncontrollableMode, ResonanceDefect, RationalResonance)
 NUMERICAL_ERRORS = (NumericalRankDeficiency, StepSizeError, SamplingError,
                     ImaginaryResidue)
 
-_GUARD_BITS = 64
+# subcommand -> the report that carries its error document on exit 3 or 4
+REPORT_FILES = {"synthesize": "synthesis.json", "verify": "verification.json",
+                "cost-sweep": "cost_sweep.json", "condensation": "condensation.json"}
 
 # (section, key) -> (args attribute, converter); the whole config-file schema
 CONFIG_SCHEMA = {
@@ -240,7 +242,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
             except ValueError:
                 raise ValueError(f"bad seed in data fixture {descriptor!r}")
         rng = np.random.default_rng(seed)
-        with mp.workprec(config.precision_bits + _GUARD_BITS):
+        with mp.workprec(config.precision_bits + GUARD_BITS):
             vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
             for n in range(1, config.n_modes + 1):
                 if neumann and n % 2 == 0:
@@ -278,7 +280,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
                 raise ValueError(
                     f"mode {mode} outside the configured range 1..{config.n_modes}")
 
-    with mp.workprec(config.precision_bits + _GUARD_BITS):
+    with mp.workprec(config.precision_bits + GUARD_BITS):
         return ModalState(config.boundary,
                           tuple(to_mpf(v) for v in values),
                           tuple(to_mpf(v) for v in velocities))
@@ -314,11 +316,9 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = beam_config(args)
     bits = config.precision_bits
-    import csv as _csv
-
     csv_path = _out_path(args, "spectrum.csv")
     with open(csv_path, "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "regime", "lambda_plus_re", "lambda_plus_im",
                     "lambda_minus_re", "lambda_minus_im"])
         for n in range(1, config.n_modes + 1):
@@ -354,20 +354,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
-    try:
-        system = assemble(config, state0)
-        report = solve_min_norm(system, autoscale=args.autoscale,
-                                ridge_fallback=args.ridge_fallback)
-        # sampling can still fail (SamplingError): before any success report
-        write_control_csv(report.control, _out_path(args, "control.csv"))
-    except UNCONTROLLABLE_ERRORS as exc:
-        _write_json(_out_path(args, "synthesis.json"), _error_doc("synthesize", exc))
-        print(f"synthesize: uncontrollable: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
-    except NUMERICAL_ERRORS as exc:
-        _write_json(_out_path(args, "synthesis.json"), _error_doc("synthesize", exc))
-        print(f"synthesize: numerically infeasible: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    system = assemble(config, state0)
+    report = solve_min_norm(system, autoscale=args.autoscale,
+                            ridge_fallback=args.ridge_fallback)
+    # sampling can still fail (SamplingError): before any success report
+    write_control_csv(report.control, _out_path(args, "control.csv"))
     doc = {"command": "synthesize"}
     doc.update(report.to_json_dict())
     _write_json(_out_path(args, "synthesis.json"), doc)
@@ -379,19 +370,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
-    try:
-        report = null_control_experiment(
-            config, state0, tolerance=args.tolerance, steps=args.steps,
-            autoscale=args.autoscale, ridge_fallback=args.ridge_fallback,
-            samples=args.samples)
-    except UNCONTROLLABLE_ERRORS as exc:
-        _write_json(_out_path(args, "verification.json"), _error_doc("verify", exc))
-        print(f"verify: uncontrollable: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
-    except NUMERICAL_ERRORS as exc:
-        _write_json(_out_path(args, "verification.json"), _error_doc("verify", exc))
-        print(f"verify: numerically infeasible: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = null_control_experiment(
+        config, state0, tolerance=args.tolerance, steps=args.steps,
+        autoscale=args.autoscale, ridge_fallback=args.ridge_fallback,
+        samples=args.samples)
     doc = {"command": "verify"}
     doc.update(report.to_json_dict())
     _write_json(_out_path(args, "verification.json"), doc)
@@ -424,14 +406,8 @@ def cmd_condensation(args: argparse.Namespace) -> int:
         exact = branch_ratio_exact(rho)
         r = exact if exact is not None else branch_ratio(rho, bits)
         source = f"rho:{rho}"
-    try:
-        est = condensation_estimate(r, args.nmax, tail_start=args.tail_start,
-                                    precision_bits=bits)
-    except RationalResonance as exc:
-        _write_json(_out_path(args, "condensation.json"),
-                    _error_doc("condensation", exc))
-        print(f"condensation: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
+    est = condensation_estimate(r, args.nmax, tail_start=args.tail_start,
+                                precision_bits=bits)
     doc = {"command": "condensation", "ratio_source": source}
     doc.update(est.to_json_dict())
     _write_json(_out_path(args, "condensation.json"), doc)
@@ -448,20 +424,9 @@ def cmd_cost_sweep(args: argparse.Namespace) -> int:
     horizons = [h.strip() for h in args.horizons.split(",") if h.strip()]
     if not horizons:
         raise ValueError("at least one horizon is required")
-    try:
-        sweep = cost_sweep(config, state0, horizons)
-    except UNCONTROLLABLE_ERRORS as exc:
-        _write_json(_out_path(args, "cost_sweep.json"), _error_doc("cost-sweep", exc))
-        print(f"cost-sweep: uncontrollable: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
-    except NUMERICAL_ERRORS as exc:
-        _write_json(_out_path(args, "cost_sweep.json"), _error_doc("cost-sweep", exc))
-        print(f"cost-sweep: numerically infeasible: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    import csv as _csv
-
+    sweep = cost_sweep(config, state0, horizons)
     with open(_out_path(args, "cost_sweep.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["horizon", "cost"])
         for T, c in zip(sweep.horizons, sweep.costs):
             w.writerow([str(float(T)), repr(c)])
@@ -483,12 +448,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"beamctl {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UNCONTROLLABLE_ERRORS as exc:
-        print(f"beamctl {args.command}: uncontrollable: {exc}", file=sys.stderr)
-        return EXIT_UNCONTROLLABLE
-    except NUMERICAL_ERRORS as exc:
-        print(f"beamctl {args.command}: numerically infeasible: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except UNCONTROLLABLE_ERRORS + NUMERICAL_ERRORS as exc:
+        uncontrollable = isinstance(exc, UNCONTROLLABLE_ERRORS)
+        if args.command in REPORT_FILES:
+            _write_json(_out_path(args, REPORT_FILES[args.command]),
+                        _error_doc(args.command, exc))
+        what = "uncontrollable" if uncontrollable else "numerically infeasible"
+        print(f"beamctl {args.command}: {what}: {exc}", file=sys.stderr)
+        return EXIT_UNCONTROLLABLE if uncontrollable else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
-from ._numutil import strip_imag, to_mpf
+from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import RationalResonance
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "ratio_from_sqrt",
     "write_condensation_csv",
 ]
-
-_GUARD_BITS = 64
 
 
 def _log_sinh(x):
@@ -72,7 +70,7 @@ def merged_frequencies(r, n_max: int, precision_bits: int = 256) -> Tuple:
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         r_mp = to_mpf(r)
         if r_mp < 1:
             raise ValueError(f"branch ratio must be >= 1, got {r}")
@@ -92,7 +90,7 @@ def weierstrass_E(z, r, precision_bits: int = 256):
     the result is real for real z because each family's sin * sinh product
     is an even function of its square root.  E(0) = 1 by the normalization.
     """
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         r_mp = to_mpf(r)
         if r_mp < 1:
             raise ValueError(f"branch ratio must be >= 1, got {r}")
@@ -131,7 +129,7 @@ def eprime_magnitudes(r, n_max: int, precision_bits: int = 256) -> Tuple:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     exact = _is_exact_rational(r)
     frac = Fraction(r) if exact else None
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         r_mp = to_mpf(Fraction(r)) if exact else to_mpf(r)
         if r_mp < 1:
             raise ValueError(f"branch ratio must be >= 1, got {r}")
@@ -218,7 +216,7 @@ def condensation_estimate(r, n_max: int, tail_start: int = 10,
         raise ValueError(f"tail_start must be a positive integer, got {tail_start}")
     if tail_start > n_max:
         raise ValueError(f"tail_start {tail_start} exceeds n_max {n_max}")
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         r_mp = to_mpf(r)
         if r_mp <= 1:
             # r = 1 is the critical point rho = 2, rational by definition
@@ -271,7 +269,7 @@ def ratio_from_quotients(quotients: Sequence[int], precision_bits: int = 256):
     for a in qs:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise ValueError(f"continued-fraction quotients must be positive integers, got {a!r}")
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         x = mp.mpf(qs[-1])
         for a in reversed(qs[:-1]):
             x = a + 1 / x
@@ -292,7 +290,7 @@ def ratio_from_sqrt(d: int, precision_bits: int = 256) -> Union[Fraction, mp.mpf
         if root < 1:
             raise ValueError(f"branch ratio must be >= 1, got sqrt({d})")
         return Fraction(root)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         value = mp.sqrt(d)
         if value < 1:
             raise ValueError(f"branch ratio must be >= 1, got sqrt({d})")

@@ -11,17 +11,20 @@ p in {0, 1}:
     expcos       e^(beta (T-s)) cos(alpha (T-s))   (conjugate-pair real part)
     expsin       e^(beta (T-s)) sin(alpha (T-s))   (conjugate-pair imag part)
 
-That uniform representation gives closed forms for every L2 inner product,
-for pointwise evaluation, and for the first and second antiderivatives that
-turn the curvature profile f'' into the actual boundary signal f.  The only
-primitive needed is the truncated moment
+Those (coefficient, power, rate) parts (Kernel.exponential_parts) are all
+that the two verification routes share.  The closed-form route needs one
+primitive, the truncated moment
 
     M_d(nu, t) = int_0^t w^d e^(nu w) dw,
 
 computed by a stable series for small |nu t| and by the usual recursion in d
-otherwise.  Float64 samples of a control come from one Chebyshev proxy of
-f, f', f'' per signal, built from extended-precision values at
-Chebyshev-Lobatto nodes (ControlSignal.proxy).
+otherwise: Gram entries (gram_entry) and the convolutions of f'' against
+(t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope f', the
+signal f and the modal Duhamel response are all sums of M_d.  The oracle
+route reads float64 samples of f, f', f'' off one Chebyshev proxy per signal,
+built from extended-precision values at Chebyshev-Lobatto nodes
+(ControlSignal.proxy); those values come from the explicit antiderivatives
+of each part in ControlSignal._sample_extended, which uses no M_d.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import Optional, Tuple
 import mpmath as mp
 import numpy as np
 
-from ._numutil import decimal_str, strip_imag, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, strip_imag, to_mpf
 from .errors import SamplingError
 
 __all__ = [
@@ -43,12 +46,9 @@ __all__ = [
     "power_exp_moment",
     "gram_entry",
     "kernel_value",
-    "kernel_antiderivatives",
     "convolution_moment",
     "ChebyshevProxy",
 ]
-
-_GUARD_BITS = 64
 
 # Chebyshev proxy of a control's samples (ControlSignal.proxy)
 _FIRST_NODES = 16           # Lobatto intervals of the first round
@@ -162,7 +162,11 @@ class Kernel:
 
 
 def kernel_value(kernel: Kernel, s, horizon):
-    """Pointwise value at time s in [0, T], at the current working precision."""
+    """Pointwise value at time s in [0, T], at the current working precision.
+
+    Per-kind formulas rather than a parts sum: this is the independent
+    reference the quadrature tests hold the M_d calculus to.
+    """
     s = mp.mpf(s)
     T = to_mpf(horizon)
     u = T - s
@@ -187,7 +191,7 @@ def gram_entry(kernel_a: Kernel, kernel_b: Kernel, horizon,
     a_i conj(b_j) M_(p_i + p_j)(lam_i + conj(mu_j), T).  Real for the real
     kernel kinds; the roundoff-level imaginary residue is stripped.
     """
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         T = to_mpf(horizon)
         total = mp.mpf(0)
         for (a, p, lam) in kernel_a.exponential_parts(T):
@@ -200,7 +204,7 @@ def convolution_moment(part, d: int, lam, t, horizon):
     """int_0^t (T-s)^p e^(mu (T-s)) (t-s)^d e^(lam (t-s)) ds for one kernel part.
 
     Binomially rewrites (T-s)^p around (T-t) so everything reduces to
-    M moments in the local variable w = t - s.  Used by the modal response.
+    M moments in the local variable w = t - s.  Used by ControlSignal.convolve.
     """
     a, p, mu = part
     t = mp.mpf(t)
@@ -210,43 +214,6 @@ def convolution_moment(part, d: int, lam, t, horizon):
     for j in range(p + 1):
         total = total + comb(p, j) * (T - t) ** (p - j) * power_exp_moment(d + j, mu + lam, t)
     return head * total
-
-
-def kernel_antiderivatives(kernel: Kernel, t, horizon, precision_bits: int = 256):
-    """(I1, I2) with I1(t) = int_0^t k(s) ds and I2(t) = int_0^t I1.
-
-    These turn the curvature profile into slope and value of the boundary
-    signal: f' = I1-combination, f = I2-combination, both vanishing at 0.
-    """
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        t = mp.mpf(t)
-        T = to_mpf(horizon)
-        i1 = mp.mpf(0)
-        i2 = mp.mpf(0)
-        for (a, p, lam) in kernel.exponential_parts(T):
-            if lam == 0:
-                if p == 0:
-                    j1, j2 = t, t * t / 2
-                else:
-                    j1 = T * t - t * t / 2
-                    j2 = T * t * t / 2 - t ** 3 / 6
-            else:
-                # F_p antiderivative of w^p e^(lam w); G_p antiderivative of F_p
-                def F(w):
-                    if p == 0:
-                        return mp.e ** (lam * w) / lam
-                    return mp.e ** (lam * w) * (w / lam - 1 / lam ** 2)
-
-                def G(w):
-                    if p == 0:
-                        return mp.e ** (lam * w) / lam ** 2
-                    return mp.e ** (lam * w) * (w / lam ** 2 - 2 / lam ** 3)
-
-                j1 = F(T) - F(T - t)
-                j2 = t * F(T) - (G(T) - G(T - t))
-            i1 = i1 + a * j1
-            i2 = i2 + a * j2
-        return (strip_imag(i1, precision_bits), strip_imag(i2, precision_bits))
 
 
 @dataclass(frozen=True)
@@ -270,34 +237,42 @@ class ControlSignal:
 
     def curvature(self, t):
         """f''(t)."""
-        with mp.workprec(self.precision_bits + _GUARD_BITS):
+        with mp.workprec(self.precision_bits + GUARD_BITS):
             acc = mp.mpf(0)
             for c, k in zip(self.coefficients, self.kernels):
                 acc = acc + c * kernel_value(k, t, self.horizon)
             return acc
 
+    def convolve(self, d: int, lam, t):
+        """int_0^t f''(s) (t-s)^d e^(lam (t-s)) ds, the closed-form route's one calculus.
+
+        Sums c * convolution_moment over every kernel's exponential parts, so
+        slope, value and the modal Duhamel response all reduce to M_d moments.
+        A complex rate or kernel part leaves a complex result.
+        """
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            total = mp.mpf(0)
+            for c, k in zip(self.coefficients, self.kernels):
+                for part in k.exponential_parts(self.horizon):
+                    total = total + c * convolution_moment(part, d, lam, t, self.horizon)
+            return total
+
     def slope(self, t):
         """f'(t) = int_0^t f''."""
-        with mp.workprec(self.precision_bits + _GUARD_BITS):
-            acc = mp.mpf(0)
-            for c, k in zip(self.coefficients, self.kernels):
-                acc = acc + c * kernel_antiderivatives(k, t, self.horizon,
-                                                       self.precision_bits)[0]
-            return acc
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return strip_imag(self.convolve(0, 0, t), self.precision_bits)
 
     def value(self, t):
-        """f(t) = double integral of f'' from 0."""
-        with mp.workprec(self.precision_bits + _GUARD_BITS):
-            acc = mp.mpf(0)
-            for c, k in zip(self.coefficients, self.kernels):
-                acc = acc + c * kernel_antiderivatives(k, t, self.horizon,
-                                                       self.precision_bits)[1]
-            return acc
+        """f(t) = int_0^t f''(s) (t-s) ds, the double integral of f'' from 0."""
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return strip_imag(self.convolve(1, 0, t), self.precision_bits)
 
     def term_scale_bound(self) -> float:
         """Upper bound on the magnitude of any single coefficient-times-kernel
         term across [0, T], signal and antiderivatives included.
 
+        A part c a u^p e^(lam u) is at most |c a| T^p e^(max(Re lam, 0) T) on
+        [0, T], and two integrations from 0 scale that by max(1, T, T^2/2).
         Synthesized curvatures are small numbers written as differences of
         enormous ones; this bound measures the enormity, which decides how
         much precision faithful samples require.
@@ -305,24 +280,9 @@ class ControlSignal:
         T = float(self.horizon)
         bound = 0.0
         for c, k in zip(self.coefficients, self.kernels):
-            cf = abs(float(c))
-            if cf == 0.0:
-                continue
-            if k.kind == "const":
-                peak = 1.0
-            elif k.kind == "linear":
-                peak = max(T, 1.0)
-            elif k.kind in ("exp", "polyexp"):
-                rate = float(k.rate)
-                grow = math.exp(max(rate, 0.0) * T)
-                if k.kind == "exp":
-                    peak = max(1.0, grow)
-                else:
-                    u_star = T if rate >= 0 else min(T, -1.0 / rate)
-                    peak = max(u_star * math.exp(min(rate, 0.0) * u_star), grow * T)
-            else:
-                peak = math.exp(max(float(k.decay), 0.0) * T)
-            bound += cf * peak
+            for a, p, lam in k.exponential_parts(self.horizon):
+                grow = math.exp(max(float(mp.re(lam)), 0.0) * T)
+                bound += abs(complex(c * a)) * T ** p * grow
         return bound * max(1.0, T, T * T / 2)
 
     def sample(self, times) -> dict:
@@ -391,6 +351,10 @@ class ControlSignal:
         """Rows f, f', f'' at times t, each summed at precision sized to the
         term bound and rounded to float64 once.  All terms see the same exact
         time: one ulp between them would smear the cancellation by bound * ulp.
+
+        The oracle route's own calculus: each exponential part's first and
+        second antiderivatives F, G are written out in a term table here and
+        nowhere else, independent of the M_d moments behind `convolve`.
         """
         bound = self.term_scale_bound()
         bits = max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound) \

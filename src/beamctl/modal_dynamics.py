@@ -23,14 +23,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 
-from ._numutil import strip_imag, to_mpf
+from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import StepSizeError
-from .kernels import ControlSignal, convolution_moment
+from .kernels import ControlSignal
 from .spectrum import (
     BeamConfig,
     Boundary,
@@ -58,8 +58,6 @@ __all__ = [
     "simulate_oracle",
     "write_trajectory_csv",
 ]
-
-_GUARD_BITS = 64
 
 ORACLE_STEP_CAP = 200000    # largest RK4 step count a verification sizes itself
 
@@ -138,7 +136,7 @@ def free_coefficients(state0: ModalState, eigs: Sequence[ModeEigenvalues],
     eigs = tuple(eigs)
     if len(eigs) != state0.n_modes:
         raise ValueError(f"{state0.n_modes} modes in state but {len(eigs)} eigenvalue sets")
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         coeffs = []
         for e in eigs:
             i = state0.mode_index(e.n)
@@ -159,7 +157,7 @@ def free_coefficients(state0: ModalState, eigs: Sequence[ModeEigenvalues],
 def free_state_at(free: FreeEvolution, t) -> ModalState:
     """Uncontrolled state at time t, evaluated from the stored coefficients."""
     bits = free.precision_bits
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         t = mp.mpf(t)
         vals, vels = [], []
         if free.zero_pair is not None:
@@ -198,28 +196,19 @@ def duhamel_response(eig: ModeEigenvalues, trace_coeff, control: ControlSignal, 
     confluent pair, a_n(t) = -x_n int f''(s) (t-s) e^(-n^2 (t-s)) ds.
     """
     bits = control.precision_bits
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         x = to_mpf(trace_coeff)
         t = mp.mpf(t)
-        T = control.horizon
-
-        def branch_integral(lam, d):
-            total = mp.mpf(0)
-            for c, k in zip(control.coefficients, control.kernels):
-                for part in k.exponential_parts(T):
-                    total = total + c * convolution_moment(part, d, lam, t, T)
-            return total
-
         if eig.regime is DampingRegime.CRITICAL:
             lam = eig.lambda_plus
             n2 = mp.mpf(eig.n) ** 2
-            poly = branch_integral(lam, 1)
-            zero = branch_integral(lam, 0)
+            poly = control.convolve(1, lam, t)
+            zero = control.convolve(0, lam, t)
             val = -x * poly
             vel = -x * (zero - n2 * poly)
         else:
-            jp = branch_integral(eig.lambda_plus, 0)
-            jm = branch_integral(eig.lambda_minus, 0)
+            jp = control.convolve(0, eig.lambda_plus, t)
+            jm = control.convolve(0, eig.lambda_minus, t)
             den = eig.lambda_plus - eig.lambda_minus
             val = -x * (jp - jm) / den
             vel = -x * (eig.lambda_plus * jp - eig.lambda_minus * jm) / den
@@ -238,7 +227,7 @@ def forced_state_at(config: BeamConfig, control: ControlSignal, t,
     bits = config.precision_bits
     if traces is None:
         traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         f_val = control.value(t)
         f_slope = control.slope(t)
         vals, vels = [], []
@@ -268,7 +257,7 @@ def lifting_term(boundary, control: ControlSignal, t, n_max: int,
                  precision_bits: int = 256) -> ModalState:
     """Modal coefficients of the boundary lifting at time t."""
     traces = boundary_trace_coefficients(boundary, n_max, precision_bits)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         return lifting_from_values(traces, control.value(t), control.slope(t))
 
 

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
-from ._numutil import decimal_str, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import ResonanceDefect, UncontrollableMode
 from .kernels import Kernel
 from .modal_dynamics import ModalState, free_coefficients, free_state_at
@@ -52,15 +52,12 @@ from .spectrum import (
 )
 
 __all__ = [
-    "MomentRHS",
     "MomentSystem",
     "data_l2_norm",
     "neumann_admissibility",
     "moment_rhs",
     "assemble",
 ]
-
-_GUARD_BITS = 64
 
 # relative thresholds, all against the l2 size of the data
 MEAN_FREE_RTOL = mp.mpf("1e-12")        # Neumann zero-mode admissibility
@@ -87,26 +84,10 @@ def neumann_admissibility(state0: ModalState, precision_bits: int = 256) -> Tupl
     """
     if state0.boundary is not Boundary.NEUMANN:
         raise ValueError("admissibility residuals only apply to Neumann data")
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         root_pi = mp.sqrt(mp.pi)
         return (float(root_pi * to_mpf(state0.values[0])),
                 float(root_pi * to_mpf(state0.velocities[0])))
-
-
-@dataclass(frozen=True)
-class MomentRHS:
-    """Per-mode targets feeding the moment rows, kept for reports and checks.
-
-    zeta1/zeta2 follow the row order of the mode's kernel pair: cos/sin
-    components underdamped, exp/polyexp targets critical, slow/fast branch
-    targets overdamped (before any collision merge).
-    """
-
-    modes: Tuple[int, ...]
-    gamma1: Tuple
-    gamma2: Tuple
-    zeta1: Tuple
-    zeta2: Tuple
 
 
 def moment_rhs(eig: ModeEigenvalues, trace_coeff, gamma1, gamma2):
@@ -154,7 +135,6 @@ class MomentSystem:
     targets: Tuple
     labels: Tuple[str, ...]
     row_modes: Tuple[Tuple[int, ...], ...]
-    rhs: MomentRHS
     dropped_modes: Tuple[int, ...] = ()
     collisions: Tuple = ()              # (rate, (m, n)) per merged pair
 
@@ -219,7 +199,7 @@ class MomentSystem:
             precision_bits=int(c["precision_bits"]),
             regularization=float(c["regularization"]),
         )
-        with mp.workprec(config.precision_bits + _GUARD_BITS):
+        with mp.workprec(config.precision_bits + GUARD_BITS):
             s = doc["state0"]
             state0 = ModalState(config.boundary,
                                 tuple(mp.mpf(v) for v in s["values"]),
@@ -245,7 +225,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
 
     bits = config.precision_bits
     norm = data_l2_norm(state0)
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
 
         if config.boundary is Boundary.NEUMANN:
@@ -284,7 +264,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
         labels = ["flat-slope", "flat-value"]
         row_modes = [(), ()]
 
-        rhs_modes, rhs_g1, rhs_g2, rhs_z1, rhs_z2 = [], [], [], [], []
         merged = {}                     # exact rate key -> row index
         collisions = []
 
@@ -294,11 +273,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
             g1 = -to_mpf(at_T.values[i])
             g2 = -to_mpf(at_T.velocities[i])
             rows = moment_rhs(eig, traces.coefficient(n), g1, g2)
-            rhs_modes.append(n)
-            rhs_g1.append(g1)
-            rhs_g2.append(g2)
-            rhs_z1.append(rows[0][2])
-            rhs_z2.append(rows[1][2])
 
             if r_exact is not None:
                 rate_keys = (Fraction(-n * n) / r_exact, -r_exact * n * n)
@@ -330,8 +304,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
                     labels.append(f"mode{n}-{suffix}")
                     row_modes.append((n,))
 
-        rhs = MomentRHS(tuple(rhs_modes), tuple(rhs_g1), tuple(rhs_g2),
-                        tuple(rhs_z1), tuple(rhs_z2))
         return MomentSystem(
             config=config,
             state0=state0,
@@ -339,7 +311,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
             targets=tuple(targets),
             labels=tuple(labels),
             row_modes=tuple(row_modes),
-            rhs=rhs,
             dropped_modes=tuple(dropped),
             collisions=tuple(collisions),
         )

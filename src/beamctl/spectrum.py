@@ -279,8 +279,8 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
 
     Along one branch the gap modulus for modes m != n is |n^2 - m^2| in every
     regime (the complex pair has modulus-one slope: |beta_n - beta_m +
-    i(alpha_n - alpha_m)| = |n^2 - m^2| when rho <= 2), so the bruteforce
-    minimum is attained at consecutive indices and grows without bound.
+    i(alpha_n - alpha_m)| = |n^2 - m^2| when rho <= 2), so the minimum is
+    the smallest consecutive gap, and the gaps grow without bound.
     Across branches the merged minimum is zero exactly at a collision.
     """
     if not isinstance(n_max, int) or n_max < 2:
@@ -289,18 +289,11 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
     plus = [e.lambda_plus for e in eigs]
     minus = [e.lambda_minus for e in eigs]
 
-    def scan(vals):
-        best = None
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                g = abs(vals[i] - vals[j])
-                if best is None or g < best:
-                    best = g
-        return float(best)
-
     cons_p = tuple(float(abs(plus[i + 1] - plus[i])) for i in range(n_max - 1))
     cons_m = tuple(float(abs(minus[i + 1] - minus[i])) for i in range(n_max - 1))
 
+    # the two branches are rays through 0 off the real axis when underdamped,
+    # so no ordering finds their nearest pair: scan across them in full
     labeled = [((n, "+"), plus[n - 1]) for n in range(1, n_max + 1)]
     labeled += [((n, "-"), minus[n - 1]) for n in range(1, n_max + 1)]
     merged_best, merged_pair = None, None
@@ -319,8 +312,8 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
 
     return GapStatistics(
         n_max=n_max,
-        min_gap_plus=scan(plus),
-        min_gap_minus=scan(minus),
+        min_gap_plus=min(cons_p),
+        min_gap_minus=min(cons_m),
         consecutive_gaps_plus=cons_p,
         consecutive_gaps_minus=cons_m,
         merged_min_gap=float(merged_best),

@@ -26,11 +26,10 @@ from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from ._numutil import decimal_str, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, Kernel, gram_entry
+from .kernels import ControlSignal, gram_entry
 from .moment_problem import MomentSystem
-from .spectrum import Boundary
 
 __all__ = [
     "PRECISION_CEILING_ENV",
@@ -40,11 +39,8 @@ __all__ = [
     "cholesky_factor",
     "solve_min_norm",
     "biorthogonal_family",
-    "evaluate_control",
     "write_control_csv",
 ]
-
-_GUARD_BITS = 64
 
 PRECISION_CEILING_ENV = "BEAMCTL_PRECISION_CEILING"
 DEFAULT_PRECISION_CEILING = 4096
@@ -91,7 +87,7 @@ def cholesky_factor(G: mp.matrix, precision_bits: int):
     """
     n = G.rows
     threshold = mp.mpf(2) ** (-(precision_bits // 2))
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         L = mp.zeros(n, n)
         max_piv: Optional[mp.mpf] = None
         min_piv: Optional[mp.mpf] = None
@@ -119,7 +115,7 @@ def cholesky_factor(G: mp.matrix, precision_bits: int):
 def _solve_cholesky(L: mp.matrix, rhs: Sequence, precision_bits: int) -> list:
     """Solve L L^T x = rhs by forward and back substitution."""
     n = L.rows
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(precision_bits + GUARD_BITS):
         y = [mp.mpf(0)] * n
         for i in range(n):
             s = to_mpf(rhs[i])
@@ -170,7 +166,7 @@ class SynthesisReport:
 def _attempt(system: MomentSystem, ridge) -> SynthesisReport:
     bits = system.config.precision_bits
     G = gram_matrix(system)
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         used_ridge = mp.mpf(0)
         if ridge:
             max_diag = max(G[i, i] for i in range(G.rows))
@@ -270,7 +266,7 @@ def biorthogonal_family(system: MomentSystem):
     controls = []
     norms = []
     T = to_mpf(system.config.horizon)
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         for m in range(n):
             e = [mp.mpf(1) if i == m else mp.mpf(0) for i in range(n)]
             col = _solve_cholesky(L, e, bits)
@@ -279,11 +275,6 @@ def biorthogonal_family(system: MomentSystem):
                                           horizon=T, precision_bits=bits))
             norms.append(float(mp.sqrt(max(col[m], mp.mpf(0)))))
     return tuple(controls), tuple(norms)
-
-
-def evaluate_control(control: ControlSignal, times) -> dict:
-    """Float64 samples of signal, slope and curvature at the given times."""
-    return control.sample(times)
 
 
 def write_control_csv(control: ControlSignal, path, samples: int = 501) -> None:

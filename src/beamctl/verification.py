@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from ._numutil import to_mpf
+from ._numutil import GUARD_BITS, as_fraction, to_mpf
 from .kernels import ControlSignal
 from .modal_dynamics import (
     ORACLE_STEP_CAP,
@@ -55,8 +55,6 @@ __all__ = [
     "crosscheck_suite",
 ]
 
-_GUARD_BITS = 64
-
 
 class Verdict(str, Enum):
     CONTROLLED = "controlled"
@@ -75,7 +73,7 @@ def closed_form_final_state(config: BeamConfig, state0: ModalState,
     eigs = tuple(mode_eigenvalues(config.rho, n, bits)
                  for n in range(1, config.n_modes + 1))
     free = free_coefficients(state0, eigs, bits)
-    with mp.workprec(bits + _GUARD_BITS):
+    with mp.workprec(bits + GUARD_BITS):
         T = to_mpf(config.horizon)
         free_T = free_state_at(free, T)
         forced_T = forced_state_at(config, control, T)
@@ -227,7 +225,7 @@ def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence,
     horizons the sweep also fits log cost against 1/T and reports the least
     squares exponent and its r^2.
     """
-    uniq = sorted({as_horizon(h) for h in horizons})
+    uniq = sorted({as_fraction(h, "horizon") for h in horizons})
     if not uniq:
         raise ValueError("at least one horizon is required")
     costs = []
@@ -252,15 +250,6 @@ def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence,
     return CostSweep(tuple(uniq), tuple(costs), monotone, slope, intercept, r2)
 
 
-def as_horizon(h) -> Fraction:
-    """Exact horizon from int, float, Fraction or decimal string."""
-    if isinstance(h, Fraction):
-        return h
-    if isinstance(h, (int, float, str)):
-        return Fraction(h if not isinstance(h, str) else h.strip())
-    raise TypeError(f"horizon must be numeric, got {type(h).__name__}")
-
-
 def crosscheck_suite(precision_bits: int = 192, tolerance: float = 1e-6) -> dict:
     """A fixed battery of experiments spanning all regimes and both boundaries.
 
@@ -282,7 +271,7 @@ def crosscheck_suite(precision_bits: int = 192, tolerance: float = 1e-6) -> dict
     for label, boundary, rho, n_modes, values, velocities in cases:
         config = BeamConfig(boundary=boundary, rho=rho, n_modes=n_modes,
                             horizon=Fraction(1), precision_bits=precision_bits)
-        with mp.workprec(precision_bits + _GUARD_BITS):
+        with mp.workprec(precision_bits + GUARD_BITS):
             state0 = ModalState(boundary,
                                 tuple(to_mpf(Fraction(v)) for v in values),
                                 tuple(to_mpf(Fraction(v)) for v in velocities))

@@ -209,6 +209,18 @@ def test_cost_sweep_outputs(tmp_path):
     assert doc["horizons"] == ["1/2", "1"]
 
 
+def test_cost_sweep_invisible_neumann_mode_exits_three(tmp_path):
+    # even cosine modes have a zero boundary trace: no control reaches them
+    code, out = run(tmp_path, "cost-sweep", "--boundary", "neumann",
+                    "--data", "2:1:0", *FAST)
+    assert code == 3
+    doc = load(out, "cost_sweep.json")
+    assert doc["command"] == "cost-sweep"
+    assert doc["error"]["type"] == "UncontrollableMode"
+    assert doc["error"]["mode"] == 2
+    assert not (out / "cost_sweep.csv").exists()
+
+
 def test_verify_sampling_failure_exits_four(tmp_path, monkeypatch):
     import beamctl.kernels
 

@@ -1,4 +1,4 @@
-"""Kernel algebra: moments, Gram entries, antiderivatives, signal sampling."""
+"""Kernel algebra: moments, Gram entries, slope and value, signal sampling."""
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +10,6 @@ from beamctl.kernels import (
     ControlSignal,
     Kernel,
     gram_entry,
-    kernel_antiderivatives,
     kernel_value,
     power_exp_moment,
 )
@@ -90,14 +89,15 @@ def test_gram_entry_symmetric_and_matches_quadrature():
             assert abs(g - q) < mp.mpf(2) ** -150 * max(1, abs(q))
 
 
-def test_kernel_antiderivatives_match_quadrature():
+def test_slope_and_value_match_quadrature():
     with mp.workprec(192):
         T = mp.mpf(1)
         for k in (Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(6)),
                   Kernel("polyexp", rate=mp.mpf(-3)),
                   Kernel("linear")):
+            sig = ControlSignal((k,), (1,), T, 192)
             for t in (mp.mpf("0.25"), mp.mpf("0.9")):
-                i1, i2 = kernel_antiderivatives(k, t, T, 192)
+                i1, i2 = sig.slope(t), sig.value(t)
                 q1 = mp.quad(lambda s: kernel_value(k, s, T), [0, t])
                 assert abs(i1 - q1) < mp.mpf(2) ** -150
                 q2 = mp.quad(
@@ -219,6 +219,18 @@ def test_sample_matches_evaluators_in_every_regime(boundary, rho, n_modes):
         scale = float(np.max(np.abs(dense[key])))
         for i, ti in enumerate(t):
             assert abs(s[key][i] - float(exact(mp.mpf(ti)))) <= 1e-12 * scale, (key, ti)
+
+
+@pytest.mark.parametrize("boundary,rho,n_modes", [
+    ("dirichlet", "0.5", 6), ("dirichlet", "1", 6), ("dirichlet", "2", 6),
+    ("dirichlet", "3", 6), ("neumann", "1", 5)])
+def test_control_is_flat_at_both_ends(boundary, rho, n_modes):
+    # f(0) = f'(0) = 0 by construction; f(T) = f'(T) = 0 by the flatness rows
+    sig = acceptance_control(boundary, rho, n_modes)
+    floor = mp.mpf(2) ** -200 * sig.term_scale_bound()
+    for t in (0, sig.horizon):
+        assert abs(sig.value(t)) < floor, ("f", t)
+        assert abs(sig.slope(t)) < floor, ("f'", t)
 
 
 def test_sample_reuses_one_proxy_per_control():

@@ -23,6 +23,16 @@ def test_as_fraction_accepts_exact_forms():
     assert as_fraction(0.25) == Fraction(1, 4)
 
 
+def test_as_fraction_takes_every_horizon_form():
+    # the forms cost_sweep accepts for its horizons
+    assert as_fraction("0.5") == Fraction(1, 2)
+    assert as_fraction(0.25) == Fraction(1, 4)
+    assert as_fraction(2) == Fraction(2)
+    assert as_fraction(Fraction(3, 4)) == Fraction(3, 4)
+    with pytest.raises(TypeError):
+        as_fraction([1])
+
+
 def test_as_fraction_rejects_bool_and_garbage():
     with pytest.raises(TypeError):
         as_fraction(True)

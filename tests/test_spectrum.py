@@ -128,6 +128,21 @@ def test_gap_statistics_underdamped():
     assert stats.collisions == ()
 
 
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(2), Fraction(5, 2)])
+def test_gap_minimum_is_the_smallest_consecutive_gap(rho):
+    # one per regime: underdamped, critical, overdamped
+    stats = gap_statistics(rho, 7, 128)
+    assert stats.min_gap_plus == min(stats.consecutive_gaps_plus)
+    assert stats.min_gap_minus == min(stats.consecutive_gaps_minus)
+    with mp.workprec(128):
+        eigs = [mode_eigenvalues(rho, n, 128) for n in range(1, 8)]
+        for branch, gap in (("lambda_plus", stats.min_gap_plus),
+                            ("lambda_minus", stats.min_gap_minus)):
+            vals = [getattr(e, branch) for e in eigs]
+            every = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
+            assert gap == float(every)
+
+
 def test_gap_statistics_reports_collisions():
     stats = gap_statistics(Fraction(5, 2), 4, 256)
     assert (2, 1) in stats.collisions and (4, 2) in stats.collisions

@@ -9,7 +9,6 @@ from beamctl.modal_dynamics import ModalState, free_coefficients, free_state_at
 from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
 from beamctl.verification import (
     Verdict,
-    as_horizon,
     closed_form_final_state,
     cost_sweep,
     crosscheck_suite,
@@ -78,13 +77,11 @@ def test_experiment_rejects_bad_tolerance():
         null_control_experiment(config, state0, tolerance=0.0)
 
 
-def test_as_horizon():
-    assert as_horizon("0.5") == Fraction(1, 2)
-    assert as_horizon(0.25) == Fraction(1, 4)
-    assert as_horizon(2) == Fraction(2)
-    assert as_horizon(Fraction(3, 4)) == Fraction(3, 4)
+def test_cost_sweep_rejects_bool_horizons():
+    config = small_config(n_modes=1)
+    state0 = ModalState.dirichlet(values=(1,), velocities=(0,))
     with pytest.raises(TypeError):
-        as_horizon([1])
+        cost_sweep(config, state0, ["0.5", True])
 
 
 def test_cost_sweep_monotone_and_fitted():
