@@ -41,11 +41,9 @@ from .kernels import (
     power_exp_moment,
 )
 from .modal_dynamics import (
-    FreeEvolution,
     ModalState,
     Trajectory,
     duhamel_response,
-    free_coefficients,
     free_state_at,
     forced_state_at,
     simulate_oracle,
@@ -117,11 +115,9 @@ __all__ = [
     "gram_entry",
     "kernel_value",
     "power_exp_moment",
-    "FreeEvolution",
     "ModalState",
     "Trajectory",
     "duhamel_response",
-    "free_coefficients",
     "free_state_at",
     "forced_state_at",
     "simulate_oracle",

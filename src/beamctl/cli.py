@@ -226,14 +226,13 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
     admissibility screening on purpose.
     """
     descriptor = descriptor.strip()
-    neumann = config.boundary is Boundary.NEUMANN
-    size = config.n_modes + (1 if neumann else 0)
-    off = 1 if neumann else 0
+    first = config.boundary.first_mode
+    size = config.n_modes + 1 - first
     values = [Fraction(0)] * size
     velocities = [Fraction(0)] * size
 
     if descriptor == "mode1":
-        values[off] = Fraction(1)
+        values[1 - first] = Fraction(1)
         triples = None
     elif descriptor == "random" or descriptor.startswith("random-seeded:"):
         if descriptor.startswith("random-seeded:"):
@@ -245,10 +244,10 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
         with mp.workprec(config.precision_bits + GUARD_BITS):
             vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
             for n in range(1, config.n_modes + 1):
-                if neumann and n % 2 == 0:
-                    continue
-                vals[n - 1 + off] = mp.mpf(float(rng.standard_normal())) / n ** 2
-                vels[n - 1 + off] = mp.mpf(float(rng.standard_normal())) / n ** 2
+                if config.boundary is Boundary.NEUMANN and n % 2 == 0:
+                    continue    # even cosine modes are invisible to the control
+                vals[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
+                vels[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
             return ModalState(config.boundary, tuple(vals), tuple(vels))
     else:
         triples = []
@@ -269,16 +268,12 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
             if mode in seen:
                 raise ValueError(f"mode {mode} appears twice in the data descriptor")
             seen.add(mode)
-            if mode == 0:
-                if not neumann:
-                    raise ValueError("mode 0 only exists under Neumann control")
-                values[0], velocities[0] = val, vel
-            elif 1 <= mode <= config.n_modes:
-                values[mode - 1 + off] = val
-                velocities[mode - 1 + off] = vel
-            else:
+            if mode == 0 and first == 1:
+                raise ValueError("mode 0 only exists under Neumann control")
+            if not first <= mode <= config.n_modes:
                 raise ValueError(
                     f"mode {mode} outside the configured range 1..{config.n_modes}")
+            values[mode - first], velocities[mode - first] = val, vel
 
     with mp.workprec(config.precision_bits + GUARD_BITS):
         return ModalState(config.boundary,

@@ -57,6 +57,10 @@ _HELDOUT_RTOL = 1e-12       # held-out gap against the series' largest value
 _EPS = 2.0 ** -52
 _TINY = np.finfo(np.float64).tiny
 
+# kernel kind -> the parameters it takes, in descriptor order
+_PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",),
+               "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
+
 
 def power_exp_moment(d: int, nu, t):
     """M_d(nu, t) = int_0^t w^d e^(nu w) dw at the current working precision.
@@ -104,17 +108,13 @@ class Kernel:
     freq: Optional[mp.mpf] = None     # expcos / expsin
 
     def __post_init__(self):
-        if self.kind in ("const", "linear"):
-            if self.rate is not None or self.decay is not None or self.freq is not None:
-                raise ValueError(f"{self.kind} kernel takes no parameters")
-        elif self.kind in ("exp", "polyexp"):
-            if self.rate is None:
-                raise ValueError(f"{self.kind} kernel requires a rate")
-        elif self.kind in ("expcos", "expsin"):
-            if self.decay is None or self.freq is None:
-                raise ValueError(f"{self.kind} kernel requires decay and freq")
-        else:
+        if self.kind not in _PARAMETERS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        wanted = _PARAMETERS[self.kind]
+        given = tuple(p for p in ("rate", "decay", "freq") if getattr(self, p) is not None)
+        if given != wanted:
+            raise ValueError(f"{self.kind} kernel takes {' and '.join(wanted) or 'no parameters'}"
+                             f", got {' and '.join(given) or 'none'}")
 
     def exponential_parts(self, horizon) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
         """(coefficient, power, rate) terms of sum a u^p e^(lam u), u = T - s."""
@@ -137,28 +137,14 @@ class Kernel:
     def descriptor(self, precision_bits: int) -> dict:
         """JSON-ready description with decimal-string parameters."""
         out = {"kind": self.kind}
-        if self.rate is not None:
-            out["rate"] = decimal_str(self.rate, precision_bits)
-        if self.decay is not None:
-            out["decay"] = decimal_str(self.decay, precision_bits)
-            out["freq"] = decimal_str(self.freq, precision_bits)
+        for p in _PARAMETERS[self.kind]:
+            out[p] = decimal_str(getattr(self, p), precision_bits)
         return out
 
     @staticmethod
     def from_descriptor(d: dict) -> "Kernel":
         kind = d["kind"]
-        if kind in ("const", "linear"):
-            return Kernel(kind)
-        if kind in ("exp", "polyexp"):
-            return Kernel(kind, rate=mp.mpf(d["rate"]))
-        return Kernel(kind, decay=mp.mpf(d["decay"]), freq=mp.mpf(d["freq"]))
-
-    def label(self) -> str:
-        if self.kind in ("const", "linear"):
-            return self.kind
-        if self.rate is not None:
-            return f"{self.kind}({mp.nstr(self.rate, 8)})"
-        return f"{self.kind}({mp.nstr(self.decay, 8)}, {mp.nstr(self.freq, 8)})"
+        return Kernel(kind, **{p: mp.mpf(d[p]) for p in _PARAMETERS.get(kind, ())})
 
 
 def kernel_value(kernel: Kernel, s, horizon):

@@ -12,6 +12,11 @@ on top of the free flow of the initial data; x_n is the boundary trace
 coefficient of the lifting profile.  The physical state is recovered as
 u_n(t) = v_n(t) + x_n f(t).
 
+Slot i of a state holds mode Boundary.first_mode + i (ModalState.modes), so
+the Neumann constant mode sits in slot 0.  Uncontrolled, mode n >= 1 evolves
+as c1 e^(l+ t) + c2 e^(l- t), or (d1 + d2 t) e^(-n^2 t) at critical damping
+(coefficients in free_state_at); the zero mode drifts affinely, u0 + u1 t.
+
 Two response paths are deliberately kept independent: closed-form evaluation
 through the exponential-part calculus (extended precision), and a classical
 fixed-step 4th-order explicit integrator in float64 that knows nothing about
@@ -43,14 +48,11 @@ from .spectrum import (
 
 __all__ = [
     "ModalState",
-    "FreeEvolution",
     "Trajectory",
-    "free_coefficients",
     "free_state_at",
     "duhamel_response",
     "forced_state_at",
     "lifting_term",
-    "lifting_from_values",
     "sobolev_norm",
     "state_pair_norm",
     "default_steps",
@@ -66,8 +68,8 @@ ORACLE_STEP_CAP = 200000    # largest RK4 step count a verification sizes itself
 class ModalState:
     """Displacement/velocity pair in modal coordinates.
 
-    Dirichlet: values[i] is mode i+1.  Neumann: values[0] is the constant
-    (zero) mode and values[i] is cosine mode i.
+    values[i] and velocities[i] belong to mode modes[i]: sine mode i+1 under
+    Dirichlet; under Neumann the constant mode 0 and then cosine mode i.
     """
 
     boundary: Boundary
@@ -84,20 +86,20 @@ class ModalState:
             raise ValueError("state must carry at least one mode")
 
     @property
+    def modes(self) -> range:
+        """Mode number of each slot, from the boundary's first mode on."""
+        first = self.boundary.first_mode
+        return range(first, first + len(self.values))
+
+    @property
     def n_modes(self) -> int:
         """Number of oscillatory modes (the Neumann zero mode not counted)."""
-        if self.boundary is Boundary.NEUMANN:
-            return len(self.values) - 1
-        return len(self.values)
+        return self.modes[-1]
 
     def mode_index(self, n: int) -> int:
-        off = 1 if self.boundary is Boundary.NEUMANN else 0
-        if self.boundary is Boundary.DIRICHLET and n == 0:
-            raise ValueError("Dirichlet states have no zero mode")
-        idx = n - 1 + off
-        if not 0 <= idx < len(self.values):
+        if n not in self.modes:
             raise ValueError(f"mode {n} outside state range")
-        return idx
+        return self.modes.index(n)
 
     def amplitude(self, n: int) -> float:
         i = self.mode_index(n)
@@ -112,75 +114,45 @@ class ModalState:
         return ModalState(Boundary.NEUMANN, tuple(values), tuple(velocities))
 
 
-@dataclass(frozen=True)
-class FreeEvolution:
-    """Closed-form coefficients of the uncontrolled flow of one initial state.
+def free_state_at(state0: ModalState, eigs: Sequence[ModeEigenvalues], t,
+                  precision_bits: int = 256) -> ModalState:
+    """Uncontrolled state at time t from initial data state0, in closed form.
 
-    Non-critical modes store (c1, c2) against {e^(l+ t), e^(l- t)} with
-    c2 = (l+ u0 - u1)/(l+ - l-) and c1 = u0 - c2 (a conjugate pair in the
-    underdamped regime).  Critical modes store (d1, d2) against
-    {e^(-n^2 t), t e^(-n^2 t)} with d1 = u0 and d2 = u1 + n^2 u0.  The
-    Neumann zero mode drifts affinely: u0 + u1 t.
+    eigs[k] are the roots of mode k+1.  Mode n >= 1 with data (u0, u1)
+    evolves as c1 e^(l+ t) + c2 e^(l- t) with c2 = (l+ u0 - u1)/(l+ - l-)
+    and c1 = u0 - c2 (a conjugate pair in the underdamped regime), or at
+    critical damping as (d1 + d2 t) e^(-n^2 t) with d1 = u0 and
+    d2 = u1 + n^2 u0.  The Neumann zero mode drifts affinely: u0 + u1 t.
     """
-
-    boundary: Boundary
-    eigs: Tuple[ModeEigenvalues, ...]
-    coefficients: Tuple[Tuple, ...]
-    zero_pair: Optional[Tuple]
-    precision_bits: int
-
-
-def free_coefficients(state0: ModalState, eigs: Sequence[ModeEigenvalues],
-                      precision_bits: int = 256) -> FreeEvolution:
-    """Expansion coefficients of the free flow for every mode of state0."""
     eigs = tuple(eigs)
     if len(eigs) != state0.n_modes:
         raise ValueError(f"{state0.n_modes} modes in state but {len(eigs)} eigenvalue sets")
     with mp.workprec(precision_bits + GUARD_BITS):
-        coeffs = []
-        for e in eigs:
-            i = state0.mode_index(e.n)
-            u0 = to_mpf(state0.values[i])
-            u1 = to_mpf(state0.velocities[i])
-            if e.regime is DampingRegime.CRITICAL:
-                n2 = mp.mpf(e.n) ** 2
-                coeffs.append((u0, u1 + n2 * u0))
-            else:
-                c2 = (e.lambda_plus * u0 - u1) / (e.lambda_plus - e.lambda_minus)
-                coeffs.append((u0 - c2, c2))
-        zero = None
-        if state0.boundary is Boundary.NEUMANN:
-            zero = (to_mpf(state0.values[0]), to_mpf(state0.velocities[0]))
-        return FreeEvolution(state0.boundary, eigs, tuple(coeffs), zero, precision_bits)
-
-
-def free_state_at(free: FreeEvolution, t) -> ModalState:
-    """Uncontrolled state at time t, evaluated from the stored coefficients."""
-    bits = free.precision_bits
-    with mp.workprec(bits + GUARD_BITS):
         t = mp.mpf(t)
         vals, vels = [], []
-        if free.zero_pair is not None:
-            z0, z1 = free.zero_pair
-            vals.append(z0 + z1 * t)
-            vels.append(z1)
-        for e, cs in zip(free.eigs, free.coefficients):
+        for n, u0, u1 in zip(state0.modes, state0.values, state0.velocities):
+            u0, u1 = to_mpf(u0), to_mpf(u1)
+            if n == 0:
+                vals.append(u0 + u1 * t)
+                vels.append(u1)
+                continue
+            e = eigs[n - 1]
             if e.regime is DampingRegime.CRITICAL:
-                d1, d2 = cs
-                decay = mp.e ** (-mp.mpf(e.n) ** 2 * t)
-                v = (d1 + d2 * t) * decay
-                w = (d2 - mp.mpf(e.n) ** 2 * (d1 + d2 * t)) * decay
-                vals.append(v)
-                vels.append(w)
+                n2 = mp.mpf(e.n) ** 2
+                d2 = u1 + n2 * u0       # d1 = u0
+                decay = mp.e ** (-n2 * t)
+                vals.append((u0 + d2 * t) * decay)
+                vels.append((d2 - n2 * (u0 + d2 * t)) * decay)
             else:
-                c1, c2 = cs
+                c2 = (e.lambda_plus * u0 - u1) / (e.lambda_plus - e.lambda_minus)
+                c1 = u0 - c2
                 e1 = mp.e ** (e.lambda_plus * t)
                 e2 = mp.e ** (e.lambda_minus * t)
                 v = c1 * e1 + c2 * e2
                 w = c1 * e.lambda_plus * e1 + c2 * e.lambda_minus * e2
-                vals.append(strip_imag(v, bits))
-                vels.append(strip_imag(w, bits, scale=max(mp.mpf(1), abs(w))))
-        return ModalState(free.boundary, tuple(vals), tuple(vels))
+                vals.append(strip_imag(v, precision_bits))
+                vels.append(strip_imag(w, precision_bits, scale=max(mp.mpf(1), abs(w))))
+        return ModalState(state0.boundary, tuple(vals), tuple(vels))
 
 
 def duhamel_response(eig: ModeEigenvalues, trace_coeff, control: ControlSignal, t):
@@ -243,22 +215,16 @@ def forced_state_at(config: BeamConfig, control: ControlSignal, t,
         return ModalState(config.boundary, tuple(vals), tuple(vels))
 
 
-def lifting_from_values(traces: BoundaryTraceExpansion, f_value, fp_value) -> ModalState:
-    """Modal coefficients of the lifting U given boundary signal value/slope."""
-    vals = [x * to_mpf(f_value) for x in traces.coefficients]
-    vels = [x * to_mpf(fp_value) for x in traces.coefficients]
-    if traces.zero_mode is not None:
-        vals.insert(0, traces.zero_mode * to_mpf(f_value))
-        vels.insert(0, traces.zero_mode * to_mpf(fp_value))
-    return ModalState(traces.boundary, tuple(vals), tuple(vels))
-
-
 def lifting_term(boundary, control: ControlSignal, t, n_max: int,
                  precision_bits: int = 256) -> ModalState:
-    """Modal coefficients of the boundary lifting at time t."""
+    """Modal coefficients of the boundary lifting at time t: x_n f(t) and
+    x_n f'(t) for every mode of the boundary's layout up to n_max."""
     traces = boundary_trace_coefficients(boundary, n_max, precision_bits)
+    xs = [traces.coefficient(n) for n in range(traces.boundary.first_mode, n_max + 1)]
     with mp.workprec(precision_bits + GUARD_BITS):
-        return lifting_from_values(traces, control.value(t), control.slope(t))
+        f_value, fp_value = to_mpf(control.value(t)), to_mpf(control.slope(t))
+        return ModalState(traces.boundary, tuple(x * f_value for x in xs),
+                          tuple(x * fp_value for x in xs))
 
 
 def sobolev_norm(state: ModalState, p) -> float:
@@ -266,28 +232,26 @@ def sobolev_norm(state: ModalState, p) -> float:
 
     The Neumann zero mode contributes |u_0|^2 with unit weight at every scale.
     """
-    total = mp.mpf(0)
-    off = 0
-    if state.boundary is Boundary.NEUMANN:
-        total += to_mpf(state.values[0]) ** 2
-        off = 1
-    for i in range(off, len(state.values)):
-        n = i - off + 1
-        total += mp.mpf(n) ** (2 * p) * to_mpf(state.values[i]) ** 2
-    return float(mp.sqrt(total))
+    return _weighted_norm(state, p, None)
 
 
 def state_pair_norm(state: ModalState, p) -> float:
-    """Energy-style pair norm: displacement at scale p, velocity at scale p-2."""
+    """Energy-style pair norm: displacement at scale p, velocity at scale p-2.
+
+    The Neumann zero mode carries unit weight in both parts.
+    """
+    return _weighted_norm(state, p, p - 2)
+
+
+def _weighted_norm(state: ModalState, p, q) -> float:
+    """sqrt(sum w^(2p) |u_n|^2 + w^(2q) |u_n'|^2) over slots, w = max(n, 1);
+    q=None leaves out the velocities."""
     total = mp.mpf(0)
-    off = 0
-    if state.boundary is Boundary.NEUMANN:
-        total += to_mpf(state.values[0]) ** 2 + to_mpf(state.velocities[0]) ** 2
-        off = 1
-    for i in range(off, len(state.values)):
-        n = mp.mpf(i - off + 1)
-        total += n ** (2 * p) * to_mpf(state.values[i]) ** 2
-        total += n ** (2 * (p - 2)) * to_mpf(state.velocities[i]) ** 2
+    for n, u, du in zip(state.modes, state.values, state.velocities):
+        w = mp.mpf(max(n, 1))
+        total += w ** (2 * p) * to_mpf(u) ** 2
+        if q is not None:
+            total += w ** (2 * q) * to_mpf(du) ** 2
     return float(mp.sqrt(total))
 
 
@@ -371,15 +335,9 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
 
     T = float(to_mpf(config.horizon))
     h = T / steps
-    neumann = config.boundary is Boundary.NEUMANN
     traces = boundary_trace_coefficients(config.boundary, config.n_modes, 64)
-    xs = [float(c) for c in traces.coefficients]
-    ns = list(range(1, config.n_modes + 1))
-    if neumann:
-        xs.insert(0, float(traces.zero_mode))
-        ns.insert(0, 0)
-    ns_arr = np.asarray(ns, dtype=np.float64)
-    x_arr = np.asarray(xs, dtype=np.float64)
+    ns_arr = np.asarray(state0.modes, dtype=np.float64)
+    x_arr = np.asarray([float(traces.coefficient(n)) for n in state0.modes], dtype=np.float64)
     rho = float(to_mpf(config.rho))
     damp = rho * ns_arr ** 2
     stiff = ns_arr ** 4
@@ -439,12 +397,10 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Long-format CSV: t, n, value, velocity (header row, '.' decimal, LF)."""
-    off = 1 if trajectory.boundary is Boundary.NEUMANN else 0
+    modes = trajectory.state_at(0).modes
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "n", "value", "velocity"])
         for i, t in enumerate(trajectory.times):
-            for j, (val, vel) in enumerate(zip(trajectory.values[i],
-                                               trajectory.velocities[i])):
-                n = j if off else j + 1
+            for n, val, vel in zip(modes, trajectory.values[i], trajectory.velocities[i]):
                 w.writerow([repr(t), n, repr(val), repr(vel)])

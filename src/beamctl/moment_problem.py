@@ -40,7 +40,7 @@ import mpmath as mp
 from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import ResonanceDefect, UncontrollableMode
 from .kernels import Kernel
-from .modal_dynamics import ModalState, free_coefficients, free_state_at
+from .modal_dynamics import ModalState, free_state_at
 from .spectrum import (
     BeamConfig,
     Boundary,
@@ -233,10 +233,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
             if zero_amp > MEAN_FREE_RTOL * norm:
                 raise UncontrollableMode(0, float(zero_amp), float(MEAN_FREE_RTOL * norm))
 
-        max_amp = max(state0.amplitude(n) for n in range(1, config.n_modes + 1))
-        if config.boundary is Boundary.NEUMANN:
-            max_amp = max(max_amp, abs(float(state0.values[0])),
-                          abs(float(state0.velocities[0])))
+        max_amp = max(state0.amplitude(n) for n in state0.modes)
 
         dropped = []
         active = []
@@ -251,9 +248,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
 
         eigs = tuple(mode_eigenvalues(config.rho, n, bits)
                      for n in range(1, config.n_modes + 1))
-        free = free_coefficients(state0, eigs, bits)
-        horizon = to_mpf(config.horizon)
-        at_T = free_state_at(free, horizon)
+        at_T = free_state_at(state0, eigs, to_mpf(config.horizon), bits)
 
         r_exact = None
         if config.regime is DampingRegime.OVERDAMPED:

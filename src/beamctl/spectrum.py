@@ -50,6 +50,12 @@ class Boundary(str, Enum):
     DIRICHLET = "dirichlet"   # u(pi, t) = f(t), sine eigenbasis
     NEUMANN = "neumann"       # u_x(0, t) = u_x(pi, t) = g(t), cosine eigenbasis
 
+    @property
+    def first_mode(self) -> int:
+        """Mode number of a state's first slot: the constant cosine mode 0
+        under Neumann, the first sine mode 1 under Dirichlet."""
+        return 0 if self is Boundary.NEUMANN else 1
+
 
 class DampingRegime(str, Enum):
     UNDERDAMPED = "underdamped"   # rho < 2: conjugate-pair eigenvalues

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -237,17 +237,7 @@ def solve_min_norm(system: MomentSystem, autoscale: bool = True,
                     attempted_bits=tuple(trace)) from None
             bits *= 2
             current = current.with_precision(bits)
-    if len(trace) > 1 or trace[0] != report.precision_trace[0]:
-        report = SynthesisReport(
-            system=report.system, control=report.control,
-            coefficients=report.coefficients, cost=report.cost,
-            condition_estimate=report.condition_estimate,
-            precision_bits_used=report.precision_bits_used,
-            precision_trace=tuple(trace),
-            regularization_used=report.regularization_used,
-            residuals=report.residuals, max_residual=report.max_residual,
-        )
-    return report
+    return replace(report, precision_trace=tuple(trace))
 
 
 def biorthogonal_family(system: MomentSystem):

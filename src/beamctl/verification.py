@@ -33,7 +33,6 @@ from .modal_dynamics import (
     ModalState,
     Trajectory,
     forced_state_at,
-    free_coefficients,
     free_state_at,
     forcing_resolution_steps,
     simulate_oracle,
@@ -72,10 +71,9 @@ def closed_form_final_state(config: BeamConfig, state0: ModalState,
     bits = config.precision_bits
     eigs = tuple(mode_eigenvalues(config.rho, n, bits)
                  for n in range(1, config.n_modes + 1))
-    free = free_coefficients(state0, eigs, bits)
     with mp.workprec(bits + GUARD_BITS):
         T = to_mpf(config.horizon)
-        free_T = free_state_at(free, T)
+        free_T = free_state_at(state0, eigs, T, bits)
         forced_T = forced_state_at(config, control, T)
         vals = tuple(a + b for a, b in zip(free_T.values, forced_T.values))
         vels = tuple(a + b for a, b in zip(free_T.velocities, forced_T.velocities))

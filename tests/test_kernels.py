@@ -45,6 +45,8 @@ def test_kernel_validation():
         Kernel("exp")            # missing rate
     with pytest.raises(ValueError):
         Kernel("expcos", decay=-1.0)   # missing freq
+    with pytest.raises(ValueError):
+        Kernel("exp", rate=-1, freq=2)  # stray parameter
 
 
 def test_kernel_value_pointwise():
@@ -100,9 +102,8 @@ def test_slope_and_value_match_quadrature():
                 i1, i2 = sig.slope(t), sig.value(t)
                 q1 = mp.quad(lambda s: kernel_value(k, s, T), [0, t])
                 assert abs(i1 - q1) < mp.mpf(2) ** -150
-                q2 = mp.quad(
-                    lambda tau: mp.quad(lambda s: kernel_value(k, s, T), [0, tau]),
-                    [0, t])
+                # Cauchy: int_0^t int_0^tau k = int_0^t (t - s) k(s) ds
+                q2 = mp.quad(lambda s: (t - s) * kernel_value(k, s, T), [0, t])
                 assert abs(i2 - q2) < mp.mpf(2) ** -120
 
 

@@ -13,7 +13,6 @@ from beamctl.modal_dynamics import (
     duhamel_response,
     forced_state_at,
     forcing_resolution_steps,
-    free_coefficients,
     free_state_at,
     lifting_term,
     simulate_oracle,
@@ -32,10 +31,11 @@ def unit_control(bits=256):
 
 def test_modal_state_shapes():
     st = ModalState.dirichlet(values=(1, 0.5), velocities=(0, 0))
-    assert st.n_modes == 2
+    assert st.n_modes == 2 and list(st.modes) == [1, 2]
     assert st.mode_index(2) == 1
     stn = ModalState.neumann(values=(0.1, 1, 0), velocities=(0, 0, 0))
     assert stn.n_modes == 2               # index 0 is the zero mode
+    assert list(stn.modes) == [0, 1, 2]
     assert stn.mode_index(1) == 1
     assert float(stn.amplitude(0)) > 0
 
@@ -44,8 +44,7 @@ def test_free_flow_underdamped_oracle():
     # rho=1, n=1, u0=1, u1=0: u(t) = e^{-t/2}(cos(sqrt3 t/2) + sin(sqrt3 t/2)/sqrt3)
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
     eigs = (mode_eigenvalues(Fraction(1), 1, 256),)
-    free = free_coefficients(st, eigs, 256)
-    out = free_state_at(free, 1)
+    out = free_state_at(st, eigs, 1, 256)
     assert abs(float(out.values[0]) - 0.659700153392) < 1e-11
     with mp.workprec(300):
         expect = mp.exp(mp.mpf(-1) / 2) * (mp.cos(mp.sqrt(3) / 2)
@@ -57,7 +56,7 @@ def test_free_flow_critical_oracle():
     # rho=2, n=1, u0=1, u1=0: u(t) = (1+t) e^{-t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
     eigs = (mode_eigenvalues(Fraction(2), 1, 256),)
-    out = free_state_at(free_coefficients(st, eigs, 256), 1)
+    out = free_state_at(st, eigs, 1, 256)
     with mp.workprec(300):
         assert abs(out.values[0] - 2 / mp.e) < mp.mpf(2) ** -240
         # velocity: u'(t) = -t e^{-t}
@@ -68,10 +67,20 @@ def test_free_flow_overdamped_oracle():
     # rho=5/2, n=1: u(t) = (4/3) e^{-t/2} - (1/3) e^{-2t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
     eigs = (mode_eigenvalues(Fraction(5, 2), 1, 256),)
-    out = free_state_at(free_coefficients(st, eigs, 256), 1)
+    out = free_state_at(st, eigs, 1, 256)
     with mp.workprec(300):
         expect = mp.mpf(4) / 3 * mp.exp(mp.mpf(-1) / 2) - mp.exp(-2) / 3
         assert abs(out.values[0] - expect) < mp.mpf(2) ** -240
+
+
+def test_free_flow_neumann_zero_mode_drifts():
+    # the constant mode has no restoring force: u_0(t) = u0 + u1 t exactly
+    st = ModalState.neumann(values=(0.25, 1, 0), velocities=(0.5, 0, 0.3))
+    eigs = tuple(mode_eigenvalues(Fraction(1), n, 256) for n in (1, 2))
+    out = free_state_at(st, eigs, 2, 256)
+    assert out.boundary is Boundary.NEUMANN and len(out.values) == 3
+    assert out.values[0] == mp.mpf("1.25")
+    assert out.velocities[0] == mp.mpf("0.5")
 
 
 def test_duhamel_response_frozen_oracle():
@@ -134,6 +143,14 @@ def test_lifting_term_scales_with_signal():
     with mp.workprec(300):
         assert abs(lift.values[0] - traces.coefficient(1) * mp.mpf("0.125")) < mp.mpf(2) ** -240
         assert abs(lift.velocities[2] - traces.coefficient(3) * mp.mpf("0.5")) < mp.mpf(2) ** -240
+    # Neumann: slot 0 is the constant mode, lifted by x_0 f(t)
+    lift = lifting_term(Boundary.NEUMANN, sig, mp.mpf("0.5"), 3, 256)
+    traces = boundary_trace_coefficients(Boundary.NEUMANN, 3, 256)
+    assert len(lift.values) == 4
+    with mp.workprec(300):
+        assert abs(lift.values[0] - traces.zero_mode * mp.mpf("0.125")) < mp.mpf(2) ** -240
+        assert abs(lift.velocities[0] - traces.zero_mode * mp.mpf("0.5")) < mp.mpf(2) ** -240
+        assert abs(lift.values[1] - traces.coefficient(1) * mp.mpf("0.125")) < mp.mpf(2) ** -240
 
 
 def test_sobolev_and_pair_norms():
@@ -143,6 +160,8 @@ def test_sobolev_and_pair_norms():
     assert abs(state_pair_norm(st2, 3) - 4.0) < 1e-13      # 2^(3-2) * 2
     st3 = ModalState.neumann(values=(0.5, 0, 0), velocities=(0, 0, 0))
     assert abs(sobolev_norm(st3, 4) - 0.5) < 1e-13         # unit weight on mode 0
+    st4 = ModalState.neumann(values=(0, 0, 0), velocities=(0.5, 0, 0))
+    assert abs(state_pair_norm(st4, 4) - 0.5) < 1e-13      # unit weight on mode 0
 
 
 def test_oracle_free_flow_matches_closed_form():
@@ -150,7 +169,7 @@ def test_oracle_free_flow_matches_closed_form():
     st = ModalState.dirichlet(values=(1, 0, -0.4), velocities=(0, 0.3, 0))
     traj = simulate_oracle(cfg, st, None)
     eigs = tuple(mode_eigenvalues(Fraction(1), n, 256) for n in (1, 2, 3))
-    expect = free_state_at(free_coefficients(st, eigs, 256), 1)
+    expect = free_state_at(st, eigs, 1, 256)
     got = traj.final_state()
     for a, b in zip(got.values, expect.values):
         assert abs(float(a) - float(b)) < 1e-11
@@ -163,9 +182,8 @@ def test_oracle_forced_matches_closed_form():
     st = ModalState.dirichlet(values=(0.2, -0.1), velocities=(0, 0))
     sig = unit_control()
     traj = simulate_oracle(cfg, st, sig)
-    free = free_state_at(
-        free_coefficients(st, tuple(mode_eigenvalues(Fraction(1), n, 256)
-                                    for n in (1, 2)), 256), 1)
+    free = free_state_at(st, tuple(mode_eigenvalues(Fraction(1), n, 256)
+                                   for n in (1, 2)), 1, 256)
     forced = forced_state_at(cfg, sig, 1)
     got = traj.final_state()
     for i in range(2):
@@ -214,3 +232,12 @@ def test_trajectory_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 1
     assert abs(float(first[2]) - 1.0) < 1e-15
+    # Neumann: the constant mode is listed first, as n = 0
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(1))
+    st = ModalState.neumann(values=(0.5, 1, 0), velocities=(0, 0, 0))
+    traj = simulate_oracle(cfg, st, None, steps=4000, samples=11)
+    write_trajectory_csv(traj, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 11 * 3
+    assert [int(line.split(",")[1]) for line in lines[1:4]] == [0, 1, 2]
+    assert abs(float(lines[1].split(",")[2]) - 0.5) < 1e-15

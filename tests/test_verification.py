@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from beamctl.kernels import ControlSignal
-from beamctl.modal_dynamics import ModalState, free_coefficients, free_state_at
+from beamctl.modal_dynamics import ModalState, free_state_at
 from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
 from beamctl.verification import (
     Verdict,
@@ -38,7 +38,7 @@ def test_zero_control_reduces_to_free_flow():
     with mp.workprec(200):
         final = closed_form_final_state(config, state0, zero)
         eigs = tuple(mode_eigenvalues(config.rho, n, 128) for n in (1, 2))
-        free = free_state_at(free_coefficients(state0, eigs, 128), mp.mpf(1))
+        free = free_state_at(state0, eigs, mp.mpf(1), 128)
         for a, b in zip(final.values + final.velocities,
                         free.values + free.velocities):
             assert abs(a - b) < mp.mpf(2) ** -100
