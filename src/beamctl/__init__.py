@@ -47,7 +47,6 @@ from .modal_dynamics import (
     free_state_at,
     forced_state_at,
     simulate_oracle,
-    sobolev_norm,
     state_pair_norm,
     write_trajectory_csv,
 )
@@ -81,7 +80,6 @@ from .verification import (
     VerificationReport,
     closed_form_final_state,
     cost_sweep,
-    crosscheck_suite,
     null_control_experiment,
     pair_norm_scale,
 )
@@ -121,7 +119,6 @@ __all__ = [
     "free_state_at",
     "forced_state_at",
     "simulate_oracle",
-    "sobolev_norm",
     "state_pair_norm",
     "write_trajectory_csv",
     "MomentSystem",
@@ -147,7 +144,6 @@ __all__ = [
     "VerificationReport",
     "closed_form_final_state",
     "cost_sweep",
-    "crosscheck_suite",
     "null_control_experiment",
     "pair_norm_scale",
     "__version__",

@@ -82,12 +82,10 @@ CONFIG_SCHEMA = {
     ("beam", "horizon"): ("horizon", str),
     ("beam", "boundary"): ("boundary", str),
     ("beam", "precision_bits"): ("precision_bits", int),
-    ("beam", "regularization"): ("regularization", float),
     ("data", "initial"): ("data", str),
     ("data", "seed"): ("seed", int),
     ("output", "dir"): ("out", str),
     ("synthesize", "autoscale"): ("autoscale", "bool"),
-    ("synthesize", "ridge_fallback"): ("ridge_fallback", "bool"),
     ("verify", "tolerance"): ("tolerance", float),
     ("verify", "steps"): ("steps", int),
     ("verify", "samples"): ("samples", int),
@@ -110,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--boundary", choices=["dirichlet", "neumann"],
                         default="dirichlet")
     shared.add_argument("--precision-bits", dest="precision_bits", type=int, default=256)
-    shared.add_argument("--regularization", type=float, default=0.0,
-                        help="explicit ridge weight on the Gram solve (default 0)")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for the 'random' data fixture")
     shared.add_argument("--data", default="mode1",
@@ -135,9 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve the moment system and emit the control")
     p.add_argument("--no-autoscale", dest="autoscale", action="store_false",
                    help="fail instead of retrying at doubled precision")
-    p.add_argument("--ridge-fallback", dest="ridge_fallback", action="store_true",
-                   help="ridged solve instead of failure at the precision ceiling")
-    p.set_defaults(func=cmd_synthesize, autoscale=True, ridge_fallback=False)
+    p.set_defaults(func=cmd_synthesize, autoscale=True)
 
     p = sub.add_parser("verify", parents=[shared],
                        help="synthesize, then verify along both evaluation routes")
@@ -148,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201,
                    help="trajectory samples written to CSV (default 201)")
     p.add_argument("--no-autoscale", dest="autoscale", action="store_false")
-    p.add_argument("--ridge-fallback", dest="ridge_fallback", action="store_true")
-    p.set_defaults(func=cmd_verify, autoscale=True, ridge_fallback=False)
+    p.set_defaults(func=cmd_verify, autoscale=True)
 
     p = sub.add_parser("condensation", parents=[shared],
                        help="Diophantine condensation estimate of the rate families")
@@ -212,7 +205,6 @@ def beam_config(args: argparse.Namespace) -> BeamConfig:
         n_modes=args.modes,
         horizon=args.horizon,
         precision_bits=args.precision_bits,
-        regularization=args.regularization,
     )
 
 
@@ -272,7 +264,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
                 raise ValueError("mode 0 only exists under Neumann control")
             if not first <= mode <= config.n_modes:
                 raise ValueError(
-                    f"mode {mode} outside the configured range 1..{config.n_modes}")
+                    f"mode {mode} outside the configured range {first}..{config.n_modes}")
             values[mode - first], velocities[mode - first] = val, vel
 
     with mp.workprec(config.precision_bits + GUARD_BITS):
@@ -350,8 +342,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
     system = assemble(config, state0)
-    report = solve_min_norm(system, autoscale=args.autoscale,
-                            ridge_fallback=args.ridge_fallback)
+    report = solve_min_norm(system, autoscale=args.autoscale)
     # sampling can still fail (SamplingError): before any success report
     write_control_csv(report.control, _out_path(args, "control.csv"))
     doc = {"command": "synthesize"}
@@ -367,8 +358,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     state0 = build_initial_state(args.data, config, args.seed)
     report = null_control_experiment(
         config, state0, tolerance=args.tolerance, steps=args.steps,
-        autoscale=args.autoscale, ridge_fallback=args.ridge_fallback,
-        samples=args.samples)
+        autoscale=args.autoscale, samples=args.samples)
     doc = {"command": "verify"}
     doc.update(report.to_json_dict())
     _write_json(_out_path(args, "verification.json"), doc)

@@ -52,8 +52,6 @@ __all__ = [
     "free_state_at",
     "duhamel_response",
     "forced_state_at",
-    "lifting_term",
-    "sobolev_norm",
     "state_pair_norm",
     "default_steps",
     "ORACLE_STEP_CAP",
@@ -215,43 +213,17 @@ def forced_state_at(config: BeamConfig, control: ControlSignal, t,
         return ModalState(config.boundary, tuple(vals), tuple(vels))
 
 
-def lifting_term(boundary, control: ControlSignal, t, n_max: int,
-                 precision_bits: int = 256) -> ModalState:
-    """Modal coefficients of the boundary lifting at time t: x_n f(t) and
-    x_n f'(t) for every mode of the boundary's layout up to n_max."""
-    traces = boundary_trace_coefficients(boundary, n_max, precision_bits)
-    xs = [traces.coefficient(n) for n in range(traces.boundary.first_mode, n_max + 1)]
-    with mp.workprec(precision_bits + GUARD_BITS):
-        f_value, fp_value = to_mpf(control.value(t)), to_mpf(control.slope(t))
-        return ModalState(traces.boundary, tuple(x * f_value for x in xs),
-                          tuple(x * fp_value for x in xs))
-
-
-def sobolev_norm(state: ModalState, p) -> float:
-    """Scale-p norm of the displacement part: sqrt(sum n^(2p) |u_n|^2).
-
-    The Neumann zero mode contributes |u_0|^2 with unit weight at every scale.
-    """
-    return _weighted_norm(state, p, None)
-
-
 def state_pair_norm(state: ModalState, p) -> float:
     """Energy-style pair norm: displacement at scale p, velocity at scale p-2.
 
-    The Neumann zero mode carries unit weight in both parts.
+    sqrt(sum n^(2p) |u_n|^2 + n^(2p-4) |u_n'|^2); the Neumann zero mode
+    carries unit weight in both parts.
     """
-    return _weighted_norm(state, p, p - 2)
-
-
-def _weighted_norm(state: ModalState, p, q) -> float:
-    """sqrt(sum w^(2p) |u_n|^2 + w^(2q) |u_n'|^2) over slots, w = max(n, 1);
-    q=None leaves out the velocities."""
     total = mp.mpf(0)
     for n, u, du in zip(state.modes, state.values, state.velocities):
         w = mp.mpf(max(n, 1))
         total += w ** (2 * p) * to_mpf(u) ** 2
-        if q is not None:
-            total += w ** (2 * q) * to_mpf(du) ** 2
+        total += w ** (2 * (p - 2)) * to_mpf(du) ** 2
     return float(mp.sqrt(total))
 
 

@@ -158,7 +158,6 @@ class MomentSystem:
                 "n_modes": cfg.n_modes,
                 "horizon": str(cfg.horizon),
                 "precision_bits": cfg.precision_bits,
-                "regularization": repr(cfg.regularization),
             },
             "state0": {
                 "values": [decimal_str(v, bits) for v in self.state0.values],
@@ -197,7 +196,6 @@ class MomentSystem:
             n_modes=int(c["n_modes"]),
             horizon=Fraction(c["horizon"]),
             precision_bits=int(c["precision_bits"]),
-            regularization=float(c["regularization"]),
         )
         with mp.workprec(config.precision_bits + GUARD_BITS):
             s = doc["state0"]

@@ -77,7 +77,6 @@ class BeamConfig:
     n_modes: int
     horizon: Fraction
     precision_bits: int = 256
-    regularization: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", Boundary(self.boundary))
@@ -91,8 +90,6 @@ class BeamConfig:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         if not isinstance(self.precision_bits, int) or self.precision_bits < 53:
             raise ValueError(f"precision_bits must be an integer >= 53, got {self.precision_bits}")
-        if self.regularization < 0:
-            raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
 
     @property
     def regime(self) -> DampingRegime:

@@ -11,16 +11,14 @@ The Gram matrix of nearly dependent kernels is famously ill conditioned;
 entries are computed in closed form at extended precision and factored by a
 Cholesky routine that watches its own pivots.  A pivot collapsing below
 2^(-precision_bits/2) of the largest one seen means the matrix has lost
-definiteness at the working precision: the solver then either reassembles
-everything at doubled precision (up to a ceiling, env BEAMCTL_PRECISION_CEILING,
-default 4096 bits) or gives up with a quantitative report.  An optional ridge
-fallback trades exactness of the moment targets for solvability when the
-ceiling is reached; it is off unless requested.
+definiteness at the working precision: the solver then reassembles
+everything at doubled precision, up to PRECISION_CEILING bits, or gives up
+with a quantitative report.  There is no approximate fallback: a returned
+control meets its moment targets to the working precision.
 """
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -32,8 +30,7 @@ from .kernels import ControlSignal, gram_entry
 from .moment_problem import MomentSystem
 
 __all__ = [
-    "PRECISION_CEILING_ENV",
-    "DEFAULT_PRECISION_CEILING",
+    "PRECISION_CEILING",
     "SynthesisReport",
     "gram_matrix",
     "cholesky_factor",
@@ -42,24 +39,7 @@ __all__ = [
     "write_control_csv",
 ]
 
-PRECISION_CEILING_ENV = "BEAMCTL_PRECISION_CEILING"
-DEFAULT_PRECISION_CEILING = 4096
-
-
-def precision_ceiling() -> int:
-    """Autoscale ceiling in bits, from the environment or the default."""
-    raw = os.environ.get(PRECISION_CEILING_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CEILING
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{PRECISION_CEILING_ENV} must be an integer number of bits, got {raw!r}")
-    if ceiling < 53:
-        raise ValueError(
-            f"{PRECISION_CEILING_ENV} must be at least 53 bits, got {ceiling}")
-    return ceiling
+PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
 
 
 def gram_matrix(system: MomentSystem) -> mp.matrix:
@@ -142,7 +122,6 @@ class SynthesisReport:
     condition_estimate: float
     precision_bits_used: int
     precision_trace: Tuple[int, ...]     # every precision attempted, in order
-    regularization_used: float
     residuals: Tuple[float, ...]         # per-row |G c - target|
     max_residual: float
 
@@ -158,22 +137,14 @@ class SynthesisReport:
             "condition_estimate": repr(self.condition_estimate),
             "precision_bits_used": bits,
             "precision_trace": list(self.precision_trace),
-            "regularization_used": repr(self.regularization_used),
         })
         return doc
 
 
-def _attempt(system: MomentSystem, ridge) -> SynthesisReport:
+def _attempt(system: MomentSystem) -> SynthesisReport:
     bits = system.config.precision_bits
     G = gram_matrix(system)
     with mp.workprec(bits + GUARD_BITS):
-        used_ridge = mp.mpf(0)
-        if ridge:
-            max_diag = max(G[i, i] for i in range(G.rows))
-            used_ridge = to_mpf(ridge) if ridge is not True else (
-                max_diag * mp.mpf(2) ** (-(bits // 2)))
-            for i in range(G.rows):
-                G[i, i] = G[i, i] + used_ridge
         L, cond = cholesky_factor(G, bits)
         c = _solve_cholesky(L, system.targets, bits)
         residuals = []
@@ -198,46 +169,33 @@ def _attempt(system: MomentSystem, ridge) -> SynthesisReport:
             condition_estimate=cond,
             precision_bits_used=bits,
             precision_trace=(bits,),
-            regularization_used=float(used_ridge),
             residuals=tuple(residuals),
             max_residual=max(residuals) if residuals else 0.0,
         )
 
 
-def solve_min_norm(system: MomentSystem, autoscale: bool = True,
-                   ridge_fallback: bool = False) -> SynthesisReport:
-    """Minimum-norm control for the moment system.
+def solve_min_norm(system: MomentSystem, autoscale: bool = True) -> SynthesisReport:
+    """Minimum-norm control for the moment system, with exact moment targets.
 
-    config.regularization > 0 requests an explicit ridge and is applied from
-    the first attempt (the solve then always succeeds but the moment targets
-    are met only approximately; the report's residuals say by how much).
-    Otherwise the solve is exact-in-spirit: on rank collapse the system is
-    reassembled at doubled precision until the ceiling is reached.  With
-    ridge_fallback=True a final ridged solve at the ceiling replaces the
-    terminal failure; without it NumericalRankDeficiency propagates, carrying
-    every precision attempted.
+    The Gram system is factored by Cholesky at the system's precision.  On
+    rank collapse the system is reassembled at doubled precision, as long as
+    that stays within PRECISION_CEILING; with autoscale=False there is no
+    second rung.  When the ladder is exhausted NumericalRankDeficiency
+    propagates, carrying every precision attempted.
     """
-    reg = system.config.regularization
     trace = []
-    bits = system.config.precision_bits
-    ceiling = precision_ceiling()
     current = system
     while True:
+        bits = current.config.precision_bits
         trace.append(bits)
         try:
-            report = _attempt(current, reg if reg > 0 else None)
-            break
+            return replace(_attempt(current), precision_trace=tuple(trace))
         except NumericalRankDeficiency as err:
-            if not autoscale or bits * 2 > ceiling:
-                if ridge_fallback:
-                    report = _attempt(current, True)
-                    break
+            if not autoscale or bits * 2 > PRECISION_CEILING:
                 raise NumericalRankDeficiency(
                     err.pivot_index, err.pivot_ratio, err.precision_bits,
                     attempted_bits=tuple(trace)) from None
-            bits *= 2
-            current = current.with_precision(bits)
-    return replace(report, precision_trace=tuple(trace))
+        current = current.with_precision(bits * 2)
 
 
 def biorthogonal_family(system: MomentSystem):

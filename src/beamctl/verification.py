@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -51,7 +50,6 @@ __all__ = [
     "oracle_steps",
     "null_control_experiment",
     "cost_sweep",
-    "crosscheck_suite",
 ]
 
 
@@ -138,7 +136,6 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
                             tolerance: float = 1e-6,
                             steps: Optional[int] = None,
                             autoscale: bool = True,
-                            ridge_fallback: bool = False,
                             samples: int = 201) -> VerificationReport:
     """Synthesize a null control and verify it along both evaluation routes.
 
@@ -151,7 +148,7 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     system = assemble(config, state0)
-    report = solve_min_norm(system, autoscale=autoscale, ridge_fallback=ridge_fallback)
+    report = solve_min_norm(system, autoscale=autoscale)
     solved_config = report.system.config
     control = report.control
 
@@ -213,8 +210,7 @@ class CostSweep:
         }
 
 
-def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence,
-               autoscale: bool = True) -> CostSweep:
+def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence) -> CostSweep:
     """Solve the same data across several horizons and track the cost.
 
     Horizons are deduplicated and sorted ascending.  Monotonicity is checked
@@ -229,7 +225,7 @@ def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence,
     costs = []
     for T in uniq:
         cfg = replace(config, horizon=T)
-        report = solve_min_norm(assemble(cfg, state0), autoscale=autoscale)
+        report = solve_min_norm(assemble(cfg, state0))
         costs.append(report.cost)
     monotone = all(costs[i] >= costs[i + 1] * (1 - 1e-9)
                    for i in range(len(costs) - 1))
@@ -247,43 +243,3 @@ def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence,
         r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return CostSweep(tuple(uniq), tuple(costs), monotone, slope, intercept, r2)
 
-
-def crosscheck_suite(precision_bits: int = 192, tolerance: float = 1e-6) -> dict:
-    """A fixed battery of experiments spanning all regimes and both boundaries.
-
-    Returns per-case relative final norms and route deviations plus their
-    maxima over the battery; intended as a quick integrity check that the
-    closed forms and the independent integrator still agree after any change.
-    """
-    cases = [
-        ("dirichlet-underdamped", Boundary.DIRICHLET, Fraction(1), 4,
-         (1, 0, "0.3", 0), (0, "0.2", 0, 0)),
-        ("dirichlet-critical", Boundary.DIRICHLET, Fraction(2), 3,
-         (1, 0, "0.2"), (0, "0.1", 0)),
-        ("dirichlet-overdamped", Boundary.DIRICHLET, Fraction(5, 2), 4,
-         (0, 0, 1, 0), (0, 0, "0.1", 0)),
-        ("neumann-underdamped", Boundary.NEUMANN, Fraction(3, 2), 3,
-         (0, 1, 0, "0.2"), (0, 0, 0, 0)),
-    ]
-    out = {"cases": [], "max_deviation": 0.0, "max_final_rel": 0.0}
-    for label, boundary, rho, n_modes, values, velocities in cases:
-        config = BeamConfig(boundary=boundary, rho=rho, n_modes=n_modes,
-                            horizon=Fraction(1), precision_bits=precision_bits)
-        with mp.workprec(precision_bits + GUARD_BITS):
-            state0 = ModalState(boundary,
-                                tuple(to_mpf(Fraction(v)) for v in values),
-                                tuple(to_mpf(Fraction(v)) for v in velocities))
-        report = null_control_experiment(config, state0, tolerance=tolerance)
-        rel = report.final_norm / max(report.initial_norm, 1e-300)
-        rel_oracle = report.oracle_final_norm / max(report.initial_norm, 1e-300)
-        out["cases"].append({
-            "label": label,
-            "verdict": report.verdict.value,
-            "final_rel": rel,
-            "oracle_final_rel": rel_oracle,
-            "deviation": report.oracle_deviation,
-            "cost": report.synthesis.cost,
-        })
-        out["max_deviation"] = max(out["max_deviation"], report.oracle_deviation)
-        out["max_final_rel"] = max(out["max_final_rel"], rel, rel_oracle)
-    return out

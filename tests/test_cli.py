@@ -148,6 +148,32 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("beam", "regularization", "0.0"),
+    ("synthesize", "ridge_fallback", "false"),
+])
+def test_config_file_rejects_removed_ridge_keys(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "beam.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, _ = run(tmp_path, "synthesize", "--config", str(cfg), *FAST)
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_ridge_fallback_flag_is_refused(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, "synthesize", "--ridge-fallback", *FAST)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["4", "-1"])
+def test_neumann_mode_range_message_starts_at_zero(tmp_path, capsys, mode):
+    code, _ = run(tmp_path, "synthesize", "--boundary", "neumann", "--modes", "3",
+                  f"--data={mode}:1:0", *FAST)
+    assert code == 2
+    assert f"mode {mode} outside the configured range 0..3" in capsys.readouterr().err
+
+
 def test_config_file_rejects_key_for_other_subcommand(tmp_path, capsys):
     cfg = tmp_path / "beam.ini"
     cfg.write_text("[verify]\ntolerance = 1e-8\n")

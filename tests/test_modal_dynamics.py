@@ -1,4 +1,4 @@
-"""Modal flows: free evolution, Duhamel responses, lifting, the RK4 oracle."""
+"""Modal flows: free evolution, Duhamel responses, the RK4 oracle."""
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,9 +14,7 @@ from beamctl.modal_dynamics import (
     forced_state_at,
     forcing_resolution_steps,
     free_state_at,
-    lifting_term,
     simulate_oracle,
-    sobolev_norm,
     state_pair_norm,
     write_trajectory_csv,
 )
@@ -135,31 +133,13 @@ def test_forced_state_zero_at_time_zero():
         assert abs(w) < mp.mpf(2) ** -200
 
 
-def test_lifting_term_scales_with_signal():
-    sig = unit_control()
-    lift = lifting_term(Boundary.DIRICHLET, sig, mp.mpf("0.5"), 3, 256)
-    traces = boundary_trace_coefficients(Boundary.DIRICHLET, 3, 256)
-    # f(0.5) = 0.125, f'(0.5) = 0.5
-    with mp.workprec(300):
-        assert abs(lift.values[0] - traces.coefficient(1) * mp.mpf("0.125")) < mp.mpf(2) ** -240
-        assert abs(lift.velocities[2] - traces.coefficient(3) * mp.mpf("0.5")) < mp.mpf(2) ** -240
-    # Neumann: slot 0 is the constant mode, lifted by x_0 f(t)
-    lift = lifting_term(Boundary.NEUMANN, sig, mp.mpf("0.5"), 3, 256)
-    traces = boundary_trace_coefficients(Boundary.NEUMANN, 3, 256)
-    assert len(lift.values) == 4
-    with mp.workprec(300):
-        assert abs(lift.values[0] - traces.zero_mode * mp.mpf("0.125")) < mp.mpf(2) ** -240
-        assert abs(lift.velocities[0] - traces.zero_mode * mp.mpf("0.5")) < mp.mpf(2) ** -240
-        assert abs(lift.values[1] - traces.coefficient(1) * mp.mpf("0.125")) < mp.mpf(2) ** -240
-
-
 def test_sobolev_and_pair_norms():
     st = ModalState.dirichlet(values=(0, 1, 0), velocities=(0, 0, 0))
-    assert abs(sobolev_norm(st, 3) - 8.0) < 1e-13          # 2^3
+    assert abs(state_pair_norm(st, 3) - 8.0) < 1e-13       # 2^3
     st2 = ModalState.dirichlet(values=(0, 0, 0), velocities=(0, 2, 0))
     assert abs(state_pair_norm(st2, 3) - 4.0) < 1e-13      # 2^(3-2) * 2
     st3 = ModalState.neumann(values=(0.5, 0, 0), velocities=(0, 0, 0))
-    assert abs(sobolev_norm(st3, 4) - 0.5) < 1e-13         # unit weight on mode 0
+    assert abs(state_pair_norm(st3, 4) - 0.5) < 1e-13      # unit weight on mode 0
     st4 = ModalState.neumann(values=(0, 0, 0), velocities=(0.5, 0, 0))
     assert abs(state_pair_norm(st4, 4) - 0.5) < 1e-13      # unit weight on mode 0
 

@@ -1,4 +1,4 @@
-"""Gram solve: Cholesky, autoscale ladder, ridge fallback, biorthogonals."""
+"""Gram solve: Cholesky, autoscale ladder, biorthogonals."""
 import json
 from fractions import Fraction
 
@@ -9,11 +9,11 @@ from beamctl.errors import NumericalRankDeficiency
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
+from beamctl import synthesis
 from beamctl.synthesis import (
     biorthogonal_family,
     cholesky_factor,
     gram_matrix,
-    precision_ceiling,
     solve_min_norm,
     write_control_csv,
 )
@@ -82,39 +82,14 @@ def test_autoscale_ladder_climbs_until_solvable():
     report = solve_min_norm(system)
     assert report.precision_trace == (64, 128)
     assert report.precision_bits_used == 128
-    assert report.regularization_used == 0.0
 
 
-def test_precision_ceiling_env(monkeypatch):
-    monkeypatch.setenv("BEAMCTL_PRECISION_CEILING", "64")
-    assert precision_ceiling() == 64
+def test_precision_ceiling_ends_the_ladder(monkeypatch):
+    monkeypatch.setattr(synthesis, "PRECISION_CEILING", 64)
     system = stiff_system(bits=64)
     with pytest.raises(NumericalRankDeficiency) as info:
         solve_min_norm(system)
     assert info.value.attempted_bits == (64,)
-    monkeypatch.setenv("BEAMCTL_PRECISION_CEILING", "12")
-    with pytest.raises(ValueError):
-        precision_ceiling()
-    monkeypatch.setenv("BEAMCTL_PRECISION_CEILING", "many")
-    with pytest.raises(ValueError):
-        precision_ceiling()
-
-
-def test_ridge_fallback_when_ceiling_exhausted(monkeypatch):
-    monkeypatch.setenv("BEAMCTL_PRECISION_CEILING", "64")
-    system = stiff_system(bits=64)
-    report = solve_min_norm(system, ridge_fallback=True)
-    assert report.regularization_used > 0
-    assert report.max_residual < 1e-6
-    assert float(report.cost) > 0
-
-
-def test_explicit_regularization_is_used():
-    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1), 256,
-                     regularization=1e-30)
-    st = ModalState.dirichlet(values=(1, 0, 0.3), velocities=(0, 0.2, 0))
-    report = solve_min_norm(assemble(cfg, st))
-    assert report.regularization_used == 1e-30
 
 
 def test_biorthogonal_family_identity():

@@ -11,7 +11,6 @@ from beamctl.verification import (
     Verdict,
     closed_form_final_state,
     cost_sweep,
-    crosscheck_suite,
     null_control_experiment,
     pair_norm_scale,
 )
@@ -113,18 +112,24 @@ def test_cost_sweep_requires_horizons():
         cost_sweep(config, state0, [])
 
 
-def test_crosscheck_battery():
-    out = crosscheck_suite(precision_bits=160, tolerance=1e-6)
-    assert len(out["cases"]) == 4
-    labels = {case["label"] for case in out["cases"]}
-    assert labels == {"dirichlet-underdamped", "dirichlet-critical",
-                      "dirichlet-overdamped", "neumann-underdamped"}
-    for case in out["cases"]:
-        assert case["verdict"] == "controlled"
-        assert case["final_rel"] < 1e-6
-        assert case["oracle_final_rel"] < 1e-6
-    assert out["max_deviation"] < 1e-6
-    assert out["max_final_rel"] < 1e-6
+@pytest.mark.parametrize("boundary,rho,n_modes,values,velocities", [
+    (Boundary.DIRICHLET, Fraction(1), 4, (1, 0, "0.3", 0), (0, "0.2", 0, 0)),
+    (Boundary.DIRICHLET, Fraction(2), 3, (1, 0, "0.2"), (0, "0.1", 0)),
+    (Boundary.DIRICHLET, Fraction(5, 2), 4, (0, 0, 1, 0), (0, 0, "0.1", 0)),
+    (Boundary.NEUMANN, Fraction(3, 2), 3, (0, 1, 0, "0.2"), (0, 0, 0, 0)),
+], ids=["dirichlet-underdamped", "dirichlet-critical", "dirichlet-overdamped",
+        "neumann-underdamped"])
+def test_crosscheck_battery(boundary, rho, n_modes, values, velocities):
+    config = BeamConfig(boundary=boundary, rho=rho, n_modes=n_modes,
+                        horizon=Fraction(1), precision_bits=160)
+    with mp.workprec(224):
+        state0 = ModalState(boundary, tuple(mp.mpf(v) for v in values),
+                            tuple(mp.mpf(v) for v in velocities))
+    report = null_control_experiment(config, state0, tolerance=1e-6)
+    assert report.verdict is Verdict.CONTROLLED
+    assert report.final_norm / report.initial_norm < 1e-6
+    assert report.oracle_final_norm / report.initial_norm < 1e-6
+    assert report.oracle_deviation < 1e-6
 
 
 def test_oracle_steps_report_the_cap():
