@@ -4,7 +4,8 @@ Five subcommands wrap the library: `spectrum` (eigenvalue tables and
 collision detection), `synthesize` (moment solve, control emission),
 `verify` (the full null-control experiment with the independent integrator),
 `condensation` (Diophantine tail analysis of the overdamped rate families)
-and `cost-sweep` (minimum cost across horizons with a blow-up fit).
+and `cost-sweep` (minimum cost across horizons with a blow-up fit).  A
+`verify` verdict depends on the config, the data and --tolerance alone.
 
 Everything a run produces lands in --out as CSV (plot-ready: '.' decimal,
 ',' separator, LF newlines, header row) and JSON (decimal-string numbers,
@@ -85,10 +86,7 @@ CONFIG_SCHEMA = {
     ("data", "initial"): ("data", str),
     ("data", "seed"): ("seed", int),
     ("output", "dir"): ("out", str),
-    ("synthesize", "autoscale"): ("autoscale", "bool"),
     ("verify", "tolerance"): ("tolerance", float),
-    ("verify", "steps"): ("steps", int),
-    ("verify", "samples"): ("samples", int),
     ("sweep", "horizons"): ("horizons", str),
     ("condensation", "nmax"): ("nmax", int),
     ("condensation", "tail_start"): ("tail_start", int),
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for the 'random' data fixture")
     shared.add_argument("--data", default="mode1",
-                        help="initial data: 'mode1', 'random', 'random-seeded:<k>', "
+                        help="initial data: 'mode1', 'random' (drawn with --seed), "
                              "or triples 'mode:value:velocity,...'")
     shared.add_argument("--out", default=".", help="output directory (default .)")
     shared.add_argument("--config", default=None,
@@ -129,20 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", parents=[shared],
                        help="solve the moment system and emit the control")
-    p.add_argument("--no-autoscale", dest="autoscale", action="store_false",
-                   help="fail instead of retrying at doubled precision")
-    p.set_defaults(func=cmd_synthesize, autoscale=True)
+    p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", parents=[shared],
                        help="synthesize, then verify along both evaluation routes")
     p.add_argument("--tolerance", type=float, default=1e-6,
                    help="relative final-norm threshold for the verdict (default 1e-6)")
-    p.add_argument("--steps", type=int, default=None,
-                   help="integrator step count (default: stiffness-based)")
-    p.add_argument("--samples", type=int, default=201,
-                   help="trajectory samples written to CSV (default 201)")
-    p.add_argument("--no-autoscale", dest="autoscale", action="store_false")
-    p.set_defaults(func=cmd_verify, autoscale=True)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("condensation", parents=[shared],
                        help="Diophantine condensation estimate of the rate families")
@@ -187,14 +178,11 @@ def apply_config_file(args: argparse.Namespace) -> None:
                 raise ValueError(
                     f"config key [{section}] {key} does not apply to '{args.command}'")
             raw = ini[section][key]
-            if conv == "bool":
-                value = ini[section].getboolean(key)
-            else:
-                try:
-                    value = conv(raw)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"config key [{section}] {key} has invalid value {raw!r}") from exc
+            try:
+                value = conv(raw)
+            except ValueError as exc:
+                raise ValueError(
+                    f"config key [{section}] {key} has invalid value {raw!r}") from exc
             setattr(args, dest, value)
 
 
@@ -212,8 +200,8 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
     """Initial data from a fixture name or explicit mode:value:velocity triples.
 
     'mode1' puts unit displacement on the first oscillatory mode.  'random'
-    (or 'random-seeded:<k>') draws Gaussian data with a 1/n^2 amplitude decay
-    on every controllable mode, which keeps Neumann fixtures admissible by
+    draws Gaussian data from `seed` with a 1/n^2 amplitude decay on every
+    controllable mode, which keeps Neumann fixtures admissible by
     construction.  Triples may name mode 0 under Neumann, e.g. to probe the
     admissibility screening on purpose.
     """
@@ -226,12 +214,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
     if descriptor == "mode1":
         values[1 - first] = Fraction(1)
         triples = None
-    elif descriptor == "random" or descriptor.startswith("random-seeded:"):
-        if descriptor.startswith("random-seeded:"):
-            try:
-                seed = int(descriptor.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad seed in data fixture {descriptor!r}")
+    elif descriptor == "random":
         rng = np.random.default_rng(seed)
         with mp.workprec(config.precision_bits + GUARD_BITS):
             vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
@@ -281,17 +264,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _error_doc(command: str, exc: Exception) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
-    for field in ("mode", "amplitude", "data_scale", "rate", "defect", "data_norm",
-                  "pair", "ratio", "pivot_index", "pivot_ratio", "precision_bits",
-                  "attempted_bits", "steps", "growth", "degree", "observed_error",
-                  "tolerance", "residue", "scale"):
-        if hasattr(exc, field):
-            value = getattr(exc, field)
-            if isinstance(value, float):
-                value = repr(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            info[field] = value
+    for field, value in vars(exc).items():
+        if isinstance(value, float):
+            value = repr(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        info[field] = value
     return {"command": command, "error": info}
 
 
@@ -342,7 +320,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
     system = assemble(config, state0)
-    report = solve_min_norm(system, autoscale=args.autoscale)
+    report = solve_min_norm(system)
     # sampling can still fail (SamplingError): before any success report
     write_control_csv(report.control, _out_path(args, "control.csv"))
     doc = {"command": "synthesize"}
@@ -356,9 +334,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
-    report = null_control_experiment(
-        config, state0, tolerance=args.tolerance, steps=args.steps,
-        autoscale=args.autoscale, samples=args.samples)
+    report = null_control_experiment(config, state0, tolerance=args.tolerance)
     doc = {"command": "verify"}
     doc.update(report.to_json_dict())
     _write_json(_out_path(args, "verification.json"), doc)
@@ -407,8 +383,6 @@ def cmd_cost_sweep(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
     horizons = [h.strip() for h in args.horizons.split(",") if h.strip()]
-    if not horizons:
-        raise ValueError("at least one horizon is required")
     sweep = cost_sweep(config, state0, horizons)
     with open(_out_path(args, "cost_sweep.csv"), "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

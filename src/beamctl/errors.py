@@ -1,7 +1,7 @@
 """Failure modes that carry quantitative evidence.
 
-Every exception stores the numbers that triggered it so callers (and the CLI)
-can report the obstruction instead of a bare message.
+Every exception stores the numbers that triggered it, in the order the CLI's
+error documents list them, so callers can report the obstruction.
 """
 from __future__ import annotations
 
@@ -88,9 +88,9 @@ class ImaginaryResidue(BeamControlError, ArithmeticError):
     """
 
     def __init__(self, residue: float, scale: float, precision_bits: int):
+        self.precision_bits = precision_bits
         self.residue = residue
         self.scale = scale
-        self.precision_bits = precision_bits
         super().__init__(
             f"imaginary residue {residue:.8g} exceeds the roundoff budget "
             f"(scale {scale:.8g}, {precision_bits} bits)"

@@ -39,7 +39,6 @@ from .kernels import ControlSignal
 from .spectrum import (
     BeamConfig,
     Boundary,
-    BoundaryTraceExpansion,
     DampingRegime,
     ModeEigenvalues,
     boundary_trace_coefficients,
@@ -186,8 +185,7 @@ def duhamel_response(eig: ModeEigenvalues, trace_coeff, control: ControlSignal, 
         return (strip_imag(val, bits, scale=scale), strip_imag(vel, bits, scale=scale))
 
 
-def forced_state_at(config: BeamConfig, control: ControlSignal, t,
-                    traces: Optional[BoundaryTraceExpansion] = None) -> ModalState:
+def forced_state_at(config: BeamConfig, control: ControlSignal, t) -> ModalState:
     """Physical-state contribution of the control alone (zero initial data).
 
     Adds the lifting back: u_n = a_n + x_n f(t).  The Neumann zero mode obeys
@@ -195,8 +193,7 @@ def forced_state_at(config: BeamConfig, control: ControlSignal, t,
     the physical zero mode is untouched by any admissible control.
     """
     bits = config.precision_bits
-    if traces is None:
-        traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
+    traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
     with mp.workprec(bits + GUARD_BITS):
         f_val = control.value(t)
         f_slope = control.slope(t)

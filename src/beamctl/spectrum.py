@@ -17,7 +17,6 @@ square, checked by integer square roots.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -221,44 +220,28 @@ def mode_eigenvalues(rho: RealLike, n: int, precision_bits: int = 256) -> ModeEi
                                lambda_plus=lam_p, lambda_minus=lam_m)
 
 
-def detect_collisions(r, n_max: int, precision_bits: int = 256) -> list:
+def detect_collisions(r, n_max: int) -> list:
     """Pairs (m, n) with lambda_m^+ = lambda_n^-, i.e. m = r n, for m, n <= n_max.
 
-    With r supplied as a Fraction the enumeration is exact: writing r = p/q in
-    lowest terms, the collisions are exactly (p k, q k) for k >= 1.  An inexact
-    real r falls back to a relative tolerance of 10^(-precision_bits/4) on
-    |m - r n| and warns, since near-misses are then indistinguishable from hits.
+    r must be exact (a Fraction or int): writing r = p/q in lowest terms, the
+    collisions are exactly (p k, q k) for k >= 1.  An irrational r has none,
+    and a rounded one cannot tell a near miss from a hit, so an inexact r
+    raises TypeError.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    if isinstance(r, (Fraction, int)):
-        r = Fraction(r)
-        if r < 1:
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
-        p, q = r.numerator, r.denominator
-        out = []
-        k = 1
-        while p * k <= n_max and q * k <= n_max:
-            out.append((p * k, q * k))
-            k += 1
-        return out
-    warnings.warn(
-        "collision detection on an inexact branch ratio uses a relative tolerance "
-        f"of 10^-{precision_bits // 4}; supply a Fraction for exact results",
-        stacklevel=2,
-    )
-    with mp.workprec(precision_bits):
-        r_mp = mp.mpf(r)
-        if r_mp < 1:
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
-        tol = mp.mpf(10) ** (-(precision_bits // 4))
-        out = []
-        for n in range(1, n_max + 1):
-            target = r_mp * n
-            m = int(mp.nint(target))
-            if 1 <= m <= n_max and abs(m - target) <= tol * target:
-                out.append((m, n))
-        return out
+    if not isinstance(r, (Fraction, int)):
+        raise TypeError(f"branch ratio must be an exact Fraction, got {type(r).__name__}")
+    r = Fraction(r)
+    if r < 1:
+        raise ValueError(f"branch ratio must be >= 1, got {r}")
+    p, q = r.numerator, r.denominator
+    out = []
+    k = 1
+    while p * k <= n_max and q * k <= n_max:
+        out.append((p * k, q * k))
+        k += 1
+    return out
 
 
 def boundary_trace_coefficients(boundary, n_max: int,
@@ -306,12 +289,13 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
             if merged_best is None or g < merged_best:
                 merged_best, merged_pair = g, (labeled[i][0], labeled[j][0])
 
+    # an irrational branch ratio has no m = r n
     collisions = ()
     rho_fr = as_fraction(rho, "rho")
     if rho_fr > 2:
         r_exact = branch_ratio_exact(rho_fr)
-        r_arg = r_exact if r_exact is not None else branch_ratio(rho_fr, precision_bits)
-        collisions = tuple(detect_collisions(r_arg, n_max, precision_bits))
+        if r_exact is not None:
+            collisions = tuple(detect_collisions(r_exact, n_max))
 
     return GapStatistics(
         n_max=n_max,

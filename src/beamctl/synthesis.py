@@ -174,14 +174,13 @@ def _attempt(system: MomentSystem) -> SynthesisReport:
         )
 
 
-def solve_min_norm(system: MomentSystem, autoscale: bool = True) -> SynthesisReport:
+def solve_min_norm(system: MomentSystem) -> SynthesisReport:
     """Minimum-norm control for the moment system, with exact moment targets.
 
     The Gram system is factored by Cholesky at the system's precision.  On
     rank collapse the system is reassembled at doubled precision, as long as
-    that stays within PRECISION_CEILING; with autoscale=False there is no
-    second rung.  When the ladder is exhausted NumericalRankDeficiency
-    propagates, carrying every precision attempted.
+    that stays within PRECISION_CEILING.  When the ladder is exhausted
+    NumericalRankDeficiency propagates, carrying every precision attempted.
     """
     trace = []
     current = system
@@ -191,7 +190,7 @@ def solve_min_norm(system: MomentSystem, autoscale: bool = True) -> SynthesisRep
         try:
             return replace(_attempt(current), precision_trace=tuple(trace))
         except NumericalRankDeficiency as err:
-            if not autoscale or bits * 2 > PRECISION_CEILING:
+            if bits * 2 > PRECISION_CEILING:
                 raise NumericalRankDeficiency(
                     err.pivot_index, err.pivot_ratio, err.precision_bits,
                     attempted_bits=tuple(trace)) from None

@@ -133,34 +133,28 @@ def oracle_steps(config: BeamConfig, control: ControlSignal, tolerance: float,
 
 
 def null_control_experiment(config: BeamConfig, state0: ModalState,
-                            tolerance: float = 1e-6,
-                            steps: Optional[int] = None,
-                            autoscale: bool = True,
-                            samples: int = 201) -> VerificationReport:
+                            tolerance: float = 1e-6) -> VerificationReport:
     """Synthesize a null control and verify it along both evaluation routes.
 
     The verdict is CONTROLLED only if both the closed-form and the oracle
     final states are small: pair norm at most `tolerance` times the initial
-    pair norm.  Data the control cannot act on raises before any synthesis
-    happens (see the moment assembly), so a returned report always carries
-    an actual control.
+    pair norm, with the oracle sized for that tolerance by oracle_steps.
+    Data the control cannot act on raises before any synthesis happens (see
+    the moment assembly), so a returned report always carries an actual
+    control.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     system = assemble(config, state0)
-    report = solve_min_norm(system, autoscale=autoscale)
+    report = solve_min_norm(system)
     solved_config = report.system.config
     control = report.control
 
     final = closed_form_final_state(solved_config, state0, control)
     p = pair_norm_scale(config.boundary)
     initial_norm = state_pair_norm(state0, p)
-    if steps is None:
-        requested, steps = oracle_steps(solved_config, control, tolerance, initial_norm)
-    else:
-        requested = steps
-    trajectory = simulate_oracle(solved_config, state0, control,
-                                 steps=steps, samples=samples)
+    requested, steps = oracle_steps(solved_config, control, tolerance, initial_norm)
+    trajectory = simulate_oracle(solved_config, state0, control, steps=steps)
     oracle_final = trajectory.final_state()
 
     final_norm = state_pair_norm(final, p)

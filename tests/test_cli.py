@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from beamctl.cli import main
+from beamctl import errors, synthesis, verification
+from beamctl.cli import _error_doc, main
 
 FAST = ["--precision-bits", "128"]
 
@@ -29,6 +30,14 @@ def test_spectrum_reports_overdamped_collisions(tmp_path, capsys):
     assert len(lines) == 1 + 4
     assert all(row.split(",")[1] == "overdamped" for row in lines[1:])
     assert "collision" in capsys.readouterr().out
+
+
+def test_spectrum_irrational_ratio_is_silent(tmp_path, capsys):
+    # rho = 3 has the irrational branch ratio (3 + sqrt 5)/2: no collisions
+    code, out = run(tmp_path, "spectrum", "--rho", "3", "--modes", "8")
+    assert code == 0
+    assert load(out, "spectrum.json")["collisions"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_spectrum_csv_uses_dot_decimal_and_lf(tmp_path):
@@ -90,10 +99,10 @@ def test_synthesize_refuses_mean_violating_neumann_data(tmp_path):
     assert doc["error"]["mode"] == 0
 
 
-def test_synthesize_rank_deficiency_reports_trace(tmp_path):
+def test_synthesize_rank_deficiency_reports_trace(tmp_path, monkeypatch):
+    monkeypatch.setattr(synthesis, "PRECISION_CEILING", 64)
     code, out = run(tmp_path, "synthesize", "--rho", "1.9", "--modes", "6",
-                    "--precision-bits", "64", "--no-autoscale",
-                    "--data", "1:1:0,3:0.3:0")
+                    "--precision-bits", "64", "--data", "1:1:0,3:0.3:0")
     assert code == 4
     doc = load(out, "synthesis.json")
     assert doc["error"]["type"] == "NumericalRankDeficiency"
@@ -114,12 +123,15 @@ def test_verify_small_system(tmp_path):
     assert lines[0] == "t,n,value,velocity"
 
 
-def test_verify_failed_tolerance_exits_three(tmp_path):
+def test_verify_failed_tolerance_exits_three(tmp_path, monkeypatch):
+    # 1e-30 sizes the oracle far past any cap; a low one keeps the test short
+    monkeypatch.setattr(verification, "ORACLE_STEP_CAP", 4000)
     code, out = run(tmp_path, "verify", "--modes", "2", "--data", "1:1:0",
-                    "--tolerance", "1e-30", "--steps", "4000", *FAST)
+                    "--tolerance", "1e-30", *FAST)
     assert code == 3
     doc = load(out, "verification.json")
     assert doc["verdict"] == "residual-too-large"
+    assert doc["oracle_steps_used"] == 4000 < doc["oracle_steps_requested"]
 
 
 def test_bad_flag_values_exit_two(tmp_path):
@@ -127,6 +139,7 @@ def test_bad_flag_values_exit_two(tmp_path):
     assert run(tmp_path / "b", "spectrum", "--modes", "0")[0] == 2
     assert run(tmp_path / "c", "synthesize", "--horizon", "0", *FAST)[0] == 2
     assert run(tmp_path / "d", "synthesize", "--data", "1:1:0,1:2:0", *FAST)[0] == 2
+    assert run(tmp_path / "e", "synthesize", "--data", "random-seeded:7", *FAST)[0] == 2
 
 
 def test_config_file_overlay(tmp_path):
@@ -151,6 +164,9 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [
     ("beam", "regularization", "0.0"),
     ("synthesize", "ridge_fallback", "false"),
+    ("synthesize", "autoscale", "false"),
+    ("verify", "steps", "4000"),
+    ("verify", "samples", "11"),
 ])
 def test_config_file_rejects_removed_ridge_keys(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "beam.ini"
@@ -163,6 +179,18 @@ def test_config_file_rejects_removed_ridge_keys(tmp_path, capsys, section, key, 
 def test_ridge_fallback_flag_is_refused(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(tmp_path, "synthesize", "--ridge-fallback", *FAST)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--no-autoscale"],
+    ["verify", "--no-autoscale"],
+    ["verify", "--steps", "4000"],
+    ["verify", "--samples", "11"],
+])
+def test_removed_override_flags_are_refused(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, *argv, *FAST)
     assert info.value.code == 2
 
 
@@ -235,6 +263,12 @@ def test_cost_sweep_outputs(tmp_path):
     assert doc["horizons"] == ["1/2", "1"]
 
 
+def test_cost_sweep_requires_a_horizon(tmp_path, capsys):
+    code, _ = run(tmp_path, "cost-sweep", "--horizons", " , ", *FAST)
+    assert code == 2
+    assert "at least one horizon is required" in capsys.readouterr().err
+
+
 def test_cost_sweep_invisible_neumann_mode_exits_three(tmp_path):
     # even cosine modes have a zero boundary trace: no control reaches them
     code, out = run(tmp_path, "cost-sweep", "--boundary", "neumann",
@@ -287,3 +321,32 @@ def test_imaginary_residue_exits_four(tmp_path, monkeypatch):
     assert float(err["residue"]) == 1e-3
     assert err["precision_bits"] == 128
 
+
+# each typed error with its attributes, in the order its document lists them
+TYPED_ERRORS = [
+    (errors.UncontrollableMode(2, 0.5, 1e-9), ["mode", "amplitude", "data_scale"]),
+    (errors.ResonanceDefect(-4.0, 0.25, 1.5, (2, 1)),
+     ["rate", "defect", "data_norm", "pair"]),
+    (errors.NumericalRankDeficiency(3, 1e-40, 64, (64, 128)),
+     ["pivot_index", "pivot_ratio", "precision_bits", "attempted_bits"]),
+    (errors.RationalResonance(2.0), ["ratio"]),
+    (errors.ImaginaryResidue(1e-3, 1.0, 128), ["precision_bits", "residue", "scale"]),
+    (errors.SamplingError(16, 0.1, 1e-14, "coefficient tail"),
+     ["degree", "observed_error", "tolerance"]),
+    (errors.StepSizeError(4000, 1e12), ["steps", "growth"]),
+]
+
+
+@pytest.mark.parametrize("exc,fields", TYPED_ERRORS,
+                         ids=[type(e).__name__ for e, _ in TYPED_ERRORS])
+def test_error_document_carries_every_attribute(exc, fields):
+    info = json.loads(json.dumps(_error_doc("verify", exc)))["error"]
+    assert list(info) == ["type", "message", *fields]
+    assert fields == list(vars(exc))
+    assert info["type"] == type(exc).__name__
+    assert info["message"] == str(exc)
+    for name in fields:
+        value = getattr(exc, name)
+        if isinstance(value, float):
+            value = repr(value)
+        assert info[name] == (list(value) if isinstance(value, tuple) else value)

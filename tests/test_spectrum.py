@@ -94,8 +94,9 @@ def test_collision_detection_rational():
 
 
 def test_collision_detection_irrational_is_empty():
-    with mp.workprec(256), pytest.warns(UserWarning):
-        assert detect_collisions(mp.sqrt(2), 50, 256) == []
+    # a rounded ratio cannot tell a near miss from a hit: exact input only
+    with mp.workprec(256), pytest.raises(TypeError):
+        detect_collisions(mp.sqrt(2), 50)
 
 
 def test_dirichlet_traces_alternate():
@@ -141,6 +142,11 @@ def test_gap_minimum_is_the_smallest_consecutive_gap(rho):
             vals = [getattr(e, branch) for e in eigs]
             every = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
             assert gap == float(every)
+
+
+def test_gap_statistics_irrational_ratio_has_no_collisions():
+    # rho = 3 gives r = (3 + sqrt 5)/2, irrational: no m = r n exists
+    assert gap_statistics(Fraction(3), 12).collisions == ()
 
 
 def test_gap_statistics_reports_collisions():

@@ -70,10 +70,11 @@ def test_solver_reproduces_targets():
         assert abs(mp.sqrt(quad) - report.cost) < abs(report.cost) * 1e-12
 
 
-def test_autoscale_ladder_climbs_until_solvable():
+def test_autoscale_ladder_climbs_until_solvable(monkeypatch):
     system = stiff_system(bits=64)
-    with pytest.raises(NumericalRankDeficiency) as info:
-        solve_min_norm(system, autoscale=False)
+    with monkeypatch.context() as m, pytest.raises(NumericalRankDeficiency) as info:
+        m.setattr(synthesis, "PRECISION_CEILING", 64)
+        solve_min_norm(system)
     err = info.value
     assert err.precision_bits == 64
     assert err.attempted_bits == (64,)
