@@ -280,7 +280,7 @@ class ControlSignal:
         recurrence, within _HELDOUT_RTOL of its series' largest value; a
         control the proxy cannot capture raises SamplingError.
         """
-        t = np.asarray([float(x) for x in times], dtype=np.float64)
+        t = np.asarray(times, dtype=np.float64)
         if t.size == 0:
             return {"t": t, "f": t.copy(), "f_prime": t.copy(), "f_second": t.copy()}
         f, fp, fpp = self.proxy(t)

@@ -21,6 +21,51 @@ from beamctl.modal_dynamics import (
 from beamctl.spectrum import BeamConfig, Boundary, boundary_trace_coefficients, mode_eigenvalues
 
 
+def stage_loop_oracle(config, state0, control, steps):
+    """Reference RK4: the stage formulas run one step at a time, every state kept.
+
+    Returns (times, values, velocities) of the physical state at all
+    steps + 1 grid times; raises StepSizeError like simulate_oracle.
+    """
+    T = float(config.horizon)
+    h = T / steps
+    traces = boundary_trace_coefficients(config.boundary, config.n_modes, 64)
+    ns_arr = np.asarray(state0.modes, dtype=np.float64)
+    x_arr = np.asarray([float(traces.coefficient(n)) for n in state0.modes])
+    damp = float(config.rho) * ns_arr ** 2
+    stiff = ns_arr ** 4
+    a = np.asarray([float(v) for v in state0.values])
+    v = np.asarray([float(v) for v in state0.velocities])
+    half_times = np.linspace(0.0, T, 2 * steps + 1)
+    if control is not None:
+        sampled = control.sample(half_times)
+        F, lift_f, lift_fp = sampled["f_second"], sampled["f"], sampled["f_prime"]
+    else:
+        F = lift_f = lift_fp = np.zeros_like(half_times)
+    ref = max(float(np.hypot(np.linalg.norm(a), np.linalg.norm(v))),
+              float(np.max(np.abs(F)) * max(np.max(np.abs(x_arr)), 1.0) * max(T, 1.0) ** 2),
+              1e-30)
+
+    def deriv(ai, vi, fj):
+        return vi, -damp * vi - stiff * ai - fj * x_arr
+
+    vals, vels = [a + x_arr * lift_f[0]], [v + x_arr * lift_fp[0]]
+    for k in range(steps):
+        f0, f1, f2 = F[2 * k], F[2 * k + 1], F[2 * k + 2]
+        k1a, k1v = deriv(a, v, f0)
+        k2a, k2v = deriv(a + 0.5 * h * k1a, v + 0.5 * h * k1v, f1)
+        k3a, k3v = deriv(a + 0.5 * h * k2a, v + 0.5 * h * k2v, f1)
+        k4a, k4v = deriv(a + h * k3a, v + h * k3v, f2)
+        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        growth = float(np.hypot(np.linalg.norm(a), np.linalg.norm(v))) / ref
+        if not np.isfinite(growth) or growth > 1e6:
+            raise StepSizeError(steps, growth)
+        vals.append(a + x_arr * lift_f[2 * k + 2])
+        vels.append(v + x_arr * lift_fp[2 * k + 2])
+    return half_times[::2], np.array(vals), np.array(vels)
+
+
 def unit_control(bits=256):
     # f'' = 1, so f(t) = t^2/2
     return ControlSignal(kernels=(Kernel("const"),), coefficients=(mp.mpf(1),),
@@ -221,3 +266,75 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 1 + 11 * 3
     assert [int(line.split(",")[1]) for line in lines[1:4]] == [0, 1, 2]
     assert abs(float(lines[1].split(",")[2]) - 0.5) < 1e-15
+
+
+def curved_control():
+    return ControlSignal(kernels=(Kernel("exp", rate=mp.mpf(-2)), Kernel("linear")),
+                         coefficients=(mp.mpf("1.3"), mp.mpf("-0.4")),
+                         horizon=Fraction(1), precision_bits=128)
+
+
+BLOCKED_CASES = [
+    (Boundary.DIRICHLET, 1), (Boundary.DIRICHLET, 2), (Boundary.DIRICHLET, 3),
+    (Boundary.NEUMANN, 1),
+]
+
+
+@pytest.mark.parametrize("boundary, rho", BLOCKED_CASES)
+@pytest.mark.parametrize("steps", [1, 150, 4096, 4099])
+def test_blocked_oracle_matches_stage_loop(boundary, rho, steps):
+    # steps: one step, fewer steps than samples, a perfect square, a prime.
+    # The blocked recurrence sums in another order than the stage loop; its
+    # roundoff stays below steps * eps of the trajectory scale, and 1e-12
+    # bounds that for up to 4,500 steps.
+    cfg = BeamConfig(boundary, Fraction(rho), 4, Fraction(1))
+    slots = 5 if boundary is Boundary.NEUMANN else 4    # Neumann: zero mode first
+    st = ModalState(boundary, (0.3, -1, 0.5, 0.2, 0.1)[:slots],
+                    (0.2, 0, 0.4, -0.1, 0.3)[:slots])
+    times, vals, vels = stage_loop_oracle(cfg, st, curved_control(), steps)
+    traj = simulate_oracle(cfg, st, curved_control(), steps=steps)
+    assert len(traj.times) == min(201, steps + 1)
+    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    ks = [int((2 * r * steps + 200) // 400) for r in range(201)]   # round half up
+    ks = sorted(set(ks))
+    assert list(traj.times) == [float(times[k]) for k in ks]
+    scale = max(np.abs(vals).max(), np.abs(vels).max())
+    assert np.abs(np.array(traj.values) - vals[ks]).max() <= 1e-12 * scale
+    assert np.abs(np.array(traj.velocities) - vels[ks]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("steps", [4000, 4094, 4199])
+def test_trajectory_has_exactly_the_requested_rows(steps):
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
+    st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
+    traj = simulate_oracle(cfg, st, None, steps=steps)
+    assert len(traj.times) == 201
+    assert traj.times[-1] == 1.0
+    with pytest.raises(ValueError):
+        simulate_oracle(cfg, st, None, steps=steps, samples=1)
+
+
+def test_final_state_does_not_depend_on_samples():
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(3), 3, Fraction(1))
+    st = ModalState.neumann(values=(0.1, 1, 0, 0.3), velocities=(0.2, 0, 0.5, 0))
+    few = simulate_oracle(cfg, st, curved_control(), steps=4099, samples=2)
+    many = simulate_oracle(cfg, st, curved_control(), steps=4099, samples=201)
+    assert len(few.times) == 2
+    assert few.final_state() == many.final_state()
+
+
+def test_oracle_rejects_instability_starting_mid_run():
+    # h = 0.1 puts mode 6 (|lambda| = 36) outside the RK4 stability region,
+    # but its data is 1e-20, so growth trips the guard only after step 44,
+    # in the fourth of 12 blocks; the error reports the growth at the first
+    # tripped step, as the stage loop does
+    st = ModalState.dirichlet(values=(1, 0, 0, 0, 0, 1e-20), velocities=(0,) * 6)
+    early = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(44, 10))
+    simulate_oracle(early, st, None, steps=44)
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(14))
+    with pytest.raises(StepSizeError) as ref:
+        stage_loop_oracle(cfg, st, None, 140)
+    with pytest.raises(StepSizeError) as got:
+        simulate_oracle(cfg, st, None, steps=140)
+    assert got.value.steps == 140
+    assert abs(got.value.growth - ref.value.growth) <= 1e-9 * ref.value.growth
