@@ -17,12 +17,17 @@ primitive, the truncated moment
 
     M_d(nu, t) = int_0^t w^d e^(nu w) dw,
 
-computed by a stable series for small |nu t| and by the usual recursion in d
-otherwise: Gram entries (gram_entry) and the convolutions of f'' against
-(t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope f', the
-signal f and the modal Duhamel response are all sums of M_d.  The oracle
-route reads float64 samples of f, f', f'' off one Chebyshev proxy per signal,
-built from extended-precision values at Chebyshev-Lobatto nodes
+computed for d = 0..D at once by power_exp_moments, from an exponential
+e^(nu t) the caller supplies, by a stable series for small |nu t| and by the
+usual recursion in d otherwise.  Gram entries and the convolutions of f''
+against (t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope
+f', the signal f and the modal Duhamel response are all sums of M_d.  The
+Gram matrix (synthesis.gram_matrix) shares each rate's exponential and
+each rate pair's moments across entries; gram_entry computes one entry on
+its own and is the per-entry reference for it.
+
+The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
+per signal, built from extended-precision values at Chebyshev-Lobatto nodes
 (ControlSignal.proxy); those values come from the explicit antiderivatives
 of each part in ControlSignal._sample_extended, which uses no M_d.
 """
@@ -44,6 +49,7 @@ __all__ = [
     "Kernel",
     "ControlSignal",
     "power_exp_moment",
+    "power_exp_moments",
     "gram_entry",
     "kernel_value",
     "convolution_moment",
@@ -57,45 +63,58 @@ _HELDOUT_RTOL = 1e-12       # held-out gap against the series' largest value
 _EPS = 2.0 ** -52
 _TINY = np.finfo(np.float64).tiny
 
+SIGNALS = ("f", "f_prime", "f_second")    # ControlSignal.sample's keys, in proxy row order
+
 # kernel kind -> the parameters it takes, in descriptor order
 _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",),
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
 
 
-def power_exp_moment(d: int, nu, t):
-    """M_d(nu, t) = int_0^t w^d e^(nu w) dw at the current working precision.
+def power_exp_moments(d: int, nu, t, e_nut) -> list:
+    """[M_0, ..., M_d](nu, t), M_j = int_0^t w^j e^(nu w) dw, given e_nut = e^(nu t).
 
-    Series when |nu t| < 1/2 (covers nu = 0 exactly); otherwise the downward
-    recursion M_d = (t^d e^(nu t) - d M_(d-1)) / nu seeded with
-    M_0 = expm1(nu t)/nu.
+    The one M_d calculus, at the current working precision.  Series when
+    |nu t| < 1/2 (covers nu = 0 exactly); otherwise the recursion
+    M_j = (t^j e^(nu t) - j M_(j-1)) / nu seeded with M_0 = (e^(nu t) - 1) / nu.
+    That seed loses log2(|e^(nu t)| / |e^(nu t) - 1|) bits, a few for the
+    damped rates (Re nu < 0) of this problem, well inside GUARD_BITS.
+    Callers that need many moments pass exponentials they computed once.
     """
     if d < 0:
         raise ValueError("moment order must be nonnegative")
     t = mp.mpf(t)
     if t == 0:
-        return mp.mpf(0)
+        return [mp.mpf(0)] * (d + 1)
     if abs(nu) * t < mp.mpf("0.5"):
-        # sum_k nu^k t^(k+d+1) / (k! (k+d+1)); geometric-factorial decay
-        total = mp.mpf(0)
-        term = t ** (d + 1)
-        k = 0
-        while True:
-            contrib = term / (k + d + 1)
-            total += contrib
-            if abs(contrib) < abs(total) * mp.eps and k > 2:
-                return total
-            k += 1
-            term = term * nu * t / k
-
-    m = mp.expm1(nu * t) / nu
-    if d == 0:
-        return m
+        return [_series_moment(j, nu, t) for j in range(d + 1)]
+    out = [(e_nut - 1) / nu]
     tp = mp.mpf(1)
-    e = mp.e ** (nu * t)
     for j in range(1, d + 1):
         tp = tp * t
-        m = (tp * e - j * m) / nu
-    return m
+        out.append((tp * e_nut - j * out[-1]) / nu)
+    return out
+
+
+def _series_moment(d: int, nu, t):
+    """M_d(nu, t) = sum_k nu^k t^(k+d+1) / (k! (k+d+1)); geometric-factorial decay."""
+    total = mp.mpf(0)
+    term = t ** (d + 1)
+    k = 0
+    while True:
+        contrib = term / (k + d + 1)
+        total += contrib
+        if abs(contrib) < abs(total) * mp.eps and k > 2:
+            return total
+        k += 1
+        term = term * nu * t / k
+
+
+def power_exp_moment(d: int, nu, t):
+    """M_d(nu, t) = int_0^t w^d e^(nu w) dw at the current working precision.
+
+    One moment with its own exponential; see power_exp_moments.
+    """
+    return power_exp_moments(d, nu, t, mp.exp(nu * mp.mpf(t)))[d]
 
 
 @dataclass(frozen=True)
@@ -195,10 +214,12 @@ def convolution_moment(part, d: int, lam, t, horizon):
     a, p, mu = part
     t = mp.mpf(t)
     T = to_mpf(horizon)
-    head = a * mp.e ** (mu * (T - t))
+    head = a * mp.exp(mu * (T - t))
+    nu = mu + lam
+    moments = power_exp_moments(d + p, nu, t, mp.exp(nu * t))
     total = mp.mpf(0)
     for j in range(p + 1):
-        total = total + comb(p, j) * (T - t) ** (p - j) * power_exp_moment(d + j, mu + lam, t)
+        total = total + comb(p, j) * (T - t) ** (p - j) * moments[d + j]
     return head * total
 
 
@@ -271,20 +292,22 @@ class ControlSignal:
                 bound += abs(complex(c * a)) * T ** p * grow
         return bound * max(1.0, T, T * T / 2)
 
-    def sample(self, times) -> dict:
+    def sample(self, times, signals=SIGNALS) -> dict:
         """Float64 samples {t, f, f_prime, f_second} at times in [0, T].
 
         Synthesized controls are small numbers written as differences of huge
         terms, so no float64 sum of the terms can be trusted.  Every sample is
         read off the control's Chebyshev proxy (`proxy`) by Clenshaw
         recurrence, within _HELDOUT_RTOL of its series' largest value; a
-        control the proxy cannot capture raises SamplingError.
+        control the proxy cannot capture raises SamplingError.  `signals`
+        names the subset of SIGNALS to evaluate; each comes out the same
+        whatever else is asked for.
         """
         t = np.asarray(times, dtype=np.float64)
         if t.size == 0:
-            return {"t": t, "f": t.copy(), "f_prime": t.copy(), "f_second": t.copy()}
-        f, fp, fpp = self.proxy(t)
-        return {"t": t, "f": f, "f_prime": fp, "f_second": fpp}
+            return {"t": t, **{name: t.copy() for name in signals}}
+        rows = self.proxy(t, [SIGNALS.index(name) for name in signals])
+        return {"t": t, **dict(zip(signals, rows))}
 
     @cached_property
     def proxy(self) -> "ChebyshevProxy":
@@ -404,11 +427,12 @@ class ChebyshevProxy:
     degrees: Tuple[int, int, int]     # chopped degree of f, f', f''
     heldout_error: float              # worst held-out gap relative to its series' scale
 
-    def __call__(self, t: np.ndarray):
-        """(f, f', f'') at times t in [0, T], by Clenshaw recurrence."""
+    def __call__(self, t: np.ndarray, rows=(0, 1, 2)):
+        """(f, f', f'') at times t in [0, T], by Clenshaw recurrence; only the
+        given rows of that triple."""
         if not (t.min() >= 0.0 and t.max() <= self.horizon):
             raise ValueError(f"sample times must lie in [0, {self.horizon!r}]")
-        return tuple(_clenshaw(2.0 * t / self.horizon - 1.0, self.coefficients))
+        return tuple(_clenshaw(2.0 * t / self.horizon - 1.0, self.coefficients[:, list(rows)]))
 
 
 def _lobatto_times(T: float, numer: np.ndarray, denom: int) -> np.ndarray:

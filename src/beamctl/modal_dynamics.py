@@ -281,7 +281,7 @@ def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
     count.
     """
     T = float(to_mpf(config.horizon))
-    coarse = control.sample(np.linspace(0.0, T, 257))
+    coarse = control.sample(np.linspace(0.0, T, 257), ("f_second",))
     f_inf = max(1.0, float(np.max(np.abs(coarse["f_second"]))))
     lam_max = _stiffest_rate(config)
     target = max(float(target_abs), 1e-300)
@@ -370,17 +370,20 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     a = np.asarray([float(v) for v in state0.values], dtype=np.float64)
     v = np.asarray([float(v) for v in state0.velocities], dtype=np.float64)
 
-    # forcing and lifting samples on the half grid t_j = j h/2
+    # recorded steps; the last is steps itself
+    n = samples - 1
+    ks = np.unique((2 * np.arange(samples) * steps + n) // (2 * n))
+
+    # forcing on the half grid t_j = j h/2, lifting only at the recorded steps
     half_times = np.linspace(0.0, T, 2 * steps + 1)
+    row_times = half_times[2 * ks]
     if control is not None:
-        sampled = control.sample(half_times)
-        F = sampled["f_second"]
-        lift_f = sampled["f"]
-        lift_fp = sampled["f_prime"]
+        F = control.sample(half_times, ("f_second",))["f_second"]
+        lift = control.sample(row_times, ("f", "f_prime"))
+        lift_f, lift_fp = lift["f"], lift["f_prime"]
     else:
         F = np.zeros_like(half_times)
-        lift_f = np.zeros_like(half_times)
-        lift_fp = np.zeros_like(half_times)
+        lift_f = lift_fp = np.zeros_like(row_times)
 
     ref = max(float(np.hypot(np.linalg.norm(a), np.linalg.norm(v))),
               float(np.max(np.abs(F)) * max(np.max(np.abs(x_arr)), 1.0) * max(T, 1.0) ** 2),
@@ -394,8 +397,6 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     forcing = np.stack([padded[0:-1:2], padded[1::2], padded[2::2]],
                        axis=-1).reshape(blocks, B, 3)
 
-    n = samples - 1
-    ks = np.unique((2 * np.arange(samples) * steps + n) // (2 * n))
     rows = np.empty((len(ks), 2 * m))
     owner, offset = np.divmod(ks[:-1], B)      # block and offset of every row but the last
 
@@ -427,10 +428,9 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
         at = np.where(first_bad >= 0, np.arange(blocks) * B + first_bad, steps + 1)
         raise StepSizeError(steps, float(bad_growth[np.argmin(at)]))
 
-    j2 = 2 * ks
-    u = rows[:, :m] + x_arr * lift_f[j2, None]
-    du = rows[:, m:] + x_arr * lift_fp[j2, None]
-    return Trajectory(config.boundary, tuple(half_times[j2].tolist()),
+    u = rows[:, :m] + x_arr * lift_f[:, None]
+    du = rows[:, m:] + x_arr * lift_fp[:, None]
+    return Trajectory(config.boundary, tuple(row_times.tolist()),
                       tuple(map(tuple, u.tolist())), tuple(map(tuple, du.tolist())))
 
 

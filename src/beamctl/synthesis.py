@@ -8,8 +8,10 @@ integration in closed form (the two flatness rows guarantee f(T) = f'(T) = 0,
 and f(0) = f'(0) = 0 by construction).
 
 The Gram matrix of nearly dependent kernels is famously ill conditioned;
-entries are computed in closed form at extended precision and factored by a
-Cholesky routine that watches its own pivots.  A pivot collapsing below
+entries are computed in closed form at extended precision, from per-rate
+exponentials and per-rate-pair M_d moments, each computed once and shared
+by the entries that need it, and factored by a Cholesky routine that
+watches its own pivots.  A pivot collapsing below
 2^(-precision_bits/2) of the largest one seen means the matrix has lost
 definiteness at the working precision: the solver then reassembles
 everything at doubled precision, up to PRECISION_CEILING bits, or gives up
@@ -24,9 +26,9 @@ from typing import Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, decimal_str, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, strip_imag, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, gram_entry
+from .kernels import ControlSignal, power_exp_moments
 from .moment_problem import MomentSystem
 
 __all__ = [
@@ -43,17 +45,54 @@ PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
 
 
 def gram_matrix(system: MomentSystem) -> mp.matrix:
-    """Symmetric Gram matrix of the system's kernels over [0, horizon]."""
+    """Symmetric Gram matrix of the system's kernels over [0, horizon].
+
+    Entry (i, j) is sum a conj(b) M_(p+q)(lam + conj(mu), T) over the
+    kernels' exponential parts (a, p, lam) and (b, q, mu), as in gram_entry,
+    but each distinct rate's e^(lam T) is computed once, and each rate pair's
+    moments once per row group: the rows that share one rate set, such as
+    the cos and sin rows of an underdamped mode.  The moment cache is
+    cleared when the row's rate set changes, so it stays one group deep.
+    """
     bits = system.config.precision_bits
-    T = system.config.horizon
     n = system.n_rows
-    G = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            val = gram_entry(system.kernels[i], system.kernels[j], T, bits)
-            G[i, j] = val
-            G[j, i] = val
-    return G
+    with mp.workprec(bits + GUARD_BITS):
+        T = to_mpf(system.config.horizon)
+        index = {}          # rate -> position in rates
+        rates = []          # [lam, e^(lam T), highest power of u with this rate]
+        rows = []           # per kernel: ((a, p, rate position), ...)
+        for kernel in system.kernels:
+            parts = []
+            for a, p, lam in kernel.exponential_parts(T):
+                r = index.get(lam)
+                if r is None:
+                    r = index[lam] = len(rates)
+                    rates.append([lam, mp.exp(lam * T), p])
+                rates[r][2] = max(rates[r][2], p)
+                parts.append((a, p, r))
+            rows.append(tuple(parts))
+
+        G = mp.matrix(n, n)
+        moments = {}        # (r, s) -> [M_0, ...](lam_r + conj(lam_s), T)
+        group = None
+        for i in range(n):
+            rate_set = {r for _, _, r in rows[i]}
+            if rate_set != group:
+                group = rate_set
+                moments.clear()
+            for j in range(i, n):
+                total = mp.mpf(0)
+                for a, p, r in rows[i]:
+                    for b, q, s in rows[j]:
+                        m = moments.get((r, s))
+                        if m is None:
+                            lam, e_lam, top_r = rates[r]
+                            mu, e_mu, top_s = rates[s]
+                            m = moments[r, s] = power_exp_moments(
+                                top_r + top_s, lam + mp.conj(mu), T, e_lam * mp.conj(e_mu))
+                        total += a * mp.conj(b) * m[p + q]
+                G[i, j] = G[j, i] = strip_imag(total, bits)
+        return G
 
 
 def cholesky_factor(G: mp.matrix, precision_bits: int):
@@ -64,17 +103,22 @@ def cholesky_factor(G: mp.matrix, precision_bits: int):
     NumericalRankDeficiency the moment a pivot drops below
     2^(-precision_bits/2) of the largest pivot seen (or goes nonpositive):
     past that point the factor digits are noise, not information.
+
+    Row by row on plain lists, each entry one exactly summed dot product
+    (mp.fdot), so a failing rung stops after the rows above its pivot.
     """
     n = G.rows
     threshold = mp.mpf(2) ** (-(precision_bits // 2))
     with mp.workprec(precision_bits + GUARD_BITS):
-        L = mp.zeros(n, n)
+        A = G.tolist()
+        rows = []
         max_piv: Optional[mp.mpf] = None
         min_piv: Optional[mp.mpf] = None
         for j in range(n):
-            s = G[j, j]
+            row = []
             for k in range(j):
-                s -= L[j, k] ** 2
+                row.append((A[j][k] - mp.fdot(row, rows[k][:k])) / rows[k][k])
+            s = A[j][j] - mp.fdot(row, row)
             if max_piv is None:
                 ratio = mp.mpf(1)
             else:
@@ -83,31 +127,26 @@ def cholesky_factor(G: mp.matrix, precision_bits: int):
                 raise NumericalRankDeficiency(j, float(ratio), precision_bits)
             max_piv = s if max_piv is None else max(max_piv, s)
             min_piv = s if min_piv is None else min(min_piv, s)
-            L[j, j] = mp.sqrt(s)
-            for i in range(j + 1, n):
-                t = G[i, j]
-                for k in range(j):
-                    t -= L[i, k] * L[j, k]
-                L[i, j] = t / L[j, j]
+            row.append(mp.sqrt(s))
+            rows.append(row)
+        L = mp.matrix(n, n)
+        for i, row in enumerate(rows):
+            for k, v in enumerate(row):
+                L[i, k] = v
         return L, float(max_piv / min_piv)
 
 
-def _solve_cholesky(L: mp.matrix, rhs: Sequence, precision_bits: int) -> list:
-    """Solve L L^T x = rhs by forward and back substitution."""
-    n = L.rows
+def _solve_cholesky(L: list, rhs: Sequence, precision_bits: int) -> list:
+    """Solve L L^T x = rhs by forward and back substitution; L as row lists."""
+    n = len(L)
     with mp.workprec(precision_bits + GUARD_BITS):
-        y = [mp.mpf(0)] * n
+        y = []
         for i in range(n):
-            s = to_mpf(rhs[i])
-            for k in range(i):
-                s -= L[i, k] * y[k]
-            y[i] = s / L[i, i]
+            y.append((to_mpf(rhs[i]) - mp.fdot(L[i][:i], y)) / L[i][i])
         x = [mp.mpf(0)] * n
         for i in reversed(range(n)):
-            s = y[i]
-            for k in range(i + 1, n):
-                s -= L[k, i] * x[k]
-            x[i] = s / L[i, i]
+            below = [L[k][i] for k in range(i + 1, n)]
+            x[i] = (y[i] - mp.fdot(below, x[i + 1:])) / L[i][i]
         return x
 
 
@@ -146,18 +185,11 @@ def _attempt(system: MomentSystem) -> SynthesisReport:
     G = gram_matrix(system)
     with mp.workprec(bits + GUARD_BITS):
         L, cond = cholesky_factor(G, bits)
-        c = _solve_cholesky(L, system.targets, bits)
-        residuals = []
-        for i in range(G.rows):
-            acc = -to_mpf(system.targets[i])
-            for j in range(G.rows):
-                acc += G[i, j] * c[j]
-            residuals.append(abs(float(acc)))
-        quad = mp.mpf(0)
-        for i in range(G.rows):
-            for j in range(G.rows):
-                quad += c[i] * G[i, j] * c[j]
-        cost = float(mp.sqrt(max(quad, mp.mpf(0))))
+        A = G.tolist()
+        c = _solve_cholesky(L.tolist(), system.targets, bits)
+        Gc = [mp.fdot(row, c) for row in A]
+        residuals = [abs(float(g - to_mpf(t))) for g, t in zip(Gc, system.targets)]
+        cost = float(mp.sqrt(max(mp.fdot(c, Gc), mp.mpf(0))))
         control = ControlSignal(kernels=system.kernels, coefficients=tuple(c),
                                 horizon=to_mpf(system.config.horizon),
                                 precision_bits=bits)
@@ -209,6 +241,7 @@ def biorthogonal_family(system: MomentSystem):
     bits = system.config.precision_bits
     G = gram_matrix(system)
     L, _ = cholesky_factor(G, bits)
+    L = L.tolist()
     n = G.rows
     controls = []
     norms = []

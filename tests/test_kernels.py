@@ -26,7 +26,7 @@ def test_power_exp_moment_closed_forms():
 
 
 def test_power_exp_moment_small_rate_series_is_smooth():
-    # the series branch near nu = 0 must agree with the expm1 branch
+    # the series branch near nu = 0 must agree with the recursion branch
     with mp.workprec(256):
         t = mp.mpf("0.7")
         for d in (0, 1, 2):

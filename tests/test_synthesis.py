@@ -5,7 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from beamctl._numutil import GUARD_BITS, to_mpf
 from beamctl.errors import NumericalRankDeficiency
+from beamctl.kernels import gram_entry
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
@@ -31,6 +33,143 @@ def stiff_system(bits=64):
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(19, 10), 6, Fraction(1), bits)
     st = ModalState.dirichlet(**CRIT_DATA)
     return assemble(cfg, st)
+
+
+def decaying_data(boundary, modes):
+    """Value 1/n^2 and velocity 1/(2 n^2) on every mode; under Neumann on
+    the odd modes only, the ones a boundary control can reach."""
+    reach = range(1, modes + 1, 2 if boundary is Boundary.NEUMANN else 1)
+    values = [Fraction(1, n * n) if n in reach else 0 for n in range(1, modes + 1)]
+    velocities = [Fraction(1, 2 * n * n) if n in reach else 0 for n in range(1, modes + 1)]
+    if boundary is Boundary.NEUMANN:
+        return ModalState.neumann([0] + values, [0] + velocities)
+    return ModalState.dirichlet(values, velocities)
+
+
+def elementwise_gram(system):
+    """Reference Gram matrix: one gram_entry per entry, nothing shared."""
+    bits = system.config.precision_bits
+    n = system.n_rows
+    G = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            G[i, j] = G[j, i] = gram_entry(system.kernels[i], system.kernels[j],
+                                           system.config.horizon, bits)
+    return G
+
+
+def elementwise_cholesky(G, precision_bits):
+    """Reference factor: column by column, one mp.matrix element at a time,
+    with the solver's pivot test."""
+    n = G.rows
+    threshold = mp.mpf(2) ** (-(precision_bits // 2))
+    with mp.workprec(precision_bits + GUARD_BITS):
+        L = mp.zeros(n, n)
+        max_piv = None
+        for j in range(n):
+            s = G[j, j]
+            for k in range(j):
+                s -= L[j, k] ** 2
+            ratio = mp.mpf(1) if max_piv is None else s / max_piv
+            if s <= 0 or ratio < threshold:
+                raise NumericalRankDeficiency(j, float(ratio), precision_bits)
+            max_piv = s if max_piv is None else max(max_piv, s)
+            L[j, j] = mp.sqrt(s)
+            for i in range(j + 1, n):
+                t = G[i, j]
+                for k in range(j):
+                    t -= L[i, k] * L[j, k]
+                L[i, j] = t / L[j, j]
+        return L
+
+
+def elementwise_ladder(system):
+    """Reference solve: the doubling ladder on elementwise_gram and
+    elementwise_cholesky.  Returns (precision trace, {bits: failing pivot},
+    coefficients, max residual)."""
+    trace, pivots = [], {}
+    while True:
+        bits = system.config.precision_bits
+        trace.append(bits)
+        G = elementwise_gram(system)
+        try:
+            L = elementwise_cholesky(G, bits)
+            break
+        except NumericalRankDeficiency as err:
+            pivots[bits] = err.pivot_index
+        system = system.with_precision(2 * bits)
+    n = G.rows
+    with mp.workprec(bits + GUARD_BITS):
+        y = [mp.mpf(0)] * n
+        for i in range(n):
+            s = to_mpf(system.targets[i])
+            for k in range(i):
+                s -= L[i, k] * y[k]
+            y[i] = s / L[i, i]
+        c = [mp.mpf(0)] * n
+        for i in reversed(range(n)):
+            s = y[i]
+            for k in range(i + 1, n):
+                s -= L[k, i] * c[k]
+            c[i] = s / L[i, i]
+        worst = 0.0
+        for i in range(n):
+            acc = -to_mpf(system.targets[i])
+            for j in range(n):
+                acc += G[i, j] * c[j]
+            worst = max(worst, abs(float(acc)))
+    return tuple(trace), pivots, c, worst
+
+
+@pytest.mark.parametrize("bits", [96, 192, 256])
+@pytest.mark.parametrize("boundary, rho, modes", [
+    (Boundary.DIRICHLET, Fraction(1), 5),       # expcos / expsin
+    (Boundary.DIRICHLET, Fraction(2), 5),       # exp / polyexp
+    (Boundary.DIRICHLET, Fraction(3), 5),       # irrational exp rates
+    (Boundary.DIRICHLET, Fraction(5, 2), 4),    # merged collision rows
+    (Boundary.NEUMANN, Fraction(1), 5),
+], ids=["rho1", "rho2", "rho3", "rho5/2-merged", "neumann-rho1"])
+def test_gram_matrix_matches_gram_entry(boundary, rho, modes, bits):
+    cfg = BeamConfig(boundary, rho, modes, Fraction(1), bits)
+    if rho == Fraction(5, 2):
+        # data only on mode 3, so the colliding rows of modes 1, 2, 4 merge
+        state = ModalState.dirichlet(values=(0, 0, 1, 0), velocities=(0, 0, "0.1", 0))
+    else:
+        state = decaying_data(boundary, modes)
+    system = assemble(cfg, state)
+    assert (len(system.collisions) == 2) == (rho == Fraction(5, 2))
+    G = gram_matrix(system)
+    n = system.n_rows
+    with mp.workprec(bits + GUARD_BITS):
+        for i in range(n):
+            for j in range(n):
+                ref = gram_entry(system.kernels[i], system.kernels[j], 1, bits)
+                bound = mp.mpf(2) ** -(bits - 8) * mp.sqrt(G[i, i] * G[j, j])
+                assert abs(G[i, j] - ref) <= bound, (i, j)
+
+
+@pytest.mark.parametrize("rho, modes, bits", [
+    (Fraction(1), 16, 64),      # fails at 64 bits, holds at 128
+    (Fraction(2), 12, 64),      # fails at 64 and 128, holds at 256
+    (Fraction(3), 14, 96),      # fails at 96, holds at 192
+], ids=["rho1", "rho2", "rho3"])
+def test_solve_matches_elementwise_reference(rho, modes, bits):
+    cfg = BeamConfig(Boundary.DIRICHLET, rho, modes, Fraction(1), bits)
+    system = assemble(cfg, decaying_data(Boundary.DIRICHLET, modes))
+    trace, pivots, coeffs, _ = elementwise_ladder(system)
+    report = solve_min_norm(system)
+    assert report.precision_trace == trace
+    assert len(trace) > 1
+    for failed in trace[:-1]:
+        with pytest.raises(NumericalRankDeficiency) as info:
+            cholesky_factor(gram_matrix(system.with_precision(failed)), failed)
+        assert info.value.pivot_index == pivots[failed]
+    used = report.precision_bits_used
+    with mp.workprec(used + GUARD_BITS):
+        top = max(abs(c) for c in coeffs)
+        worst = max(abs(a - b) for a, b in zip(report.coefficients, coeffs))
+        assert worst <= mp.mpf(2) ** -(used // 2) * top
+    assert report.max_residual < 2.0 ** -(used // 2)
 
 
 def test_cholesky_reconstructs_gram():
