@@ -43,9 +43,7 @@ from .kernels import (
 from .modal_dynamics import (
     ModalState,
     Trajectory,
-    duhamel_response,
-    free_state_at,
-    forced_state_at,
+    closed_form_state,
     simulate_oracle,
     state_pair_norm,
     write_trajectory_csv,
@@ -115,9 +113,7 @@ __all__ = [
     "power_exp_moment",
     "ModalState",
     "Trajectory",
-    "duhamel_response",
-    "free_state_at",
-    "forced_state_at",
+    "closed_form_state",
     "simulate_oracle",
     "state_pair_norm",
     "write_trajectory_csv",

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Optional, Union
 
 import mpmath as mp
@@ -22,9 +22,9 @@ def as_fraction(x: RealLike, what: str = "value") -> Fraction:
     """
     if isinstance(x, bool):
         raise TypeError(f"{what} must be numeric, got bool")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and not isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    if isinstance(x, (int, float, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -13,9 +13,8 @@ coefficient of the lifting profile.  The physical state is recovered as
 u_n(t) = v_n(t) + x_n f(t).
 
 Slot i of a state holds mode Boundary.first_mode + i (ModalState.modes), so
-the Neumann constant mode sits in slot 0.  Uncontrolled, mode n >= 1 evolves
-as c1 e^(l+ t) + c2 e^(l- t), or (d1 + d2 t) e^(-n^2 t) at critical damping
-(coefficients in free_state_at); the zero mode drifts affinely, u0 + u1 t.
+the Neumann constant mode sits in slot 0.  closed_form_state evolves each
+mode through its two fundamental solutions; the zero mode drifts, u0 + u1 t.
 
 Two response paths are deliberately kept independent: closed-form evaluation
 through the exponential-part calculus (extended precision), and a classical
@@ -35,7 +34,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
@@ -47,7 +46,6 @@ from .spectrum import (
     BeamConfig,
     Boundary,
     DampingRegime,
-    ModeEigenvalues,
     boundary_trace_coefficients,
     mode_eigenvalues,
 )
@@ -55,9 +53,7 @@ from .spectrum import (
 __all__ = [
     "ModalState",
     "Trajectory",
-    "free_state_at",
-    "duhamel_response",
-    "forced_state_at",
+    "closed_form_state",
     "state_pair_norm",
     "default_steps",
     "ORACLE_STEP_CAP",
@@ -118,102 +114,78 @@ class ModalState:
         return ModalState(Boundary.NEUMANN, tuple(values), tuple(velocities))
 
 
-def free_state_at(state0: ModalState, eigs: Sequence[ModeEigenvalues], t,
-                  precision_bits: int = 256) -> ModalState:
-    """Uncontrolled state at time t from initial data state0, in closed form.
+def _fundamental_parts(config: BeamConfig, n: int):
+    """(g, h) of mode n as (coefficient, power, rate) parts c t^p e^(rate t).
 
-    eigs[k] are the roots of mode k+1.  Mode n >= 1 with data (u0, u1)
-    evolves as c1 e^(l+ t) + c2 e^(l- t) with c2 = (l+ u0 - u1)/(l+ - l-)
-    and c1 = u0 - c2 (a conjugate pair in the underdamped regime), or at
-    critical damping as (d1 + d2 t) e^(-n^2 t) with d1 = u0 and
-    d2 = u1 + n^2 u0.  The Neumann zero mode drifts affinely: u0 + u1 t.
+    h answers a unit velocity, g a unit displacement.  Distinct roots give
+    h = (e^(l+ t) - e^(l- t)) / (l+ - l-), g = (l+ e^(l- t) - l- e^(l+ t)) / (l+ - l-);
+    the double root l = -n^2 gives h = t e^(l t), g = (1 - l t) e^(l t).  It
+    covers critical damping and the Neumann zero mode (no damping, no
+    stiffness: h = t, g = 1).
     """
-    eigs = tuple(eigs)
-    if len(eigs) != state0.n_modes:
-        raise ValueError(f"{state0.n_modes} modes in state but {len(eigs)} eigenvalue sets")
-    with mp.workprec(precision_bits + GUARD_BITS):
-        t = mp.mpf(t)
-        vals, vels = [], []
-        for n, u0, u1 in zip(state0.modes, state0.values, state0.velocities):
-            u0, u1 = to_mpf(u0), to_mpf(u1)
-            if n == 0:
-                vals.append(u0 + u1 * t)
-                vels.append(u1)
-                continue
-            e = eigs[n - 1]
-            if e.regime is DampingRegime.CRITICAL:
-                n2 = mp.mpf(e.n) ** 2
-                d2 = u1 + n2 * u0       # d1 = u0
-                decay = mp.e ** (-n2 * t)
-                vals.append((u0 + d2 * t) * decay)
-                vels.append((d2 - n2 * (u0 + d2 * t)) * decay)
-            else:
-                c2 = (e.lambda_plus * u0 - u1) / (e.lambda_plus - e.lambda_minus)
-                c1 = u0 - c2
-                e1 = mp.e ** (e.lambda_plus * t)
-                e2 = mp.e ** (e.lambda_minus * t)
-                v = c1 * e1 + c2 * e2
-                w = c1 * e.lambda_plus * e1 + c2 * e.lambda_minus * e2
-                vals.append(strip_imag(v, precision_bits))
-                vels.append(strip_imag(w, precision_bits, scale=max(mp.mpf(1), abs(w))))
-        return ModalState(state0.boundary, tuple(vals), tuple(vels))
+    if n == 0 or config.regime is DampingRegime.CRITICAL:
+        lam = -mp.mpf(n) ** 2
+        return ((1, 0, lam), (-lam, 1, lam)), ((1, 1, lam),)
+    e = mode_eigenvalues(config.rho, n, config.precision_bits)
+    lp, lm = e.lambda_plus, e.lambda_minus
+    den = lp - lm
+    return ((-lm / den, 0, lp), (lp / den, 0, lm)), ((1 / den, 0, lp), (-1 / den, 0, lm))
 
 
-def duhamel_response(eig: ModeEigenvalues, trace_coeff, control: ControlSignal, t):
-    """Forced response (a_n(t), a_n'(t)) of one mode to the control, closed form.
+def _derivative(parts):
+    """Parts of d/dt, by (c t^p e^(r t))' = c p t^(p-1) e^(r t) + c r t^p e^(r t)."""
+    return [(c * p, p - 1, r) for c, p, r in parts if p] + [(c * r, p, r) for c, p, r in parts]
 
-    Variation of parameters on a'' + rho n^2 a' + n^4 a = -f''(t) x_n with
-    zero initial data.  Non-critical regimes:
 
-        a_n(t) = -x_n (J(l+) - J(l-)) / (l+ - l-),
-        J(l)   = int_0^t f''(s) e^(l (t-s)) ds,
+def closed_form_state(config: BeamConfig, state0: ModalState,
+                      control: Optional[ControlSignal], t) -> ModalState:
+    """Physical state at time t from initial data state0 under the control.
 
-    and the velocity replaces J(l) by l J(l).  The critical regime uses the
-    confluent pair, a_n(t) = -x_n int f''(s) (t-s) e^(-n^2 (t-s)) ds.
+    With fundamental solutions g, h (_fundamental_parts), mode n from (u0, u1) is
+
+        u_n  = u0 g  + u1 h  + x_n (f  - J_h),
+        u_n' = u0 g' + u1 h' + x_n (f' - J_h'),
+
+    J_p = int_0^t f''(s) p(t-s) ds being the Duhamel response of v = u - U
+    and x_n f the lifting.  Each (power, rate) convolution runs once per
+    call, and f, f' are those at rate 0: on the Neumann zero mode (h = t)
+    the lifting cancels J_h, leaving u0 + u1 t exactly.  control=None is the
+    free flow.
     """
-    bits = control.precision_bits
-    with mp.workprec(bits + GUARD_BITS):
-        x = to_mpf(trace_coeff)
-        t = mp.mpf(t)
-        if eig.regime is DampingRegime.CRITICAL:
-            lam = eig.lambda_plus
-            n2 = mp.mpf(eig.n) ** 2
-            poly = control.convolve(1, lam, t)
-            zero = control.convolve(0, lam, t)
-            val = -x * poly
-            vel = -x * (zero - n2 * poly)
-        else:
-            jp = control.convolve(0, eig.lambda_plus, t)
-            jm = control.convolve(0, eig.lambda_minus, t)
-            den = eig.lambda_plus - eig.lambda_minus
-            val = -x * (jp - jm) / den
-            vel = -x * (eig.lambda_plus * jp - eig.lambda_minus * jm) / den
-        scale = max(mp.mpf(1), abs(val), abs(vel))
-        return (strip_imag(val, bits, scale=scale), strip_imag(vel, bits, scale=scale))
-
-
-def forced_state_at(config: BeamConfig, control: ControlSignal, t) -> ModalState:
-    """Physical-state contribution of the control alone (zero initial data).
-
-    Adds the lifting back: u_n = a_n + x_n f(t).  The Neumann zero mode obeys
-    a_0'' = -g'' x_0, so a_0 = -x_0 g and the lifting cancels it exactly;
-    the physical zero mode is untouched by any admissible control.
-    """
+    if state0.boundary is not config.boundary or state0.n_modes != config.n_modes:
+        raise ValueError("state boundary and modes must match config")
     bits = config.precision_bits
     traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
     with mp.workprec(bits + GUARD_BITS):
-        f_val = control.value(t)
-        f_slope = control.slope(t)
+        t = to_mpf(t)
+        conv = {}
+
+        def J(parts):
+            for _, p, lam in parts:
+                if (p, lam) not in conv:
+                    conv[p, lam] = control.convolve(p, lam, t)
+            return sum(c * conv[p, lam] for c, p, lam in parts)
+
+        if control is not None:
+            f, f_slope = (strip_imag(J([(1, p, 0)]), control.precision_bits) for p in (1, 0))
         vals, vels = [], []
-        if config.boundary is Boundary.NEUMANN:
-            vals.append(mp.mpf(0))
-            vels.append(mp.mpf(0))
-        for n in range(1, config.n_modes + 1):
-            e = mode_eigenvalues(config.rho, n, bits)
-            x = traces.coefficient(n)
-            a, ap = duhamel_response(e, x, control, t)
-            vals.append(a + x * f_val)
-            vels.append(ap + x * f_slope)
+        for n, u0, u1 in zip(state0.modes, state0.values, state0.velocities):
+            g, h = _fundamental_parts(config, n)
+            dg, dh = _derivative(g), _derivative(h)
+            ex = {lam: mp.exp(lam * t) for _, _, lam in g}
+
+            def at(parts):
+                return sum(c * t ** p * ex[lam] for c, p, lam in parts)
+
+            v = to_mpf(u0) * at(g) + to_mpf(u1) * at(h)
+            w = to_mpf(u0) * at(dg) + to_mpf(u1) * at(dh)
+            if control is not None:
+                x = traces.coefficient(n)
+                v += x * (f - J(h))
+                w += x * (f_slope - J(dh))
+            scale = max(mp.mpf(1), abs(v), abs(w))
+            vals.append(strip_imag(v, bits, scale=scale))
+            vels.append(strip_imag(w, bits, scale=scale))
         return ModalState(config.boundary, tuple(vals), tuple(vels))
 
 

@@ -40,7 +40,7 @@ import mpmath as mp
 from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import ResonanceDefect, UncontrollableMode
 from .kernels import Kernel
-from .modal_dynamics import ModalState, free_state_at
+from .modal_dynamics import ModalState, closed_form_state
 from .spectrum import (
     BeamConfig,
     Boundary,
@@ -246,7 +246,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
 
         eigs = tuple(mode_eigenvalues(config.rho, n, bits)
                      for n in range(1, config.n_modes + 1))
-        at_T = free_state_at(state0, eigs, to_mpf(config.horizon), bits)
+        at_T = closed_form_state(config, state0, None, config.horizon)
 
         r_exact = None
         if config.regime is DampingRegime.OVERDAMPED:

@@ -81,6 +81,9 @@ class BeamConfig:
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         object.__setattr__(self, "rho", as_fraction(self.rho, "rho"))
         object.__setattr__(self, "horizon", as_fraction(self.horizon, "horizon"))
+        for name in ("n_modes", "precision_bits"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be an integer, got bool")
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.horizon <= 0:

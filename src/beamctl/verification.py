@@ -22,23 +22,21 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
-from ._numutil import GUARD_BITS, as_fraction, to_mpf
+from ._numutil import as_fraction
 from .kernels import ControlSignal
 from .modal_dynamics import (
     ORACLE_STEP_CAP,
     ModalState,
     Trajectory,
-    forced_state_at,
-    free_state_at,
+    closed_form_state,
     forcing_resolution_steps,
     simulate_oracle,
     state_pair_norm,
 )
 from .moment_problem import assemble
-from .spectrum import BeamConfig, Boundary, mode_eigenvalues
+from .spectrum import BeamConfig, Boundary
 from .synthesis import SynthesisReport, solve_min_norm
 
 __all__ = [
@@ -66,16 +64,7 @@ def pair_norm_scale(boundary) -> int:
 def closed_form_final_state(config: BeamConfig, state0: ModalState,
                             control: ControlSignal) -> ModalState:
     """Physical state at the horizon: free flow plus forced response."""
-    bits = config.precision_bits
-    eigs = tuple(mode_eigenvalues(config.rho, n, bits)
-                 for n in range(1, config.n_modes + 1))
-    with mp.workprec(bits + GUARD_BITS):
-        T = to_mpf(config.horizon)
-        free_T = free_state_at(state0, eigs, T, bits)
-        forced_T = forced_state_at(config, control, T)
-        vals = tuple(a + b for a, b in zip(free_T.values, forced_T.values))
-        vels = tuple(a + b for a, b in zip(free_T.velocities, forced_T.velocities))
-        return ModalState(config.boundary, vals, vels)
+    return closed_form_state(config, state0, control, config.horizon)
 
 
 def _max_componentwise_gap(a: ModalState, b: ModalState) -> float:
@@ -143,8 +132,8 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
     the moment assembly), so a returned report always carries an actual
     control.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     system = assemble(config, state0)
     report = solve_min_norm(system)
     solved_config = report.system.config

@@ -23,7 +23,7 @@ from beamctl.condensation import (
 )
 from beamctl.errors import RationalResonance, ResonanceDefect, UncontrollableMode
 from beamctl.kernels import ControlSignal, gram_entry, kernel_value
-from beamctl.modal_dynamics import ModalState, forced_state_at, simulate_oracle
+from beamctl.modal_dynamics import ModalState, closed_form_state, simulate_oracle
 from beamctl.moment_problem import assemble, neumann_admissibility
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl.synthesis import biorthogonal_family, gram_matrix
@@ -205,7 +205,7 @@ def test_forced_response_routes_agree_on_random_controls():
                            for c in rng.standard_normal(system.n_rows))
             control = ControlSignal(kernels=system.kernels, coefficients=coeffs,
                                     horizon=T, precision_bits=192)
-            closed = forced_state_at(cfg, control, T)
+            closed = closed_form_state(cfg, zero, control, T)
             oracle = simulate_oracle(cfg, zero, control,
                                      steps=4000, samples=2).final_state()
             for a, b in zip(closed.values + closed.velocities,

@@ -134,6 +134,15 @@ def test_verify_failed_tolerance_exits_three(tmp_path, monkeypatch):
     assert doc["oracle_steps_used"] == 4000 < doc["oracle_steps_requested"]
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
+def test_verify_non_finite_tolerance_exits_two(tmp_path, capsys, tolerance):
+    code, out = run(tmp_path, "verify", "--modes", "2", "--data", "1:1:0",
+                    "--tolerance", tolerance, *FAST)
+    assert code == 2
+    assert not (out / "verification.json").exists()
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
 def test_bad_flag_values_exit_two(tmp_path):
     assert run(tmp_path / "a", "spectrum", "--rho", "-1")[0] == 2
     assert run(tmp_path / "b", "spectrum", "--modes", "0")[0] == 2

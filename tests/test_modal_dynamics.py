@@ -5,15 +5,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from beamctl._numutil import to_mpf
 from beamctl.errors import StepSizeError
 from beamctl.kernels import ControlSignal, Kernel, kernel_value
 from beamctl.modal_dynamics import (
     ModalState,
+    closed_form_state,
     default_steps,
-    duhamel_response,
-    forced_state_at,
     forcing_resolution_steps,
-    free_state_at,
     simulate_oracle,
     state_pair_norm,
     write_trajectory_csv,
@@ -83,11 +82,14 @@ def test_modal_state_shapes():
     assert float(stn.amplitude(0)) > 0
 
 
+def one_mode(rho, bits=256):
+    return BeamConfig(Boundary.DIRICHLET, rho, 1, Fraction(1), bits)
+
+
 def test_free_flow_underdamped_oracle():
     # rho=1, n=1, u0=1, u1=0: u(t) = e^{-t/2}(cos(sqrt3 t/2) + sin(sqrt3 t/2)/sqrt3)
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    eigs = (mode_eigenvalues(Fraction(1), 1, 256),)
-    out = free_state_at(st, eigs, 1, 256)
+    out = closed_form_state(one_mode(Fraction(1)), st, None, 1)
     assert abs(float(out.values[0]) - 0.659700153392) < 1e-11
     with mp.workprec(300):
         expect = mp.exp(mp.mpf(-1) / 2) * (mp.cos(mp.sqrt(3) / 2)
@@ -98,8 +100,7 @@ def test_free_flow_underdamped_oracle():
 def test_free_flow_critical_oracle():
     # rho=2, n=1, u0=1, u1=0: u(t) = (1+t) e^{-t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    eigs = (mode_eigenvalues(Fraction(2), 1, 256),)
-    out = free_state_at(st, eigs, 1, 256)
+    out = closed_form_state(one_mode(Fraction(2)), st, None, 1)
     with mp.workprec(300):
         assert abs(out.values[0] - 2 / mp.e) < mp.mpf(2) ** -240
         # velocity: u'(t) = -t e^{-t}
@@ -109,8 +110,7 @@ def test_free_flow_critical_oracle():
 def test_free_flow_overdamped_oracle():
     # rho=5/2, n=1: u(t) = (4/3) e^{-t/2} - (1/3) e^{-2t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    eigs = (mode_eigenvalues(Fraction(5, 2), 1, 256),)
-    out = free_state_at(st, eigs, 1, 256)
+    out = closed_form_state(one_mode(Fraction(5, 2)), st, None, 1)
     with mp.workprec(300):
         expect = mp.mpf(4) / 3 * mp.exp(mp.mpf(-1) / 2) - mp.exp(-2) / 3
         assert abs(out.values[0] - expect) < mp.mpf(2) ** -240
@@ -118,19 +118,42 @@ def test_free_flow_overdamped_oracle():
 
 def test_free_flow_neumann_zero_mode_drifts():
     # the constant mode has no restoring force: u_0(t) = u0 + u1 t exactly
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(2))
     st = ModalState.neumann(values=(0.25, 1, 0), velocities=(0.5, 0, 0.3))
-    eigs = tuple(mode_eigenvalues(Fraction(1), n, 256) for n in (1, 2))
-    out = free_state_at(st, eigs, 2, 256)
+    out = closed_form_state(cfg, st, None, 2)
     assert out.boundary is Boundary.NEUMANN and len(out.values) == 3
     assert out.values[0] == mp.mpf("1.25")
     assert out.velocities[0] == mp.mpf("0.5")
 
 
+def test_neumann_zero_mode_drifts_exactly_under_a_control():
+    # the lifting must cancel the zero mode's Duhamel response J_h = f exactly,
+    # complex kernel parts included
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 3, Fraction(2))
+    sig = ControlSignal(
+        kernels=(Kernel("const"), Kernel("linear"), Kernel("exp", rate=mp.mpf(-3)),
+                 Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(5)),
+                 Kernel("expsin", decay=mp.mpf(-1), freq=mp.mpf(3))),
+        coefficients=(mp.mpf("0.7"), mp.mpf(-2), mp.mpf("1.3"), mp.mpf(40), mp.mpf(-9)),
+        horizon=Fraction(2))
+    st = ModalState.neumann(values=(0.25, 1, 0, 0.5), velocities=(0.5, 0, 0.3, 0))
+    out = closed_form_state(cfg, st, sig, Fraction(3, 2))
+    assert out.values[0] == 1 and out.velocities[0] == mp.mpf("0.5")
+    assert abs(sig.value(mp.mpf("1.5"))) > 0.1          # the lifting is not trivially 0
+
+
+def duhamel_part(cfg, control, t, n):
+    """Forced state of mode n from zero data, less the lifting x_n f(t)."""
+    out = closed_form_state(cfg, ModalState(cfg.boundary, (0,) * cfg.n_modes,
+                                            (0,) * cfg.n_modes), control, t)
+    x = boundary_trace_coefficients(cfg.boundary, cfg.n_modes, cfg.precision_bits).coefficient(n)
+    with mp.workprec(cfg.precision_bits + 64):
+        return out.values[n - 1] - x * control.value(t), x
+
+
 def test_duhamel_response_frozen_oracle():
     # unit curvature driving mode 1 at rho=1 through the Dirichlet trace
-    e = mode_eigenvalues(Fraction(1), 1, 256)
-    traces = boundary_trace_coefficients(Boundary.DIRICHLET, 1, 256)
-    val, vel = duhamel_response(e, traces.coefficient(1), unit_control(), 1)
+    val, _ = duhamel_part(one_mode(Fraction(1)), unit_control(), 1, 1)
     assert abs(float(val) + 0.271519993652) < 1e-11
 
 
@@ -142,14 +165,14 @@ def test_duhamel_response_matches_quadrature():
             coefficients=(mp.mpf("1.3"), mp.mpf("-0.4")),
             horizon=Fraction(1), precision_bits=192)
         e = mode_eigenvalues(Fraction(1), 2, 192)
-        x = mp.mpf("0.7")
         t = mp.mpf("0.8")
 
         def fpp(s):
             return sum(c * kernel_value(k, s, mp.mpf(1))
                        for c, k in zip(sig.coefficients, sig.kernels))
 
-        val, vel = duhamel_response(e, x, sig, t)
+        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1), 192)
+        val, x = duhamel_part(cfg, sig, t, 2)
         q = mp.quad(lambda s: fpp(s) * mp.re(
             (mp.e ** (e.lambda_plus * (t - s)) - mp.e ** (e.lambda_minus * (t - s)))
             / (e.lambda_plus - e.lambda_minus)), [0, t])
@@ -162,20 +185,38 @@ def test_duhamel_critical_matches_quadrature():
             kernels=(Kernel("exp", rate=mp.mpf(-1)),),
             coefficients=(mp.mpf(2),),
             horizon=Fraction(1), precision_bits=192)
-        e = mode_eigenvalues(Fraction(2), 2, 192)
         t = mp.mpf("0.6")
-        val, vel = duhamel_response(e, mp.mpf(1), sig, t)
+        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(2), 2, Fraction(1), 192)
+        val, x = duhamel_part(cfg, sig, t, 2)
         q = mp.quad(lambda s: 2 * mp.exp(-(1 - s)) * (t - s) * mp.exp(-4 * (t - s)),
                     [0, t])
-        assert abs(val + q) < mp.mpf(2) ** -140
+        assert abs(val + x * q) < mp.mpf(2) ** -140
 
 
 def test_forced_state_zero_at_time_zero():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
-    out = forced_state_at(cfg, unit_control(), 0)
+    zero = ModalState.dirichlet(values=(0, 0, 0), velocities=(0, 0, 0))
+    out = closed_form_state(cfg, zero, unit_control(), 0)
     for v, w in zip(out.values, out.velocities):
         assert abs(v) < mp.mpf(2) ** -200
         assert abs(w) < mp.mpf(2) ** -200
+
+
+@pytest.mark.parametrize("boundary, rho", [
+    (Boundary.DIRICHLET, Fraction(1)), (Boundary.DIRICHLET, Fraction(2)),
+    (Boundary.DIRICHLET, Fraction(3)), (Boundary.NEUMANN, Fraction(1)),
+], ids=["rho1", "rho2", "rho3", "neumann-rho1"])
+def test_closed_form_state_at_time_zero_is_the_data(boundary, rho):
+    cfg = BeamConfig(boundary, rho, 3, Fraction(1))
+    slots = len(range(boundary.first_mode, 4))
+    st = ModalState(boundary, ("0.3", -1, "0.25", 2)[:slots], (1, "0.2", 0, "-0.7")[:slots])
+    sig = ControlSignal(kernels=(Kernel("linear"), Kernel("expcos", decay=mp.mpf(-2),
+                                                          freq=mp.mpf(5))),
+                        coefficients=(mp.mpf(3), mp.mpf(-8)), horizon=Fraction(1))
+    out = closed_form_state(cfg, st, sig, 0)
+    with mp.workprec(320):
+        for got, want in zip(out.values + out.velocities, st.values + st.velocities):
+            assert abs(got - to_mpf(Fraction(want))) < mp.mpf(2) ** -250
 
 
 def test_sobolev_and_pair_norms():
@@ -193,8 +234,7 @@ def test_oracle_free_flow_matches_closed_form():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0, -0.4), velocities=(0, 0.3, 0))
     traj = simulate_oracle(cfg, st, None)
-    eigs = tuple(mode_eigenvalues(Fraction(1), n, 256) for n in (1, 2, 3))
-    expect = free_state_at(st, eigs, 1, 256)
+    expect = closed_form_state(cfg, st, None, 1)
     got = traj.final_state()
     for a, b in zip(got.values, expect.values):
         assert abs(float(a) - float(b)) < 1e-11
@@ -207,15 +247,11 @@ def test_oracle_forced_matches_closed_form():
     st = ModalState.dirichlet(values=(0.2, -0.1), velocities=(0, 0))
     sig = unit_control()
     traj = simulate_oracle(cfg, st, sig)
-    free = free_state_at(st, tuple(mode_eigenvalues(Fraction(1), n, 256)
-                                   for n in (1, 2)), 1, 256)
-    forced = forced_state_at(cfg, sig, 1)
+    expect = closed_form_state(cfg, st, sig, 1)
     got = traj.final_state()
     for i in range(2):
-        expect_v = float(free.values[i]) + float(forced.values[i])
-        expect_w = float(free.velocities[i]) + float(forced.velocities[i])
-        assert abs(float(got.values[i]) - expect_v) < 1e-9
-        assert abs(float(got.velocities[i]) - expect_w) < 1e-8
+        assert abs(float(got.values[i]) - float(expect.values[i])) < 1e-9
+        assert abs(float(got.velocities[i]) - float(expect.velocities[i])) < 1e-8
 
 
 def test_oracle_rejects_unstable_step_count():

@@ -38,6 +38,9 @@ def test_as_fraction_rejects_bool_and_garbage():
         as_fraction(True)
     with pytest.raises((ValueError, TypeError)):
         as_fraction("three halves")
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            as_fraction(x, "horizon")
 
 
 def test_rational_sqrt():

@@ -36,6 +36,15 @@ def test_config_validation():
         BeamConfig(Boundary.DIRICHLET, Fraction(1), 4, Fraction(-1))
     with pytest.raises(ValueError):
         BeamConfig(Boundary.DIRICHLET, Fraction(1), 4, Fraction(1), precision_bits=32)
+    # non-finite floats and bool counts fail naming the field
+    with pytest.raises(ValueError, match="rho must be finite"):
+        BeamConfig(Boundary.DIRICHLET, float("nan"), 4, Fraction(1))
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        BeamConfig(Boundary.DIRICHLET, Fraction(1), 4, float("inf"))
+    with pytest.raises(TypeError, match="n_modes must be an integer"):
+        BeamConfig(Boundary.DIRICHLET, Fraction(1), True, Fraction(1))
+    with pytest.raises(TypeError, match="precision_bits must be an integer"):
+        BeamConfig(Boundary.DIRICHLET, Fraction(1), 4, Fraction(1), precision_bits=True)
     # exact string forms normalize to fractions
     cfg = BeamConfig("dirichlet", "2.5", 3, "0.25")
     assert cfg.rho == Fraction(5, 2) and cfg.horizon == Fraction(1, 4)

@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 
 from beamctl.kernels import ControlSignal
-from beamctl.modal_dynamics import ModalState, free_state_at
-from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
+from beamctl.modal_dynamics import ModalState, closed_form_state
+from beamctl.spectrum import BeamConfig, Boundary
 from beamctl import verification
 from beamctl.verification import (
     Verdict,
@@ -37,8 +37,7 @@ def test_zero_control_reduces_to_free_flow():
                          precision_bits=128)
     with mp.workprec(200):
         final = closed_form_final_state(config, state0, zero)
-        eigs = tuple(mode_eigenvalues(config.rho, n, 128) for n in (1, 2))
-        free = free_state_at(state0, eigs, mp.mpf(1), 128)
+        free = closed_form_state(config, state0, None, mp.mpf(1))
         for a, b in zip(final.values + final.velocities,
                         free.values + free.velocities):
             assert abs(a - b) < mp.mpf(2) ** -100
@@ -75,8 +74,16 @@ def test_experiment_flags_unreachable_tolerance(monkeypatch):
 def test_experiment_rejects_bad_tolerance():
     config = small_config()
     state0 = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    with pytest.raises(ValueError):
-        null_control_experiment(config, state0, tolerance=0.0)
+    for tolerance in (0.0, -1e-6, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            null_control_experiment(config, state0, tolerance=tolerance)
+
+
+def test_cost_sweep_rejects_infinite_horizon():
+    config = small_config(n_modes=1)
+    state0 = ModalState.dirichlet(values=(1,), velocities=(0,))
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        cost_sweep(config, state0, ["0.5", float("inf")])
 
 
 def test_cost_sweep_rejects_bool_horizons():
