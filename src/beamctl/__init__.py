@@ -21,11 +21,10 @@ from .errors import (
 from .spectrum import (
     BeamConfig,
     Boundary,
-    BoundaryTraceExpansion,
     DampingRegime,
     GapStatistics,
     ModeEigenvalues,
-    boundary_trace_coefficients,
+    Spectrum,
     branch_ratio,
     branch_ratio_exact,
     classify_damping,
@@ -95,11 +94,10 @@ __all__ = [
     "UncontrollableMode",
     "BeamConfig",
     "Boundary",
-    "BoundaryTraceExpansion",
     "DampingRegime",
     "GapStatistics",
     "ModeEigenvalues",
-    "boundary_trace_coefficients",
+    "Spectrum",
     "branch_ratio",
     "branch_ratio_exact",
     "classify_damping",

@@ -56,7 +56,6 @@ from .spectrum import (
     branch_ratio,
     branch_ratio_exact,
     gap_statistics,
-    mode_eigenvalues,
 )
 from .synthesis import solve_min_norm, write_control_csv
 from .verification import Verdict, cost_sweep, null_control_experiment
@@ -286,9 +285,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "regime", "lambda_plus_re", "lambda_plus_im",
                     "lambda_minus_re", "lambda_minus_im"])
-        for n in range(1, config.n_modes + 1):
-            e = mode_eigenvalues(config.rho, n, bits)
-            w.writerow([n, e.regime.value,
+        for e in config.spectrum.eigenvalues:
+            w.writerow([e.n, e.regime.value,
                         decimal_str(mp.re(e.lambda_plus), bits),
                         decimal_str(mp.im(e.lambda_plus), bits),
                         decimal_str(mp.re(e.lambda_minus), bits),
@@ -300,13 +298,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "rho": str(config.rho),
         "n_modes": config.n_modes,
         "regime": config.regime.value,
-        "min_gap_plus": repr(stats.min_gap_plus),
-        "min_gap_minus": repr(stats.min_gap_minus),
+        "min_gap_plus": None if stats.min_gap_plus is None else repr(stats.min_gap_plus),
+        "min_gap_minus": None if stats.min_gap_minus is None else repr(stats.min_gap_minus),
         "merged_min_gap": repr(stats.merged_min_gap),
         "collisions": [list(pair) for pair in stats.collisions],
     }
     if config.regime is DampingRegime.OVERDAMPED:
-        exact = branch_ratio_exact(config.rho)
+        exact = config.spectrum.ratio_exact
         doc["branch_ratio"] = decimal_str(branch_ratio(config.rho, bits), bits)
         doc["branch_ratio_exact"] = None if exact is None else str(exact)
     _write_json(_out_path(args, "spectrum.json"), doc)

@@ -228,9 +228,10 @@ class ControlSignal:
     """Boundary control in curvature form: f''(s) = sum_k c_k kernel_k(s).
 
     The signal itself and its slope are recovered by integrating twice from
-    zero, so f(0) = f'(0) = 0 holds by construction; f(T) = f'(T) = 0 holds
-    when the constant and linear moments of f'' vanish (the first two rows of
-    every assembled moment system).
+    zero, f'(t) = convolve(0, 0, t) and f(t) = convolve(1, 0, t), so
+    f(0) = f'(0) = 0 holds by construction; f(T) = f'(T) = 0 holds when the
+    constant and linear moments of f'' vanish (the first two rows of every
+    assembled moment system).
     """
 
     kernels: Tuple[Kernel, ...]
@@ -263,16 +264,6 @@ class ControlSignal:
                 for part in k.exponential_parts(self.horizon):
                     total = total + c * convolution_moment(part, d, lam, t, self.horizon)
             return total
-
-    def slope(self, t):
-        """f'(t) = int_0^t f''."""
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return strip_imag(self.convolve(0, 0, t), self.precision_bits)
-
-    def value(self, t):
-        """f(t) = int_0^t f''(s) (t-s) ds, the double integral of f'' from 0."""
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return strip_imag(self.convolve(1, 0, t), self.precision_bits)
 
     def term_scale_bound(self) -> float:
         """Upper bound on the magnitude of any single coefficient-times-kernel

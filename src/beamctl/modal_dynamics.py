@@ -9,12 +9,14 @@ physical state u leaves v = u - U whose modal coefficients obey
     a_n'' + rho n^2 a_n' + n^4 a_n = -f''(t) x_n,      a_n(0) = a_n'(0) = 0
 
 on top of the free flow of the initial data; x_n is the boundary trace
-coefficient of the lifting profile.  The physical state is recovered as
+coefficient of the lifting profile (BeamConfig.spectrum holds every x_n and
+every mode's roots).  The physical state is recovered as
 u_n(t) = v_n(t) + x_n f(t).
 
 Slot i of a state holds mode Boundary.first_mode + i (ModalState.modes), so
 the Neumann constant mode sits in slot 0.  closed_form_state evolves each
-mode through its two fundamental solutions; the zero mode drifts, u0 + u1 t.
+mode through the two fundamental solutions of its roots; the zero mode's
+double root 0 makes it drift, u0 + u1 t.
 
 Two response paths are deliberately kept independent: closed-form evaluation
 through the exponential-part calculus (extended precision), and a classical
@@ -42,13 +44,7 @@ import numpy as np
 from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import StepSizeError
 from .kernels import ControlSignal
-from .spectrum import (
-    BeamConfig,
-    Boundary,
-    DampingRegime,
-    boundary_trace_coefficients,
-    mode_eigenvalues,
-)
+from .spectrum import BeamConfig, Boundary, DampingRegime
 
 __all__ = [
     "ModalState",
@@ -114,20 +110,17 @@ class ModalState:
         return ModalState(Boundary.NEUMANN, tuple(values), tuple(velocities))
 
 
-def _fundamental_parts(config: BeamConfig, n: int):
-    """(g, h) of mode n as (coefficient, power, rate) parts c t^p e^(rate t).
+def _fundamental_parts(lp, lm):
+    """(g, h) for roots l+, l- as (coefficient, power, rate) parts c t^p e^(rate t).
 
     h answers a unit velocity, g a unit displacement.  Distinct roots give
     h = (e^(l+ t) - e^(l- t)) / (l+ - l-), g = (l+ e^(l- t) - l- e^(l+ t)) / (l+ - l-);
-    the double root l = -n^2 gives h = t e^(l t), g = (1 - l t) e^(l t).  It
-    covers critical damping and the Neumann zero mode (no damping, no
-    stiffness: h = t, g = 1).
+    a double root l gives h = t e^(l t), g = (1 - l t) e^(l t).  That one
+    confluent case covers critical damping (l = -n^2) and the Neumann zero
+    mode (no damping, no stiffness, l = 0: h = t, g = 1).
     """
-    if n == 0 or config.regime is DampingRegime.CRITICAL:
-        lam = -mp.mpf(n) ** 2
-        return ((1, 0, lam), (-lam, 1, lam)), ((1, 1, lam),)
-    e = mode_eigenvalues(config.rho, n, config.precision_bits)
-    lp, lm = e.lambda_plus, e.lambda_minus
+    if lp == lm:
+        return ((1, 0, lp), (-lp, 1, lp)), ((1, 1, lp),)
     den = lp - lm
     return ((-lm / den, 0, lp), (lp / den, 0, lm)), ((1 / den, 0, lp), (-1 / den, 0, lm))
 
@@ -141,7 +134,8 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
                       control: Optional[ControlSignal], t) -> ModalState:
     """Physical state at time t from initial data state0 under the control.
 
-    With fundamental solutions g, h (_fundamental_parts), mode n from (u0, u1) is
+    With fundamental solutions g, h (_fundamental_parts) of mode n's roots
+    in config.spectrum, mode n from (u0, u1) is
 
         u_n  = u0 g  + u1 h  + x_n (f  - J_h),
         u_n' = u0 g' + u1 h' + x_n (f' - J_h'),
@@ -155,7 +149,6 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
     if state0.boundary is not config.boundary or state0.n_modes != config.n_modes:
         raise ValueError("state boundary and modes must match config")
     bits = config.precision_bits
-    traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
     with mp.workprec(bits + GUARD_BITS):
         t = to_mpf(t)
         conv = {}
@@ -169,8 +162,9 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
         if control is not None:
             f, f_slope = (strip_imag(J([(1, p, 0)]), control.precision_bits) for p in (1, 0))
         vals, vels = [], []
-        for n, u0, u1 in zip(state0.modes, state0.values, state0.velocities):
-            g, h = _fundamental_parts(config, n)
+        for n, u0, u1, x in zip(state0.modes, state0.values, state0.velocities,
+                                config.spectrum.traces):
+            g, h = _fundamental_parts(*config.spectrum.roots(n))
             dg, dh = _derivative(g), _derivative(h)
             ex = {lam: mp.exp(lam * t) for _, _, lam in g}
 
@@ -180,7 +174,6 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
             v = to_mpf(u0) * at(g) + to_mpf(u1) * at(h)
             w = to_mpf(u0) * at(dg) + to_mpf(u1) * at(dh)
             if control is not None:
-                x = traces.coefficient(n)
                 v += x * (f - J(h))
                 w += x * (f_slope - J(dh))
             scale = max(mp.mpf(1), abs(v), abs(w))
@@ -220,11 +213,11 @@ class Trajectory:
 
 
 def _stiffest_rate(config: BeamConfig) -> float:
-    """Largest |Re lambda| across modes: r N^2 overdamped, N^2 otherwise."""
+    """Largest root modulus across modes: r N^2 overdamped (mode 1's fast
+    root is -r), N^2 otherwise, where |Re lambda_N| is only rho N^2 / 2."""
     n2 = config.n_modes ** 2
     if config.regime is DampingRegime.OVERDAMPED:
-        from .spectrum import branch_ratio
-        return float(branch_ratio(config.rho, 64)) * n2
+        return -float(config.spectrum.eigenvalues[0].lambda_minus) * n2
     return float(n2)
 
 
@@ -332,9 +325,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
 
     T = float(to_mpf(config.horizon))
     h = T / steps
-    traces = boundary_trace_coefficients(config.boundary, config.n_modes, 64)
     ns_arr = np.asarray(state0.modes, dtype=np.float64)
-    x_arr = np.asarray([float(traces.coefficient(n)) for n in state0.modes], dtype=np.float64)
+    x_arr = np.asarray([float(x) for x in config.spectrum.traces], dtype=np.float64)
     rho = float(to_mpf(config.rho))
     P, G = _rk4_step_map(h, rho * ns_arr ** 2, ns_arr ** 4, x_arr)
     m = len(x_arr)

@@ -41,15 +41,7 @@ from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import ResonanceDefect, UncontrollableMode
 from .kernels import Kernel
 from .modal_dynamics import ModalState, closed_form_state
-from .spectrum import (
-    BeamConfig,
-    Boundary,
-    DampingRegime,
-    ModeEigenvalues,
-    boundary_trace_coefficients,
-    branch_ratio_exact,
-    mode_eigenvalues,
-)
+from .spectrum import BeamConfig, Boundary, DampingRegime, ModeEigenvalues
 
 __all__ = [
     "MomentSystem",
@@ -221,11 +213,9 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
         raise ValueError(
             f"data carries {state0.n_modes} modes, configuration wants {config.n_modes}")
 
-    bits = config.precision_bits
+    spectrum = config.spectrum
     norm = data_l2_norm(state0)
-    with mp.workprec(bits + GUARD_BITS):
-        traces = boundary_trace_coefficients(config.boundary, config.n_modes, bits)
-
+    with mp.workprec(config.precision_bits + GUARD_BITS):
         if config.boundary is Boundary.NEUMANN:
             zero_amp = max(abs(to_mpf(state0.values[0])), abs(to_mpf(state0.velocities[0])))
             if zero_amp > MEAN_FREE_RTOL * norm:
@@ -234,39 +224,35 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
         max_amp = max(state0.amplitude(n) for n in state0.modes)
 
         dropped = []
-        active = []
-        for n in range(1, config.n_modes + 1):
-            if to_mpf(traces.coefficient(n)) == 0:
+        active = []                     # (slot, mode, trace coefficient)
+        for i, (n, x) in enumerate(zip(state0.modes, spectrum.traces)):
+            if n == 0:
+                continue
+            if x == 0:
                 amp = state0.amplitude(n)
                 if max_amp > 0 and amp > float(INVISIBLE_RTOL) * max_amp:
                     raise UncontrollableMode(n, amp, float(INVISIBLE_RTOL) * max_amp)
                 dropped.append(n)
             else:
-                active.append(n)
+                active.append((i, n, x))
 
-        eigs = tuple(mode_eigenvalues(config.rho, n, bits)
-                     for n in range(1, config.n_modes + 1))
         at_T = closed_form_state(config, state0, None, config.horizon)
-
-        r_exact = None
-        if config.regime is DampingRegime.OVERDAMPED:
-            r_exact = branch_ratio_exact(config.rho)
+        r_exact = spectrum.ratio_exact
 
         kernels = [Kernel("const"), Kernel("linear")]
         targets = [mp.mpf(0), mp.mpf(0)]
         labels = ["flat-slope", "flat-value"]
         row_modes = [(), ()]
 
-        merged = {}                     # exact rate key -> row index
+        merged = {}                     # exact rate -> row index, rational r only
         collisions = []
 
-        for n in active:
-            eig = eigs[n - 1]
-            i = at_T.mode_index(n)
+        for i, n, x in active:
             g1 = -to_mpf(at_T.values[i])
             g2 = -to_mpf(at_T.velocities[i])
-            rows = moment_rhs(eig, traces.coefficient(n), g1, g2)
+            rows = moment_rhs(spectrum.eigenvalues[n - 1], x, g1, g2)
 
+            rate_keys = (None, None)
             if r_exact is not None:
                 rate_keys = (Fraction(-n * n) / r_exact, -r_exact * n * n)
                 # rebuild the kernels from the exact rates so colliding rows
@@ -274,9 +260,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
                 # inserted it first
                 rows = tuple((suffix, Kernel("exp", rate=to_mpf(key)), target)
                              for (suffix, _, target), key in zip(rows, rate_keys))
-            else:
-                rate_keys = ((DampingRegime(config.regime), "plus", n),
-                             (DampingRegime(config.regime), "minus", n))
 
             for (suffix, kernel, target), key in zip(rows, rate_keys):
                 if key in merged:
@@ -291,7 +274,8 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
                     row_modes[j] = row_modes[j] + (n,)
                     collisions.append((to_mpf(kernel.rate), pair))
                 else:
-                    merged[key] = len(kernels)
+                    if key is not None:
+                        merged[key] = len(kernels)
                     kernels.append(kernel)
                     targets.append(target)
                     labels.append(f"mode{n}-{suffix}")

@@ -13,14 +13,17 @@ resonance obstructions the rest of the package quantifies.
 
 Rationality decisions are exact: rho is normalized to a Fraction on intake
 (floats are dyadic rationals), and r is rational iff rho^2 - 4 is a rational
-square, checked by integer square roots.
+square, checked by integer square roots.  BeamConfig.spectrum computes the
+roots, boundary traces and exact r of a configuration once, for assembly,
+closed form and oracle alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Tuple, Union
 
 import mpmath as mp
 
@@ -31,14 +34,13 @@ __all__ = [
     "DampingRegime",
     "BeamConfig",
     "ModeEigenvalues",
-    "BoundaryTraceExpansion",
+    "Spectrum",
     "GapStatistics",
     "classify_damping",
     "mode_eigenvalues",
     "branch_ratio",
     "branch_ratio_exact",
     "detect_collisions",
-    "boundary_trace_coefficients",
     "gap_statistics",
 ]
 
@@ -97,6 +99,29 @@ class BeamConfig:
     def regime(self) -> DampingRegime:
         return classify_damping(self.rho)
 
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """Every mode's roots and trace, built on first use and kept: a run
+        shares one, and each precision rung (a replace()d config) has its own.
+        Traces are the eigenbasis coefficients of the boundary lifting profile.
+        Dirichlet lifts through U(x,t) = (x/pi) f(t); the profile x/pi has sine
+        coefficients x_n = (-1)^(n+1) sqrt(2/pi) / n.  Neumann lifts through
+        U(x,t) = x g(t); the profile x has cosine coefficients
+        x_0 = pi^(3/2)/2 and x_n = sqrt(2/pi)((-1)^n - 1)/n^2, zero for even n:
+        those modes are invisible to the control.
+        """
+        modes = range(1, self.n_modes + 1)
+        eigenvalues = tuple(mode_eigenvalues(self.rho, n, self.precision_bits) for n in modes)
+        with mp.workprec(self.precision_bits):
+            c = mp.sqrt(2 / mp.pi)
+            if self.boundary is Boundary.DIRICHLET:
+                traces = tuple(c * (-1) ** (n + 1) / n for n in modes)
+            else:
+                traces = (mp.pi ** mp.mpf("1.5") / 2,) + tuple(
+                    c * ((-1) ** n - 1) / mp.mpf(n) ** 2 for n in modes)
+        ratio = branch_ratio_exact(self.rho) if self.regime is DampingRegime.OVERDAMPED else None
+        return Spectrum(eigenvalues, traces, ratio)
+
 
 @dataclass(frozen=True)
 class ModeEigenvalues:
@@ -116,26 +141,25 @@ class ModeEigenvalues:
 
 
 @dataclass(frozen=True)
-class BoundaryTraceExpansion:
-    """Eigenbasis coefficients of the boundary lifting profile.
+class Spectrum:
+    """One configuration's roots and boundary traces (BeamConfig.spectrum).
 
-    Dirichlet lifts through U(x,t) = (x/pi) f(t); the profile x/pi has sine
-    coefficients x_n = (-1)^(n+1) sqrt(2/pi) / n.  Neumann lifts through
-    U(x,t) = x g(t); the profile x has cosine coefficients
-    x_0 = pi^(3/2)/2 and x_n = sqrt(2/pi)((-1)^n - 1)/n^2, zero for even n:
-    those modes are invisible to the control.
+    eigenvalues[n - 1] holds mode n's roots, traces[i] the trace x_n of state
+    slot i in ModalState.modes order (the Neumann x_0 first), both at the
+    config's precision; ratio_exact is r when overdamped and rational, else None.
     """
 
-    boundary: Boundary
-    coefficients: Sequence[mp.mpf]    # modes 1..n_max
-    zero_mode: Optional[mp.mpf]       # Neumann only
+    eigenvalues: Tuple[ModeEigenvalues, ...]    # modes 1..n_modes
+    traces: Tuple[mp.mpf, ...]
+    ratio_exact: Optional[Fraction]
 
-    def coefficient(self, n: int) -> mp.mpf:
+    def roots(self, n: int):
+        """(lambda+, lambda-) of mode n; the Neumann zero mode's ODE a'' = 0
+        has the double root 0."""
         if n == 0:
-            if self.zero_mode is None:
-                raise ValueError("Dirichlet expansion has no zero mode")
-            return self.zero_mode
-        return self.coefficients[n - 1]
+            return mp.mpf(0), mp.mpf(0)
+        e = self.eigenvalues[n - 1]
+        return e.lambda_plus, e.lambda_minus
 
 
 @dataclass(frozen=True)
@@ -143,8 +167,8 @@ class GapStatistics:
     """Pairwise eigenvalue separation along each branch up to n_max."""
 
     n_max: int
-    min_gap_plus: float
-    min_gap_minus: float
+    min_gap_plus: Optional[float]     # None for a single mode
+    min_gap_minus: Optional[float]
     consecutive_gaps_plus: tuple
     consecutive_gaps_minus: tuple
     merged_min_gap: float             # min over the union of both branches
@@ -195,9 +219,8 @@ def branch_ratio(rho: RealLike, precision_bits: int = 256) -> mp.mpf:
 def mode_eigenvalues(rho: RealLike, n: int, precision_bits: int = 256) -> ModeEigenvalues:
     """Characteristic roots of mode n at the working precision.
 
-    Raises ValueError for rho <= 0 or n < 1 (n = 0 is only meaningful under
-    Neumann coupling and is handled by the dynamics module directly, since
-    its ODE is not of this family).
+    Raises ValueError for rho <= 0 or n < 1 (n = 0 only exists under
+    Neumann coupling, undamped and unstiffened: Spectrum.roots gives it).
     """
     rho = as_fraction(rho, "rho")
     if not isinstance(n, int) or n < 1:
@@ -247,33 +270,18 @@ def detect_collisions(r, n_max: int) -> list:
     return out
 
 
-def boundary_trace_coefficients(boundary, n_max: int,
-                                precision_bits: int = 256) -> BoundaryTraceExpansion:
-    """Eigenbasis expansion of the boundary lifting profile, modes 1..n_max."""
-    boundary = Boundary(boundary)
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    with mp.workprec(precision_bits):
-        c = mp.sqrt(2 / mp.pi)
-        if boundary is Boundary.DIRICHLET:
-            coeffs = tuple(c * (-1) ** (n + 1) / n for n in range(1, n_max + 1))
-            return BoundaryTraceExpansion(boundary, coeffs, None)
-        coeffs = tuple(c * ((-1) ** n - 1) / mp.mpf(n) ** 2 for n in range(1, n_max + 1))
-        zero = mp.pi ** mp.mpf("1.5") / 2
-        return BoundaryTraceExpansion(boundary, coeffs, zero)
-
-
 def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapStatistics:
     """Minimum pairwise separation of eigenvalues along and across branches.
 
     Along one branch the gap modulus for modes m != n is |n^2 - m^2| in every
     regime (the complex pair has modulus-one slope: |beta_n - beta_m +
     i(alpha_n - alpha_m)| = |n^2 - m^2| when rho <= 2), so the minimum is
-    the smallest consecutive gap, and the gaps grow without bound.
-    Across branches the merged minimum is zero exactly at a collision.
+    the smallest consecutive gap, and the gaps grow without bound; a single
+    mode has none (None).  Across branches the merged minimum is zero
+    exactly at a collision, and for one mode it is |lambda_1^+ - lambda_1^-|.
     """
-    if not isinstance(n_max, int) or n_max < 2:
-        raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max}")
     eigs = [mode_eigenvalues(rho, n, precision_bits) for n in range(1, n_max + 1)]
     plus = [e.lambda_plus for e in eigs]
     minus = [e.lambda_minus for e in eigs]
@@ -293,17 +301,14 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
                 merged_best, merged_pair = g, (labeled[i][0], labeled[j][0])
 
     # an irrational branch ratio has no m = r n
-    collisions = ()
     rho_fr = as_fraction(rho, "rho")
-    if rho_fr > 2:
-        r_exact = branch_ratio_exact(rho_fr)
-        if r_exact is not None:
-            collisions = tuple(detect_collisions(r_exact, n_max))
+    r_exact = branch_ratio_exact(rho_fr) if rho_fr > 2 else None
+    collisions = () if r_exact is None else tuple(detect_collisions(r_exact, n_max))
 
     return GapStatistics(
         n_max=n_max,
-        min_gap_plus=min(cons_p),
-        min_gap_minus=min(cons_m),
+        min_gap_plus=min(cons_p, default=None),
+        min_gap_minus=min(cons_m, default=None),
         consecutive_gaps_plus=cons_p,
         consecutive_gaps_minus=cons_m,
         merged_min_gap=float(merged_best),

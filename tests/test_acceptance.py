@@ -215,6 +215,33 @@ def test_forced_response_routes_agree_on_random_controls():
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("boundary,rho,pair", [
+    ("neumann", Fraction(5, 2), None),
+    ("dirichlet", Fraction(5, 2), (1, 2)),
+    ("neumann", Fraction(10, 3), (1, 3)),
+])
+def test_resonance_follows_neumann_parity(boundary, rho, pair):
+    # odd-mode data 1:1:0, 3:0.3:0, 5:0:0.2 on 6 modes.  r = 2 (rho = 5/2)
+    # collides mode 2k with mode k: under Neumann every such pair holds an
+    # invisible even mode, so the data is controlled, while Dirichlet sees
+    # mode 2 and refuses.  r = 3 (rho = 10/3) collides the odd modes 1 and 3.
+    first = Boundary(boundary).first_mode
+    values, velocities = [0] * (7 - first), [0] * (7 - first)
+    values[1 - first], values[3 - first], velocities[5 - first] = 1, "0.3", "0.2"
+    config = BeamConfig(Boundary(boundary), rho, 6, Fraction(1), 256)
+    state0 = ModalState(Boundary(boundary), values, velocities)
+    t0 = time.monotonic()
+    if pair is None:
+        report = null_control_experiment(config, state0, tolerance=1e-6)
+        assert report.verdict is Verdict.CONTROLLED
+        assert report.oracle_final_norm <= 1e-6 * report.initial_norm
+    else:
+        with pytest.raises(ResonanceDefect) as info:
+            null_control_experiment(config, state0, tolerance=1e-6)
+        assert info.value.pair == pair
+    assert time.monotonic() - t0 <= WALL_LIMIT_S
+
+
 def test_neumann_screening_and_odd_mode_control():
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 4, Fraction(1), 192)
 

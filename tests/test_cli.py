@@ -40,6 +40,18 @@ def test_spectrum_irrational_ratio_is_silent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_spectrum_single_mode(tmp_path, capsys):
+    # one mode has no consecutive gaps (JSON null); the merged gap is
+    # |lambda_1^+ - lambda_1^-| = sqrt 5 at rho = 3
+    code, out = run(tmp_path, "spectrum", "--rho", "3", "--modes", "1")
+    assert code == 0
+    doc = load(out, "spectrum.json")
+    assert doc["min_gap_plus"] is None and doc["min_gap_minus"] is None
+    assert abs(float(doc["merged_min_gap"]) - 5 ** 0.5) < 1e-12
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_spectrum_csv_uses_dot_decimal_and_lf(tmp_path):
     code, out = run(tmp_path, "spectrum", "--rho", "0.5", "--modes", "2")
     assert code == 0

@@ -99,7 +99,7 @@ def test_slope_and_value_match_quadrature():
                   Kernel("linear")):
             sig = ControlSignal((k,), (1,), T, 192)
             for t in (mp.mpf("0.25"), mp.mpf("0.9")):
-                i1, i2 = sig.slope(t), sig.value(t)
+                i1, i2 = mp.re(sig.convolve(0, 0, t)), mp.re(sig.convolve(1, 0, t))
                 q1 = mp.quad(lambda s: kernel_value(k, s, T), [0, t])
                 assert abs(i1 - q1) < mp.mpf(2) ** -150
                 # Cauchy: int_0^t int_0^tau k = int_0^t (t - s) k(s) ds
@@ -113,8 +113,8 @@ def test_control_signal_flat_oracle():
         sig = ControlSignal(kernels=(Kernel("const"),), coefficients=(mp.mpf(1),),
                             horizon=Fraction(1), precision_bits=256)
         assert abs(sig.curvature(mp.mpf("0.3")) - 1) < mp.mpf(2) ** -246
-        assert abs(sig.slope(mp.mpf("0.3")) - mp.mpf("0.3")) < mp.mpf(2) ** -246
-        assert abs(sig.value(mp.mpf("0.6")) - mp.mpf("0.18")) < mp.mpf(2) ** -246
+        assert abs(mp.re(sig.convolve(0, 0, mp.mpf("0.3"))) - mp.mpf("0.3")) < mp.mpf(2) ** -246
+        assert abs(mp.re(sig.convolve(1, 0, mp.mpf("0.6"))) - mp.mpf("0.18")) < mp.mpf(2) ** -246
         s = sig.sample(np.linspace(0, 1, 11))
         assert np.allclose(s["f_second"], 1.0, rtol=0, atol=1e-14)
         assert np.allclose(s["f_prime"], np.linspace(0, 1, 11), rtol=0, atol=1e-14)
@@ -133,8 +133,8 @@ def test_sample_fast_path_matches_evaluators():
         s = sig.sample(t)
         for i in (0, 5, 16):
             assert abs(s["f_second"][i] - float(sig.curvature(mp.mpf(t[i])))) < 1e-13
-            assert abs(s["f_prime"][i] - float(sig.slope(mp.mpf(t[i])))) < 1e-13
-            assert abs(s["f"][i] - float(sig.value(mp.mpf(t[i])))) < 1e-13
+            assert abs(s["f_prime"][i] - float(mp.re(sig.convolve(0, 0, mp.mpf(t[i]))))) < 1e-13
+            assert abs(s["f"][i] - float(mp.re(sig.convolve(1, 0, mp.mpf(t[i]))))) < 1e-13
 
 
 def test_sample_extended_path_defeats_cancellation():
@@ -153,8 +153,8 @@ def test_sample_extended_path_defeats_cancellation():
         scale = float(max(abs(x) for x in s["f_second"])) or 1.0
         for i in (0, 1, 50, 99, 100):
             ref2 = float(sig.curvature(mp.mpf(t[i])))
-            ref1 = float(sig.slope(mp.mpf(t[i])))
-            ref0 = float(sig.value(mp.mpf(t[i])))
+            ref1 = float(mp.re(sig.convolve(0, 0, mp.mpf(t[i]))))
+            ref0 = float(mp.re(sig.convolve(1, 0, mp.mpf(t[i]))))
             assert abs(s["f_second"][i] - ref2) < 1e-12 * max(scale, 1.0)
             assert abs(s["f_prime"][i] - ref1) < 1e-12 * max(scale, 1.0)
             assert abs(s["f"][i] - ref0) < 1e-12 * max(scale, 1.0)
@@ -215,8 +215,9 @@ def test_sample_matches_evaluators_in_every_regime(boundary, rho, n_modes):
                         1.0 - rng.uniform(0.0, 0.02, 8)])   # the fast kernels peak at T
     s = sig.sample(t)
     dense = sig.sample(np.linspace(0.0, 1.0, 2001))
-    for key, exact in (("f_second", sig.curvature), ("f_prime", sig.slope),
-                       ("f", sig.value)):
+    for key, exact in (("f_second", sig.curvature),
+                       ("f_prime", lambda t: mp.re(sig.convolve(0, 0, t))),
+                       ("f", lambda t: mp.re(sig.convolve(1, 0, t)))):
         scale = float(np.max(np.abs(dense[key])))
         for i, ti in enumerate(t):
             assert abs(s[key][i] - float(exact(mp.mpf(ti)))) <= 1e-12 * scale, (key, ti)
@@ -230,8 +231,8 @@ def test_control_is_flat_at_both_ends(boundary, rho, n_modes):
     sig = acceptance_control(boundary, rho, n_modes)
     floor = mp.mpf(2) ** -200 * sig.term_scale_bound()
     for t in (0, sig.horizon):
-        assert abs(sig.value(t)) < floor, ("f", t)
-        assert abs(sig.slope(t)) < floor, ("f'", t)
+        assert abs(mp.re(sig.convolve(1, 0, t))) < floor, ("f", t)
+        assert abs(mp.re(sig.convolve(0, 0, t))) < floor, ("f'", t)
 
 
 def test_sample_reuses_one_proxy_per_control():

@@ -1,4 +1,5 @@
 """Eigenstructure: regimes, branch ratios, collisions, boundary traces."""
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,6 @@ from beamctl.spectrum import (
     BeamConfig,
     Boundary,
     DampingRegime,
-    boundary_trace_coefficients,
     branch_ratio,
     branch_ratio_exact,
     classify_damping,
@@ -109,24 +109,26 @@ def test_collision_detection_irrational_is_empty():
 
 
 def test_dirichlet_traces_alternate():
+    traces = BeamConfig(Boundary.DIRICHLET, Fraction(1), 4, Fraction(1)).spectrum.traces
+    assert len(traces) == 4             # slots are modes 1..4: no zero mode
     with mp.workprec(300):
-        traces = boundary_trace_coefficients(Boundary.DIRICHLET, 4, 256)
         base = mp.sqrt(2 / mp.pi)
         for n in range(1, 5):
             expect = base / n * (1 if n % 2 == 1 else -1)
-            assert abs(traces.coefficient(n) - expect) < mp.mpf(2) ** -240
-        assert traces.zero_mode is None
+            assert abs(traces[n - 1] - expect) < mp.mpf(2) ** -240
 
 
 def test_neumann_traces_even_modes_vanish():
+    # slot n holds cosine mode n, the constant mode 0 first
+    traces = BeamConfig(Boundary.NEUMANN, Fraction(1), 4, Fraction(1)).spectrum.traces
+    assert len(traces) == 5
     with mp.workprec(300):
-        traces = boundary_trace_coefficients(Boundary.NEUMANN, 4, 256)
-        assert traces.coefficient(2) == 0
-        assert traces.coefficient(4) == 0
+        assert traces[2] == 0
+        assert traces[4] == 0
         base = mp.sqrt(2 / mp.pi)
-        assert abs(traces.coefficient(1) + 2 * base) < mp.mpf(2) ** -240
-        assert abs(traces.coefficient(3) + 2 * base / 9) < mp.mpf(2) ** -240
-        assert abs(traces.zero_mode - mp.pi ** mp.mpf("1.5") / 2) < mp.mpf(2) ** -240
+        assert abs(traces[1] + 2 * base) < mp.mpf(2) ** -240
+        assert abs(traces[3] + 2 * base / 9) < mp.mpf(2) ** -240
+        assert abs(traces[0] - mp.pi ** mp.mpf("1.5") / 2) < mp.mpf(2) ** -240
 
 
 def test_gap_statistics_underdamped():
@@ -151,6 +153,40 @@ def test_gap_minimum_is_the_smallest_consecutive_gap(rho):
             vals = [getattr(e, branch) for e in eigs]
             every = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
             assert gap == float(every)
+
+
+def test_gap_statistics_single_mode():
+    # no consecutive gaps; the merged gap is |lambda_1^+ - lambda_1^-|: sqrt 3
+    # for the conjugate pair at rho = 1, 0 at the double root, r - 1/r = sqrt 5
+    # at rho = 3
+    for rho, gap in ((Fraction(1), 3 ** 0.5), (Fraction(2), 0.0), (Fraction(3), 5 ** 0.5)):
+        stats = gap_statistics(rho, 1, 256)
+        assert stats.min_gap_plus is None and stats.min_gap_minus is None
+        assert stats.consecutive_gaps_plus == stats.consecutive_gaps_minus == ()
+        assert abs(stats.merged_min_gap - gap) < 1e-12
+        assert stats.merged_min_pair == ((1, "+"), (1, "-"))
+    with pytest.raises(ValueError):
+        gap_statistics(Fraction(1), 0)
+
+
+def test_spectrum_is_built_once_per_config():
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(5, 2), 3, Fraction(1), 128)
+    spec = cfg.spectrum
+    assert cfg.spectrum is spec
+    assert [e.n for e in spec.eigenvalues] == [1, 2, 3]
+    assert spec.eigenvalues[1] == mode_eigenvalues(Fraction(5, 2), 2, 128)
+    assert len(spec.traces) == 4                # the Neumann x_0 first
+    assert spec.ratio_exact == Fraction(2)
+    assert spec.roots(0) == (0, 0)
+    assert spec.roots(2) == (spec.eigenvalues[1].lambda_plus, spec.eigenvalues[1].lambda_minus)
+    # a precision rung is a new config with its own spectrum at its own precision
+    rung = replace(cfg, precision_bits=256)
+    assert rung.spectrum is not spec
+    assert rung.spectrum.traces[1] != spec.traces[1]
+    assert abs(rung.spectrum.traces[1] - spec.traces[1]) < mp.mpf(2) ** -120
+    # underdamped and critical beams have no branch ratio; rho = 3's is irrational
+    for rho in (Fraction(1), Fraction(2), Fraction(3)):
+        assert BeamConfig(Boundary.DIRICHLET, rho, 2, Fraction(1)).spectrum.ratio_exact is None
 
 
 def test_gap_statistics_irrational_ratio_has_no_collisions():

@@ -157,6 +157,26 @@ def test_oracle_steps_report_the_cap():
     assert used == ORACLE_STEP_CAP == 200000
 
 
+def test_experiment_computes_the_spectrum_once(monkeypatch):
+    # Dirichlet rho = 3, 10 modes, mode 1 value 1, mode 2 velocity 0.2,
+    # mode 3 value 0.3: assembly, its free flow, the closed-form final state
+    # and the oracle all read one spectrum per precision rung
+    from beamctl import spectrum
+
+    calls, built = [], []
+    eigenvalues, make = spectrum.mode_eigenvalues, spectrum.Spectrum
+    monkeypatch.setattr(spectrum, "mode_eigenvalues",
+                        lambda *args: calls.append(args[1]) or eigenvalues(*args))
+    monkeypatch.setattr(spectrum, "Spectrum", lambda *args: built.append(1) or make(*args))
+    config = BeamConfig(Boundary.DIRICHLET, Fraction(3), 10, Fraction(1), 256)
+    state0 = ModalState.dirichlet(values=(1, 0, "0.3") + (0,) * 7,
+                                  velocities=(0, "0.2") + (0,) * 8)
+    report = verification.null_control_experiment(config, state0)
+    assert report.synthesis.precision_trace == (256,)
+    assert calls == list(range(1, 11))
+    assert len(built) == 1
+
+
 def test_experiment_reports_oracle_steps():
     state0 = ModalState.dirichlet(values=(1, 0), velocities=(0, "0.3"))
     report = null_control_experiment(small_config(), state0, tolerance=1e-6)
