@@ -22,9 +22,9 @@ e^(nu t) the caller supplies, by a stable series for small |nu t| and by the
 usual recursion in d otherwise.  Gram entries and the convolutions of f''
 against (t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope
 f', the signal f and the modal Duhamel response are all sums of M_d.  The
-Gram matrix (synthesis.gram_matrix) shares each rate's exponential and
-each rate pair's moments across entries; gram_entry computes one entry on
-its own and is the per-entry reference for it.
+Gram matrix (synthesis.gram_matrix) takes each kernel as Re or Im of one
+rate's term (Kernel.real_form): one moment pair per rate pair, where
+gram_entry, the per-entry reference, sums the products of all parts.
 
 The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
 per signal, built from extended-precision values at Chebyshev-Lobatto nodes
@@ -68,13 +68,14 @@ SIGNALS = ("f", "f_prime", "f_second")    # ControlSignal.sample's keys, in prox
 # kernel kind -> the parameters it takes, in descriptor order
 _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",),
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
+_HALF = mp.mpf(0.5)         # power_exp_moments' series bound, built once (exact at any precision)
 
 
 def power_exp_moments(d: int, nu, t, e_nut) -> list:
     """[M_0, ..., M_d](nu, t), M_j = int_0^t w^j e^(nu w) dw, given e_nut = e^(nu t).
 
-    The one M_d calculus, at the current working precision.  Series when
-    |nu t| < 1/2 (covers nu = 0 exactly); otherwise the recursion
+    The one M_d calculus, for an mpf t at the current working precision.
+    Series when |nu t| < 1/2 (covers nu = 0 exactly); otherwise the recursion
     M_j = (t^j e^(nu t) - j M_(j-1)) / nu seeded with M_0 = (e^(nu t) - 1) / nu.
     That seed loses log2(|e^(nu t)| / |e^(nu t) - 1|) bits, a few for the
     damped rates (Re nu < 0) of this problem, well inside GUARD_BITS.
@@ -82,10 +83,9 @@ def power_exp_moments(d: int, nu, t, e_nut) -> list:
     """
     if d < 0:
         raise ValueError("moment order must be nonnegative")
-    t = mp.mpf(t)
     if t == 0:
         return [mp.mpf(0)] * (d + 1)
-    if abs(nu) * t < mp.mpf("0.5"):
+    if abs(nu) * t < _HALF:
         return [_series_moment(j, nu, t) for j in range(d + 1)]
     out = [(e_nut - 1) / nu]
     tp = mp.mpf(1)
@@ -110,11 +110,8 @@ def _series_moment(d: int, nu, t):
 
 
 def power_exp_moment(d: int, nu, t):
-    """M_d(nu, t) = int_0^t w^d e^(nu w) dw at the current working precision.
-
-    One moment with its own exponential; see power_exp_moments.
-    """
-    return power_exp_moments(d, nu, t, mp.exp(nu * mp.mpf(t)))[d]
+    """M_d(nu, t) with its own exponential, at the working precision; see power_exp_moments."""
+    return power_exp_moments(d, nu, mp.mpf(t), mp.exp(nu * mp.mpf(t)))[d]
 
 
 @dataclass(frozen=True)
@@ -135,23 +132,26 @@ class Kernel:
             raise ValueError(f"{self.kind} kernel takes {' and '.join(wanted) or 'no parameters'}"
                              f", got {' and '.join(given) or 'none'}")
 
-    def exponential_parts(self, horizon) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
-        """(coefficient, power, rate) terms of sum a u^p e^(lam u), u = T - s."""
-        T = to_mpf(horizon)
-        if self.kind == "const":
-            return ((mp.mpf(1), 0, mp.mpf(0)),)
+    def real_form(self, horizon) -> Tuple[mp.mpc, bool, Tuple[Tuple[mp.mpf, int], ...]]:
+        """(rate, imaginary, ((c, p), ...)): the kernel is Re, or Im if imaginary,
+        of sum c u^p e^(rate u), u = T - s, with real c; one rate per kernel."""
+        if self.kind in ("expcos", "expsin"):
+            return mp.mpc(self.decay, self.freq), self.kind == "expsin", ((1, 0),)
         if self.kind == "linear":
-            return ((T, 0, mp.mpf(0)), (mp.mpf(-1), 1, mp.mpf(0)))
-        if self.kind == "exp":
-            return ((mp.mpf(1), 0, mp.mpf(self.rate)),)
-        if self.kind == "polyexp":
-            return ((mp.mpf(1), 1, mp.mpf(self.rate)),)
-        lam = mp.mpc(self.decay, self.freq)
-        conj = mp.mpc(self.decay, -self.freq)
-        if self.kind == "expcos":
-            return ((mp.mpf("0.5"), 0, lam), (mp.mpf("0.5"), 0, conj))
-        # expsin: sin(x) = (e^(ix) - e^(-ix)) / (2i)
-        return ((mp.mpc(0, "-0.5"), 0, lam), (mp.mpc(0, "0.5"), 0, conj))
+            return mp.mpf(0), False, ((to_mpf(horizon), 0), (-1, 1))
+        rate = mp.mpf(0 if self.rate is None else self.rate)
+        return rate, False, ((1, int(self.kind == "polyexp")),)
+
+    def exponential_parts(self, horizon) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
+        """(coefficient, power, rate) terms of sum a u^p e^(lam u), u = T - s:
+        the real form, with Re z = (z + conj z) / 2 and Im z = (z - conj z) / (2i)
+        splitting a complex rate's term over the rate and its conjugate."""
+        lam, imag, poly = self.real_form(horizon)
+        if mp.im(lam) == 0:
+            return tuple((mp.mpf(c), p, lam) for c, p in poly)
+        a = mp.mpc(0, -0.5) if imag else mp.mpf(0.5)
+        return tuple(part for c, p in poly
+                     for part in ((c * a, p, lam), (c * mp.conj(a), p, mp.conj(lam))))
 
     def descriptor(self, precision_bits: int) -> dict:
         """JSON-ready description with decimal-string parameters."""

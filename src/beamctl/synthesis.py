@@ -8,10 +8,10 @@ integration in closed form (the two flatness rows guarantee f(T) = f'(T) = 0,
 and f(0) = f'(0) = 0 by construction).
 
 The Gram matrix of nearly dependent kernels is famously ill conditioned;
-entries are computed in closed form at extended precision, from per-rate
-exponentials and per-rate-pair M_d moments, each computed once and shared
-by the entries that need it, and factored by a Cholesky routine that
-watches its own pivots.  A pivot collapsing below
+entries are computed in closed form at extended precision, real by
+construction, from one exponential per rate and one moment pair per rate
+pair, and factored, scaled to unit diagonal, on exact integer dot products
+by a Cholesky routine that watches its own pivots.  A pivot collapsing below
 2^(-precision_bits/2) of the largest one seen means the matrix has lost
 definiteness at the working precision: the solver then reassembles
 everything at doubled precision, up to PRECISION_CEILING bits, or gives up
@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from math import isqrt
+from operator import mul
+from typing import Sequence, Tuple
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, decimal_str, strip_imag, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import NumericalRankDeficiency
 from .kernels import ControlSignal, power_exp_moments
 from .moment_problem import MomentSystem
@@ -47,52 +49,48 @@ PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
 def gram_matrix(system: MomentSystem) -> mp.matrix:
     """Symmetric Gram matrix of the system's kernels over [0, horizon].
 
-    Entry (i, j) is sum a conj(b) M_(p+q)(lam + conj(mu), T) over the
-    kernels' exponential parts (a, p, lam) and (b, q, mu), as in gram_entry,
-    but each distinct rate's e^(lam T) is computed once, and each rate pair's
-    moments once per row group: the rows that share one rate set, such as
-    the cos and sin rows of an underdamped mode.  The moment cache is
-    cleared when the row's rate set changes, so it stays one group deep.
+    Each kernel is Re, or Im, of one term P(u) e^(lam u), P a real polynomial
+    (Kernel.real_form).  By Re x Re y = Re(x y + x conj y) / 2 and its Im
+    analogues an entry is half a sum or difference of Re or Im parts of
+    S+ = sum c d M_(p+q)(lam + mu, T) and of S-, that sum at lam + conj(mu):
+    real by construction.  Each rate's e^(lam T), each rate pair's two moment sets
+    (one for real mu) and each term pair's four entries are computed once.
+    gram_entry is the per-entry reference.
     """
     bits = system.config.precision_bits
-    n = system.n_rows
     with mp.workprec(bits + GUARD_BITS):
         T = to_mpf(system.config.horizon)
-        index = {}          # rate -> position in rates
-        rates = []          # [lam, e^(lam T), highest power of u with this rate]
-        rows = []           # per kernel: ((a, p, rate position), ...)
+        rates = {}      # rate -> [position, highest power of u]
+        terms = {}      # (rate position, ((c, p), ...)) -> position
+        rows = []       # per kernel: (term position, 1 for an Im part, 0 for Re)
         for kernel in system.kernels:
-            parts = []
-            for a, p, lam in kernel.exponential_parts(T):
-                r = index.get(lam)
-                if r is None:
-                    r = index[lam] = len(rates)
-                    rates.append([lam, mp.exp(lam * T), p])
-                rates[r][2] = max(rates[r][2], p)
-                parts.append((a, p, r))
-            rows.append(tuple(parts))
-
-        G = mp.matrix(n, n)
-        moments = {}        # (r, s) -> [M_0, ...](lam_r + conj(lam_s), T)
-        group = None
-        for i in range(n):
-            rate_set = {r for _, _, r in rows[i]}
-            if rate_set != group:
-                group = rate_set
-                moments.clear()
-            for j in range(i, n):
-                total = mp.mpf(0)
-                for a, p, r in rows[i]:
-                    for b, q, s in rows[j]:
-                        m = moments.get((r, s))
-                        if m is None:
-                            lam, e_lam, top_r = rates[r]
-                            mu, e_mu, top_s = rates[s]
-                            m = moments[r, s] = power_exp_moments(
-                                top_r + top_s, lam + mp.conj(mu), T, e_lam * mp.conj(e_mu))
-                        total += a * mp.conj(b) * m[p + q]
-                G[i, j] = G[j, i] = strip_imag(total, bits)
-        return G
+            lam, imag, poly = kernel.real_form(T)
+            rate = rates.setdefault(lam, [len(rates), 0])
+            rate[1] = max(rate[1], *(p for _, p in poly))
+            rows.append((terms.setdefault((rate[0], poly), len(terms)), int(imag)))
+        rates = [(lam, mp.exp(lam * T), top) for lam, (_, top) in rates.items()]
+        terms = list(terms)
+        moments = {}    # (r, s) -> ([M_d(lam_r + lam_s, T)], [M_d(lam_r + conj(lam_s), T)])
+        table = [[None] * len(terms) for _ in terms]    # [u][v][2 a + b], a, b as in rows
+        for u, (r, P) in enumerate(terms):
+            for v in range(u, len(terms)):
+                s, Q = terms[v]
+                if (r, s) not in moments:
+                    (lam, e_lam, top_r), (mu, e_mu, top_s) = rates[r], rates[s]
+                    plus = power_exp_moments(top_r + top_s, lam + mu, T, e_lam * e_mu)
+                    moments[r, s] = plus, plus if mp.im(mu) == 0 else power_exp_moments(
+                        top_r + top_s, lam + mp.conj(mu), T, e_lam * mp.conj(e_mu))
+                m1, m2 = moments[r, s]
+                sp = sum(c * e * m1[p + q] for c, p in P for e, q in Q)
+                if m2 is m1:        # real mu: S- = S+, and mu's kernels have no Im row
+                    table[u][v], table[v][u] = (sp.real, None, sp.imag, None), (sp.real, sp.imag)
+                    continue
+                sp, sm = sp / 2, sum(c * e * m2[p + q] for c, p in P for e, q in Q) / 2
+                re_re, im_im = sp.real + sm.real, sm.real - sp.real
+                re_im, im_re = sp.imag - sm.imag, sp.imag + sm.imag
+                table[u][v] = (re_re, re_im, im_re, im_im)
+                table[v][u] = (re_re, im_re, re_im, im_im)
+        return mp.matrix([[table[u][v][2 * a + b] for v, b in rows] for u, a in rows])
 
 
 def cholesky_factor(G: mp.matrix, precision_bits: int):
@@ -101,39 +99,42 @@ def cholesky_factor(G: mp.matrix, precision_bits: int):
     Returns (L, condition_estimate) where the estimate is the ratio of the
     largest to the smallest squared diagonal pivot.  Raises
     NumericalRankDeficiency the moment a pivot drops below
-    2^(-precision_bits/2) of the largest pivot seen (or goes nonpositive):
-    past that point the factor digits are noise, not information.
+    2^(-precision_bits/2) of the largest pivot seen (or goes nonpositive),
+    or at a diagonal entry that is not positive and finite: past that point
+    the factor digits are noise, not information.
 
-    Row by row on plain lists, each entry one exactly summed dot product
-    (mp.fdot), so a failing rung stops after the rows above its pivot.
+    Row by row, so a failing rung stops after the rows above its pivot, on
+    D^(-1/2) G D^(-1/2), D = diag(G): its factor H has entries in [-1, 1],
+    held as integers times 2^P, P = precision_bits + GUARD_BITS, and each is
+    one exact integer dot product and one rounded division.  The pivot tests
+    see the unscaled pivots; L = D^(1/2) H comes back as mpf.
     """
     n = G.rows
     threshold = mp.mpf(2) ** (-(precision_bits // 2))
-    with mp.workprec(precision_bits + GUARD_BITS):
+    P = precision_bits + GUARD_BITS
+    with mp.workprec(P):
         A = G.tolist()
-        rows = []
-        max_piv: Optional[mp.mpf] = None
-        min_piv: Optional[mp.mpf] = None
+        roots, rows, pivots = [], [], []    # sqrt(G_jj); rows of H times 2^P; pivots
         for j in range(n):
+            d = A[j][j]
+            if not (d > 0 and mp.isfinite(d)):
+                raise NumericalRankDeficiency(j, float(d / max(pivots, default=1)), precision_bits)
+            roots.append(mp.sqrt(d))
             row = []
             for k in range(j):
-                row.append((A[j][k] - mp.fdot(row, rows[k][:k])) / rows[k][k])
-            s = A[j][j] - mp.fdot(row, row)
-            if max_piv is None:
-                ratio = mp.mpf(1)
-            else:
-                ratio = s / max_piv
+                dot = int(mp.ldexp(A[j][k] / (roots[j] * roots[k]), 2 * P)) \
+                    - sum(map(mul, row, rows[k]))
+                row.append((2 * dot + rows[k][k]) // (2 * rows[k][k]))
+            h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
+            s = mp.ldexp(h, -2 * P) * d
+            ratio = s / max(pivots) if pivots else mp.mpf(1)
             if s <= 0 or ratio < threshold:
                 raise NumericalRankDeficiency(j, float(ratio), precision_bits)
-            max_piv = s if max_piv is None else max(max_piv, s)
-            min_piv = s if min_piv is None else min(min_piv, s)
-            row.append(mp.sqrt(s))
-            rows.append(row)
-        L = mp.matrix(n, n)
-        for i, row in enumerate(rows):
-            for k, v in enumerate(row):
-                L[i, k] = v
-        return L, float(max_piv / min_piv)
+            pivots.append(s)
+            rows.append(row + [isqrt(h)])
+        L = mp.matrix([[roots[i] * mp.ldexp(row[k], -P) if k <= i else 0 for k in range(n)]
+                       for i, row in enumerate(rows)])
+        return L, float(max(pivots) / min(pivots))
 
 
 def _solve_cholesky(L: list, rhs: Sequence, precision_bits: int) -> list:
@@ -240,8 +241,7 @@ def biorthogonal_family(system: MomentSystem):
     """
     bits = system.config.precision_bits
     G = gram_matrix(system)
-    L, _ = cholesky_factor(G, bits)
-    L = L.tolist()
+    L = cholesky_factor(G, bits)[0].tolist()
     n = G.rows
     controls = []
     norms = []

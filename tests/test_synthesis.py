@@ -195,6 +195,52 @@ def test_cholesky_rejects_singular_matrix():
         assert info.value.pivot_index == 1
 
 
+@pytest.mark.parametrize("diagonal, index", [
+    ((0, 1), 0), ((1, 0), 1), ((1, -1), 1), ((1, "nan"), 1), ((1, "inf"), 1),
+], ids=["zero-first", "zero-second", "negative", "nan", "inf"])
+def test_cholesky_rejects_bad_diagonal(diagonal, index):
+    with mp.workprec(128):
+        G = mp.matrix([[diagonal[0], 0], [0, diagonal[1]]])
+        with pytest.raises(NumericalRankDeficiency) as info:
+            cholesky_factor(G, 128)
+        assert info.value.pivot_index == index
+
+
+def test_cholesky_reconstructs_badly_scaled_matrix():
+    """D A D with A_ij = 2^-|i-j| and D_ii from 2^-100 up to 2^100, so the
+    diagonal spans 2^-200 .. 2^200; rising pivots pass the ratio test, and
+    the reconstruction meets test_cholesky_reconstructs_gram's bound
+    relative to sqrt(G_ii G_jj)."""
+    scale = [mp.mpf(2) ** e for e in (-100, -60, -20, 20, 60, 100)]
+    m = len(scale)
+    with mp.workprec(320):
+        G = mp.matrix([[scale[i] * scale[j] * mp.mpf(2) ** -abs(i - j) for j in range(m)]
+                       for i in range(m)])
+        L, cond = cholesky_factor(G, 256)
+        for i in range(m):
+            for j in range(m):
+                s = mp.fsum(L[i, k] * L[j, k] for k in range(min(i, j) + 1))
+                assert abs(s - G[i, j]) < mp.mpf(2) ** -200 * mp.sqrt(G[i, i] * G[j, j]), (i, j)
+        assert cond >= 1
+
+
+@pytest.mark.parametrize("rho, per_pair", [(Fraction(1), 2), (Fraction(3), 1)],
+                         ids=["rho1-underdamped", "rho3-real"])
+def test_gram_moment_sets_per_rate_pair(monkeypatch, rho, per_pair):
+    """Two moment sets, M(lam + mu) and M(lam + conj(mu)), per unordered rate
+    pair at most, and one where the rates are real."""
+    cfg = BeamConfig(Boundary.DIRICHLET, rho, 6, Fraction(1), 128)
+    system = assemble(cfg, decaying_data(Boundary.DIRICHLET, 6))
+    calls = []
+    moments = synthesis.power_exp_moments
+    monkeypatch.setattr(synthesis, "power_exp_moments",
+                        lambda *args: calls.append(args) or moments(*args))
+    gram_matrix(system)
+    with mp.workprec(128 + GUARD_BITS):
+        rates = len({k.real_form(1)[0] for k in system.kernels})
+    assert 0 < len(calls) <= per_pair * rates * (rates + 1) // 2
+
+
 def test_solver_reproduces_targets():
     system = small_system()
     report = solve_min_norm(system)
