@@ -23,8 +23,8 @@ usual recursion in d otherwise.  Gram entries and the convolutions of f''
 against (t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope
 f', the signal f and the modal Duhamel response are all sums of M_d.  The
 Gram matrix (synthesis.gram_matrix) takes each kernel as Re or Im of one
-rate's term (Kernel.real_form): one moment pair per rate pair, where
-gram_entry, the per-entry reference, sums the products of all parts.
+rate's term (Kernel.real_form), one moment pair per rate pair, in fixed point
+but for the series; gram_entry, the per-entry reference, sums all products.
 
 The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
 per signal, built from extended-precision values at Chebyshev-Lobatto nodes
@@ -75,7 +75,8 @@ def power_exp_moments(d: int, nu, t, e_nut) -> list:
     """[M_0, ..., M_d](nu, t), M_j = int_0^t w^j e^(nu w) dw, given e_nut = e^(nu t).
 
     The one M_d calculus, for an mpf t at the current working precision.
-    Series when |nu t| < 1/2 (covers nu = 0 exactly); otherwise the recursion
+    Series when |nu t| < 1/2 (covers nu = 0 exactly; abs(nu) only once
+    max(|Re nu|, |Im nu|) t, never rounded above it, is below 1/2); otherwise
     M_j = (t^j e^(nu t) - j M_(j-1)) / nu seeded with M_0 = (e^(nu t) - 1) / nu.
     That seed loses log2(|e^(nu t)| / |e^(nu t) - 1|) bits, a few for the
     damped rates (Re nu < 0) of this problem, well inside GUARD_BITS.
@@ -85,7 +86,7 @@ def power_exp_moments(d: int, nu, t, e_nut) -> list:
         raise ValueError("moment order must be nonnegative")
     if t == 0:
         return [mp.mpf(0)] * (d + 1)
-    if abs(nu) * t < _HALF:
+    if max(abs(nu.real), abs(nu.imag)) * t < _HALF and abs(nu) * t < _HALF:
         return [_series_moment(j, nu, t) for j in range(d + 1)]
     out = [(e_nut - 1) / nu]
     tp = mp.mpf(1)

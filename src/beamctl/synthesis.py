@@ -8,23 +8,28 @@ integration in closed form (the two flatness rows guarantee f(T) = f'(T) = 0,
 and f(0) = f'(0) = 0 by construction).
 
 The Gram matrix of nearly dependent kernels is famously ill conditioned;
-entries are computed in closed form at extended precision, real by
-construction, from one exponential per rate and one moment pair per rate
-pair, and factored, scaled to unit diagonal, on exact integer dot products
-by a Cholesky routine that watches its own pivots.  A pivot collapsing below
-2^(-precision_bits/2) of the largest one seen means the matrix has lost
-definiteness at the working precision: the solver then reassembles
-everything at doubled precision, up to PRECISION_CEILING bits, or gives up
-with a quantitative report.  There is no approximate fallback: a returned
-control meets its moment targets to the working precision.
+entries are computed in closed form, real by construction, from one
+exponential per rate and one moment pair per rate pair, and factored, scaled
+to unit diagonal, by a Cholesky routine that watches its own pivots.  A pivot
+collapsing below 2^(-precision_bits/2) of the largest one seen means the
+matrix has lost definiteness at the working precision: the solver then
+reassembles everything at doubled precision, up to PRECISION_CEILING bits,
+or gives up with a quantitative report.  There is no approximate fallback: a
+returned control meets its moment targets to the working precision.
+
+All of it runs on integers with a fixed binary point (FixedMatrix), F
+fraction bits in the Gram (_gram_scale) and precision_bits + GUARD_BITS in
+its unit-diagonal factor; mpf stays at the edges: each rate's e^(lam T), the
+series moments of rate pairs with |nu T| < 1/2, the returned coefficients.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from math import isqrt
 from operator import mul
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
@@ -35,6 +40,7 @@ from .moment_problem import MomentSystem
 
 __all__ = [
     "PRECISION_CEILING",
+    "FixedMatrix",
     "SynthesisReport",
     "gram_matrix",
     "cholesky_factor",
@@ -46,109 +52,172 @@ __all__ = [
 PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
 
 
-def gram_matrix(system: MomentSystem) -> mp.matrix:
+def _fixed(x, scale: int) -> int:
+    """x 2^scale, rounded toward zero, for a finite mpf x."""
+    return int(mp.ldexp(x, scale))
+
+
+def _quotient(a: int, b: int) -> float:
+    """a / b, b > 0, correctly rounded to float, or an infinity past its range."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.copysign(math.inf, a)
+
+
+@dataclass(frozen=True)
+class FixedMatrix:
+    """Integer rows with a binary point: M[j, k] is ints[j][k] / 2^scale as an
+    mpf at the working precision, 0 past the end of a factor's row, which
+    stops at the diagonal; M.rows is the order, as for an mp.matrix."""
+
+    ints: Tuple[Tuple[int, ...], ...]
+    scale: int
+    rows = property(lambda self: len(self.ints))
+
+    def __getitem__(self, jk):
+        row, k = self.ints[jk[0]], jk[1]
+        return mp.ldexp(row[k], -self.scale) if k < len(row) else mp.mpf(0)
+
+
+def _gram_scale(system: MomentSystem) -> int:
+    """Fraction bits of a system's Gram: precision_bits + GUARD_BITS + 16, the
+    bits below the smallest G_jj >= w^2 min(h, h^3) / 10 (each kernel keeps a
+    share of its value near u = 0 on [0, h], h = min(T, 1/(2 max |lam|)),
+    w = min(1, least expsin frequency)) and 3 log2(2T) for divisions by nu."""
+    rates = [complex(float(k.rate or k.decay or 0), float(k.freq or 0)) for k in system.kernels]
+    w = min([1.0] + [r.imag for r, k in zip(rates, system.kernels) if k.kind == "expsin"])
+    log_t = math.log2(system.config.horizon)
+    log_h = min(log_t, -math.log2(2 * max(map(abs, rates)) or 1e-300))
+    floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
+    return (system.config.precision_bits + GUARD_BITS + 16 + math.ceil(max(0.0, -floor))
+            + 3 * max(0, math.ceil(log_t + 1)))
+
+
+def _moment_set(d: int, one, other, t: int, scale: int) -> list:
+    """[M_0, ..., M_d](lam + mu, T) as pairs (re, im), from rates one and other
+    as (Re lam, Im lam, Re e^(lam T), Im e^(lam T)) and t = T, all times
+    2^scale.  |nu T| < 1/2, decided on integers, goes to power_exp_moments'
+    series; otherwise its recursion runs here, dividing through |nu|^2."""
+    (a, b, x, y), (a2, b2, x2, y2) = one, other
+    a, b = a + a2, b + b2
+    x, y = (x * x2 - y * y2) >> scale, (x * y2 + y * x2) >> scale
+    n2 = a * a + b * b
+    if 4 * n2 * t * t < 1 << 4 * scale:
+        mpc = [mp.mpc(mp.ldexp(re, -scale), mp.ldexp(im, -scale)) for re, im in ((a, b), (x, y))]
+        moments = power_exp_moments(d, mpc[0], mp.ldexp(t, -scale), mpc[1])
+        return [(_fixed(mp.re(m), scale), _fixed(mp.im(m), scale)) for m in moments]
+    out, p, q, tp = [], x - (1 << scale), y, 1 << scale
+    for j in range(d + 1):
+        if j:
+            tp = tp * t >> scale
+            p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
+        out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+    return out
+
+
+def gram_matrix(system: MomentSystem) -> FixedMatrix:
     """Symmetric Gram matrix of the system's kernels over [0, horizon].
 
     Each kernel is Re, or Im, of one term P(u) e^(lam u), P a real polynomial
     (Kernel.real_form).  By Re x Re y = Re(x y + x conj y) / 2 and its Im
     analogues an entry is half a sum or difference of Re or Im parts of
     S+ = sum c d M_(p+q)(lam + mu, T) and of S-, that sum at lam + conj(mu):
-    real by construction.  Each rate's e^(lam T), each rate pair's two moment sets
-    (one for real mu) and each term pair's four entries are computed once.
-    gram_entry is the per-entry reference.
+    real by construction.  Each rate's e^(lam T), each rate pair's two moment
+    sets (one for real mu) and each term pair's entries are computed once.
     """
-    bits = system.config.precision_bits
-    with mp.workprec(bits + GUARD_BITS):
-        T = to_mpf(system.config.horizon)
+    F = _gram_scale(system)
+    with mp.workprec(F + 16):
+        T, den = to_mpf(system.config.horizon), system.config.horizon.denominator
         rates = {}      # rate -> [position, highest power of u]
-        terms = {}      # (rate position, ((c, p), ...)) -> position
+        terms = {}      # (rate position, ((c den, p), ...)) -> position, den = T's denominator
         rows = []       # per kernel: (term position, 1 for an Im part, 0 for Re)
         for kernel in system.kernels:
             lam, imag, poly = kernel.real_form(T)
             rate = rates.setdefault(lam, [len(rates), 0])
             rate[1] = max(rate[1], *(p for _, p in poly))
+            poly = tuple((int(mp.nint(c * den)), p) for c, p in poly)   # c is 1, -1 or T
             rows.append((terms.setdefault((rate[0], poly), len(terms)), int(imag)))
-        rates = [(lam, mp.exp(lam * T), top) for lam, (_, top) in rates.items()]
-        terms = list(terms)
+        fixed = [tuple(_fixed(part(z), F) for z in (lam, mp.exp(lam * T))
+                       for part in (mp.re, mp.im)) for lam in rates]
+        top, terms, t = [top for _, top in rates.values()], list(terms), _fixed(T, F)
         moments = {}    # (r, s) -> ([M_d(lam_r + lam_s, T)], [M_d(lam_r + conj(lam_s), T)])
-        table = [[None] * len(terms) for _ in terms]    # [u][v][2 a + b], a, b as in rows
-        for u, (r, P) in enumerate(terms):
-            for v in range(u, len(terms)):
-                s, Q = terms[v]
-                if (r, s) not in moments:
-                    (lam, e_lam, top_r), (mu, e_mu, top_s) = rates[r], rates[s]
-                    plus = power_exp_moments(top_r + top_s, lam + mu, T, e_lam * e_mu)
-                    moments[r, s] = plus, plus if mp.im(mu) == 0 else power_exp_moments(
-                        top_r + top_s, lam + mp.conj(mu), T, e_lam * mp.conj(e_mu))
-                m1, m2 = moments[r, s]
-                sp = sum(c * e * m1[p + q] for c, p in P for e, q in Q)
-                if m2 is m1:        # real mu: S- = S+, and mu's kernels have no Im row
-                    table[u][v], table[v][u] = (sp.real, None, sp.imag, None), (sp.real, sp.imag)
-                    continue
-                sp, sm = sp / 2, sum(c * e * m2[p + q] for c, p in P for e, q in Q) / 2
-                re_re, im_im = sp.real + sm.real, sm.real - sp.real
-                re_im, im_re = sp.imag - sm.imag, sp.imag + sm.imag
-                table[u][v] = (re_re, re_im, im_re, im_im)
-                table[v][u] = (re_re, im_re, re_im, im_im)
-        return mp.matrix([[table[u][v][2 * a + b] for v, b in rows] for u, a in rows])
+        table = {}      # (u, v) -> the entries [2 a + b] of terms u, v, a and b as in rows
+        G = [[0] * len(rows) for _ in rows]
+        for i, (u, a) in enumerate(rows):
+            for j, (v, b) in enumerate(rows[i:], i):
+                if (u, v) not in table:
+                    (r, P), (s, Q) = terms[u], terms[v]
+                    if (r, s) not in moments:
+                        d, (a2, b2, x2, y2) = top[r] + top[s], fixed[s]
+                        plus = _moment_set(d, fixed[r], fixed[s], t, F)
+                        moments[r, s] = plus, plus if b2 == 0 else _moment_set(
+                            d, fixed[r], (a2, -b2, x2, -y2), t, F)
+                    sp, sm = ([sum(c * e * m[p + q][k] for c, p in P for e, q in Q)
+                               // (2 * den * den) for k in (0, 1)] for m in moments[r, s])
+                    table[u, v] = (sp[0] + sm[0], sp[1] - sm[1], sp[1] + sm[1], sm[0] - sp[0])
+                G[i][j] = G[j][i] = table[u, v][2 * a + b]
+    return FixedMatrix(tuple(map(tuple, G)), F)
 
 
-def cholesky_factor(G: mp.matrix, precision_bits: int):
+def cholesky_factor(G, precision_bits: int):
     """Lower-triangular factor of a symmetric matrix, with pivot monitoring.
 
-    Returns (L, condition_estimate) where the estimate is the ratio of the
-    largest to the smallest squared diagonal pivot.  Raises
-    NumericalRankDeficiency the moment a pivot drops below
-    2^(-precision_bits/2) of the largest pivot seen (or goes nonpositive),
-    or at a diagonal entry that is not positive and finite: past that point
-    the factor digits are noise, not information.
+    Takes a FixedMatrix or an mp.matrix and returns (L, condition_estimate),
+    L a FixedMatrix, the estimate the ratio of the largest to the smallest
+    squared pivot.  Raises NumericalRankDeficiency, past which digits are
+    noise, at a row whose pivot drops below 2^(-precision_bits/2) of the
+    largest one seen, or with a nonpositive pivot or diagonal entry or a
+    non-finite entry on or below the diagonal.
 
-    Row by row, so a failing rung stops after the rows above its pivot, on
-    D^(-1/2) G D^(-1/2), D = diag(G): its factor H has entries in [-1, 1],
-    held as integers times 2^P, P = precision_bits + GUARD_BITS, and each is
-    one exact integer dot product and one rounded division.  The pivot tests
-    see the unscaled pivots; L = D^(1/2) H comes back as mpf.
+    Row by row, so a failing rung stops at its pivot, on D^(-1/2) G D^(-1/2),
+    D = diag(G), whose factor H is held times 2^P, P = precision_bits +
+    GUARD_BITS, each entry one exact integer dot product and one rounded
+    division; L = D^(1/2) H.  Pivot tests compare h_j G_jj as integers.
     """
-    n = G.rows
-    threshold = mp.mpf(2) ** (-(precision_bits // 2))
     P = precision_bits + GUARD_BITS
-    with mp.workprec(P):
-        A = G.tolist()
-        roots, rows, pivots = [], [], []    # sqrt(G_jj); rows of H times 2^P; pivots
-        for j in range(n):
-            d = A[j][j]
-            if not (d > 0 and mp.isfinite(d)):
-                raise NumericalRankDeficiency(j, float(d / max(pivots, default=1)), precision_bits)
-            roots.append(mp.sqrt(d))
-            row = []
-            for k in range(j):
-                dot = int(mp.ldexp(A[j][k] / (roots[j] * roots[k]), 2 * P)) \
-                    - sum(map(mul, row, rows[k]))
-                row.append((2 * dot + rows[k][k]) // (2 * rows[k][k]))
-            h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
-            s = mp.ldexp(h, -2 * P) * d
-            ratio = s / max(pivots) if pivots else mp.mpf(1)
-            if s <= 0 or ratio < threshold:
-                raise NumericalRankDeficiency(j, float(ratio), precision_bits)
-            pivots.append(s)
-            rows.append(row + [isqrt(h)])
-        L = mp.matrix([[roots[i] * mp.ldexp(row[k], -P) if k <= i else 0 for k in range(n)]
-                       for i, row in enumerate(rows)])
-        return L, float(max(pivots) / min(pivots))
+    if isinstance(G, mp.matrix):    # a row non-finite up to its diagonal reads as zeros
+        A = [r if all(map(mp.isfinite, r[:j + 1])) else [0] * len(r)
+             for j, r in enumerate(G.tolist())]
+        F = P + 16 + max(0, -mp.mag(min((r[j] for j, r in enumerate(A) if r[j] > 0), default=1)))
+        G = FixedMatrix(tuple(tuple(_fixed(x, F) if mp.isfinite(x) else 0 for x in r)
+                              for r in A), F)
+    A, F = G.ints, G.scale
+    shift = max(0, 2 * (P + 16) - min((r[j].bit_length() for j, r in enumerate(A)), default=0))
+    shift += (shift + F) & 1            # R_j = sqrt(G_jj) 2^((F + shift) / 2), P + 16 bits or more
+    roots = [isqrt(max(r[j], 0) << shift) for j, r in enumerate(A)]
+    rows, pivots, top = [], [], 0       # rows of H times 2^P; h_j G_jj times 2^(2P + F)
+    for j, r in enumerate(A):
+        if r[j] <= 0:
+            raise NumericalRankDeficiency(
+                j, _quotient(r[j] << 2 * P, top or 1 << (2 * P + F)), precision_bits)
+        row = []
+        for k in range(j):
+            dot = (r[k] << (2 * P + shift)) // (roots[j] * roots[k]) - sum(map(mul, row, rows[k]))
+            row.append((2 * dot + rows[k][k]) // (2 * rows[k][k]))
+        h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
+        s = h * r[j]
+        if s <= 0 or s << precision_bits // 2 < top:
+            raise NumericalRankDeficiency(j, _quotient(s, top) if top else 1.0, precision_bits)
+        pivots.append(s)
+        top = max(top, s)
+        rows.append(row + [isqrt(h)])
+    L = FixedMatrix(tuple(tuple(R * x for x in row) for R, row in zip(roots, rows)),
+                    P + (F + shift) // 2)
+    return L, _quotient(top, min(pivots)) if pivots else 1.0
 
 
-def _solve_cholesky(L: list, rhs: Sequence, precision_bits: int) -> list:
-    """Solve L L^T x = rhs by forward and back substitution; L as row lists."""
-    n = len(L)
-    with mp.workprec(precision_bits + GUARD_BITS):
-        y = []
-        for i in range(n):
-            y.append((to_mpf(rhs[i]) - mp.fdot(L[i][:i], y)) / L[i][i])
-        x = [mp.mpf(0)] * n
-        for i in reversed(range(n)):
-            below = [L[k][i] for k in range(i + 1, n)]
-            x[i] = (y[i] - mp.fdot(below, x[i + 1:])) / L[i][i]
-        return x
+def _solve(L: FixedMatrix, targets) -> list:
+    """c with L L^T c = targets (mpf), as integers times 2^L.scale, by
+    forward and back substitution."""
+    K, n = L.scale, L.rows
+    y = []
+    for row, t in zip(L.ints, targets):
+        y.append((_fixed(t, 2 * K) - sum(map(mul, row, y))) // row[-1])
+    c = [0] * n
+    for i in reversed(range(n)):
+        c[i] = ((y[i] << K) - sum(L.ints[k][i] * c[k] for k in range(i + 1, n))) // L.ints[i][i]
+    return c
 
 
 @dataclass(frozen=True)
@@ -184,27 +253,19 @@ class SynthesisReport:
 def _attempt(system: MomentSystem) -> SynthesisReport:
     bits = system.config.precision_bits
     G = gram_matrix(system)
+    L, cond = cholesky_factor(G, bits)
     with mp.workprec(bits + GUARD_BITS):
-        L, cond = cholesky_factor(G, bits)
-        A = G.tolist()
-        c = _solve_cholesky(L.tolist(), system.targets, bits)
-        Gc = [mp.fdot(row, c) for row in A]
-        residuals = [abs(float(g - to_mpf(t))) for g, t in zip(Gc, system.targets)]
-        cost = float(mp.sqrt(max(mp.fdot(c, Gc), mp.mpf(0))))
-        control = ControlSignal(kernels=system.kernels, coefficients=tuple(c),
-                                horizon=to_mpf(system.config.horizon),
-                                precision_bits=bits)
-        return SynthesisReport(
-            system=system,
-            control=control,
-            coefficients=tuple(c),
-            cost=cost,
-            condition_estimate=cond,
-            precision_bits_used=bits,
-            precision_trace=(bits,),
-            residuals=tuple(residuals),
-            max_residual=max(residuals) if residuals else 0.0,
-        )
+        targets = [to_mpf(t) for t in system.targets]
+        c, S = _solve(L, targets), L.scale
+        Gc = [sum(map(mul, row, c)) for row in G.ints]      # times 2^(F + S)
+        residuals = [abs(_quotient(g - _fixed(t, G.scale + S), 1 << (G.scale + S)))
+                     for g, t in zip(Gc, targets)]
+        e = G.scale + 2 * S                                 # c^T G c times 2^e
+        cost = _quotient(isqrt(max(sum(map(mul, c, Gc)), 0) << (e & 1)), 1 << (e + 1) // 2)
+        coefficients = tuple(mp.ldexp(ci, -S) for ci in c)
+        control = ControlSignal(system.kernels, coefficients, to_mpf(system.config.horizon), bits)
+    return SynthesisReport(system, control, coefficients, cost, cond, bits, (bits,),
+                           tuple(residuals), max(residuals, default=0.0))
 
 
 def solve_min_norm(system: MomentSystem) -> SynthesisReport:
@@ -215,8 +276,7 @@ def solve_min_norm(system: MomentSystem) -> SynthesisReport:
     that stays within PRECISION_CEILING.  When the ladder is exhausted
     NumericalRankDeficiency propagates, carrying every precision attempted.
     """
-    trace = []
-    current = system
+    trace, current = [], system
     while True:
         bits = current.config.precision_bits
         trace.append(bits)
@@ -240,20 +300,16 @@ def biorthogonal_family(system: MomentSystem):
     index is the numerical shadow of the cost of controllability.
     """
     bits = system.config.precision_bits
-    G = gram_matrix(system)
-    L = cholesky_factor(G, bits)[0].tolist()
-    n = G.rows
-    controls = []
-    norms = []
-    T = to_mpf(system.config.horizon)
+    L = cholesky_factor(gram_matrix(system), bits)[0]
+    n = L.rows
+    controls, norms = [], []
     with mp.workprec(bits + GUARD_BITS):
+        T = to_mpf(system.config.horizon)
         for m in range(n):
-            e = [mp.mpf(1) if i == m else mp.mpf(0) for i in range(n)]
-            col = _solve_cholesky(L, e, bits)
-            controls.append(ControlSignal(kernels=system.kernels,
-                                          coefficients=tuple(col),
-                                          horizon=T, precision_bits=bits))
-            norms.append(float(mp.sqrt(max(col[m], mp.mpf(0)))))
+            col = _solve(L, [mp.mpf(int(i == m)) for i in range(n)])
+            coefficients = tuple(mp.ldexp(x, -L.scale) for x in col)
+            controls.append(ControlSignal(system.kernels, coefficients, T, bits))
+            norms.append(float(mp.sqrt(max(coefficients[m], mp.mpf(0)))))
     return tuple(controls), tuple(norms)
 
 

@@ -38,6 +38,30 @@ def test_power_exp_moment_small_rate_series_is_smooth():
             assert abs(hi - direct_hi) < mp.mpf(2) ** -230
 
 
+def test_series_branch_follows_the_abs_rule(monkeypatch):
+    """power_exp_moments tests max(|Re nu|, |Im nu|) t before |nu t|; on a
+    grid of complex and real nu around |nu t| = 1/2 it still takes the
+    series exactly when abs(nu) t < 1/2."""
+    import beamctl.kernels as kernels
+
+    calls = []
+    series = kernels._series_moment
+    monkeypatch.setattr(kernels, "_series_moment",
+                        lambda *args: calls.append(args) or series(*args))
+    with mp.workprec(128):
+        t = mp.mpf("0.7")
+        radii = [mp.mpf(r) for r in ("0.3", "0.45", "0.49", "0.51", "0.6", "0.7")]
+        radii += [mp.mpf("0.5") + k * mp.mpf(2) ** -120 for k in (-2, -1, 0, 1, 2)]
+        cases = [r / t for r in radii] + [-r / t for r in radii]
+        for k in range(24):
+            turn = mp.expjpi(mp.mpf(k) / 12)
+            cases += [turn * r / t for r in radii]
+        for nu in cases:
+            calls.clear()
+            kernels.power_exp_moments(1, nu, t, mp.exp(nu * t))
+            assert bool(calls) == (abs(nu) * t < mp.mpf(0.5)), nu
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         Kernel("wavelet")

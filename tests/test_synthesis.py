@@ -122,15 +122,18 @@ def elementwise_ladder(system):
 
 
 @pytest.mark.parametrize("bits", [96, 192, 256])
-@pytest.mark.parametrize("boundary, rho, modes", [
-    (Boundary.DIRICHLET, Fraction(1), 5),       # expcos / expsin
-    (Boundary.DIRICHLET, Fraction(2), 5),       # exp / polyexp
-    (Boundary.DIRICHLET, Fraction(3), 5),       # irrational exp rates
-    (Boundary.DIRICHLET, Fraction(5, 2), 4),    # merged collision rows
-    (Boundary.NEUMANN, Fraction(1), 5),
-], ids=["rho1", "rho2", "rho3", "rho5/2-merged", "neumann-rho1"])
-def test_gram_matrix_matches_gram_entry(boundary, rho, modes, bits):
-    cfg = BeamConfig(boundary, rho, modes, Fraction(1), bits)
+@pytest.mark.parametrize("boundary, rho, modes, horizon", [
+    (Boundary.DIRICHLET, Fraction(1), 5, 1),        # expcos / expsin
+    (Boundary.DIRICHLET, Fraction(2), 5, 1),        # exp / polyexp
+    (Boundary.DIRICHLET, Fraction(3), 5, 1),        # irrational exp rates
+    (Boundary.DIRICHLET, Fraction(5, 2), 4, 1),     # merged collision rows
+    (Boundary.NEUMANN, Fraction(1), 5, 1),
+    (Boundary.DIRICHLET, Fraction(40), 5, 1),       # series-branch slow rates, fast up to 1000
+    (Boundary.DIRICHLET, Fraction(1), 5, Fraction(1, 1000)),    # every rate pair on the series
+    (Boundary.DIRICHLET, Fraction(2), 5, 4),        # T^j growth in the recursion
+], ids=["rho1", "rho2", "rho3", "rho5/2-merged", "neumann-rho1", "rho40", "T1/1000", "T4"])
+def test_gram_matrix_matches_gram_entry(boundary, rho, modes, horizon, bits):
+    cfg = BeamConfig(boundary, rho, modes, horizon, bits)
     if rho == Fraction(5, 2):
         # data only on mode 3, so the colliding rows of modes 1, 2, 4 merge
         state = ModalState.dirichlet(values=(0, 0, 1, 0), velocities=(0, 0, "0.1", 0))
@@ -143,18 +146,19 @@ def test_gram_matrix_matches_gram_entry(boundary, rho, modes, bits):
     with mp.workprec(bits + GUARD_BITS):
         for i in range(n):
             for j in range(n):
-                ref = gram_entry(system.kernels[i], system.kernels[j], 1, bits)
+                ref = gram_entry(system.kernels[i], system.kernels[j], horizon, bits)
                 bound = mp.mpf(2) ** -(bits - 8) * mp.sqrt(G[i, i] * G[j, j])
                 assert abs(G[i, j] - ref) <= bound, (i, j)
 
 
-@pytest.mark.parametrize("rho, modes, bits", [
-    (Fraction(1), 16, 64),      # fails at 64 bits, holds at 128
-    (Fraction(2), 12, 64),      # fails at 64 and 128, holds at 256
-    (Fraction(3), 14, 96),      # fails at 96, holds at 192
-], ids=["rho1", "rho2", "rho3"])
-def test_solve_matches_elementwise_reference(rho, modes, bits):
-    cfg = BeamConfig(Boundary.DIRICHLET, rho, modes, Fraction(1), bits)
+@pytest.mark.parametrize("rho, modes, bits, horizon", [
+    (Fraction(1), 16, 64, 1),                   # fails at 64 bits, holds at 128
+    (Fraction(2), 12, 64, 1),                   # fails at 64 and 128, holds at 256
+    (Fraction(3), 14, 96, 1),                   # fails at 96, holds at 192
+    (Fraction(1), 8, 64, Fraction(1, 4)),       # fails at 64, holds at 128
+], ids=["rho1", "rho2", "rho3", "rho1-T1/4"])
+def test_solve_matches_elementwise_reference(rho, modes, bits, horizon):
+    cfg = BeamConfig(Boundary.DIRICHLET, rho, modes, horizon, bits)
     system = assemble(cfg, decaying_data(Boundary.DIRICHLET, modes))
     trace, pivots, coeffs, _ = elementwise_ladder(system)
     report = solve_min_norm(system)
@@ -195,12 +199,14 @@ def test_cholesky_rejects_singular_matrix():
         assert info.value.pivot_index == 1
 
 
-@pytest.mark.parametrize("diagonal, index", [
-    ((0, 1), 0), ((1, 0), 1), ((1, -1), 1), ((1, "nan"), 1), ((1, "inf"), 1),
-], ids=["zero-first", "zero-second", "negative", "nan", "inf"])
-def test_cholesky_rejects_bad_diagonal(diagonal, index):
+@pytest.mark.parametrize("diagonal, off, index", [
+    ((0, 1), 0, 0), ((1, 0), 0, 1), ((1, -1), 0, 1), ((1, "nan"), 0, 1), ((1, "inf"), 0, 1),
+    ((1, 1), "nan", 1), ((1, 1), "inf", 1),
+], ids=["zero-first", "zero-second", "negative", "nan", "inf", "nan-off-diagonal",
+        "inf-off-diagonal"])
+def test_cholesky_rejects_bad_diagonal(diagonal, off, index):
     with mp.workprec(128):
-        G = mp.matrix([[diagonal[0], 0], [0, diagonal[1]]])
+        G = mp.matrix([[diagonal[0], off], [off, diagonal[1]]])
         with pytest.raises(NumericalRankDeficiency) as info:
             cholesky_factor(G, 128)
         assert info.value.pivot_index == index
@@ -232,8 +238,8 @@ def test_gram_moment_sets_per_rate_pair(monkeypatch, rho, per_pair):
     cfg = BeamConfig(Boundary.DIRICHLET, rho, 6, Fraction(1), 128)
     system = assemble(cfg, decaying_data(Boundary.DIRICHLET, 6))
     calls = []
-    moments = synthesis.power_exp_moments
-    monkeypatch.setattr(synthesis, "power_exp_moments",
+    moments = synthesis._moment_set
+    monkeypatch.setattr(synthesis, "_moment_set",
                         lambda *args: calls.append(args) or moments(*args))
     gram_matrix(system)
     with mp.workprec(128 + GUARD_BITS):
