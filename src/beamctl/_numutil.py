@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import copysign, inf, isfinite, isqrt
 from typing import Optional, Union
 
 import mpmath as mp
@@ -50,6 +50,19 @@ def to_mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
+
+
+def to_fixed(x, scale: int) -> int:
+    """x 2^scale, rounded toward zero, for a finite mpf x."""
+    return int(mp.ldexp(x, scale))
+
+
+def quotient(a: int, b: int) -> float:
+    """a / b, b > 0, correctly rounded to float, or an infinity past its range."""
+    try:
+        return a / b
+    except OverflowError:
+        return copysign(inf, a)
 
 
 def strip_imag(z, precision_bits: int, scale=None):

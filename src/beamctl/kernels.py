@@ -28,8 +28,10 @@ but for the series; gram_entry, the per-entry reference, sums all products.
 
 The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
 per signal, built from extended-precision values at Chebyshev-Lobatto nodes
-(ControlSignal.proxy); those values come from the explicit antiderivatives
-of each part in ControlSignal._sample_extended, which uses no M_d.
+(ControlSignal.proxy).  ControlSignal._sample_extended sums those from the
+explicit antiderivatives in ControlSignal.term_table, with no M_d: parts
+merged by rate, on integers with F fraction bits (F = 32 past the bits the
+term bound asks for), one fixed-point exponential per rate and node.
 """
 from __future__ import annotations
 
@@ -41,8 +43,9 @@ from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
-from ._numutil import GUARD_BITS, decimal_str, strip_imag, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, quotient, strip_imag, to_fixed, to_mpf
 from .errors import SamplingError
 
 __all__ = [
@@ -100,11 +103,12 @@ def _series_moment(d: int, nu, t):
     """M_d(nu, t) = sum_k nu^k t^(k+d+1) / (k! (k+d+1)); geometric-factorial decay."""
     total = mp.mpf(0)
     term = t ** (d + 1)
-    k = 0
+    eps2, k = mp.eps ** 2, 0
     while True:
         contrib = term / (k + d + 1)
         total += contrib
-        if abs(contrib) < abs(total) * mp.eps and k > 2:
+        if k > 2 and contrib.real ** 2 + contrib.imag ** 2 < \
+                (total.real ** 2 + total.imag ** 2) * eps2:
             return total
         k += 1
         term = term * nu * t / k
@@ -305,8 +309,8 @@ class ControlSignal:
     def proxy(self) -> "ChebyshevProxy":
         """Chebyshev series of f, f' and f'' good to float64, built once.
 
-        f, f', f'' are summed in extended precision (`_sample_extended`) at
-        the Chebyshev-Lobatto nodes of [0, T], doubling the node count from
+        f, f', f'' are summed on fixed-point integers (`_sample_extended` on
+        `term_table`) at the Chebyshev-Lobatto nodes of [0, T], doubling them from
         _FIRST_NODES (each round evaluates only the new half) until the
         standard chop of Aurentz & Trefethen (ACM TOMS 2017) finds all three
         coefficient tails flat at float64 roundoff.  The chopped series are
@@ -348,24 +352,21 @@ class ControlSignal:
             raise SamplingError(n, worst, _HELDOUT_RTOL, "held-out error")
         return ChebyshevProxy(T, table, n, tuple(cut - 1 for cut in cuts), worst)
 
-    def _sample_extended(self, t: np.ndarray) -> np.ndarray:
-        """Rows f, f', f'' at times t, each summed at precision sized to the
-        term bound and rounded to float64 once.  All terms see the same exact
-        time: one ulp between them would smear the cancellation by bound * ulp.
-
-        The oracle route's own calculus: each exponential part's first and
-        second antiderivatives F, G are written out in a term table here and
-        nowhere else, independent of the M_d moments behind `convolve`.
+    @cached_property
+    def term_table(self) -> tuple:
+        """The oracle route's own calculus, independent of `convolve`, built
+        once: (F, T, cubic, rates, ln 2, pi / 2) on integers with F fraction
+        bits, 32 past what the term bound asks for.  f^(i)(t) = cubic[i](t) +
+        sum over rates of Re((A_i + B_i u) e^(lam u)), u = T - t, parts merged
+        by rate, each rate (Re lam, Im lam, ((Re, Im of A_i, B_i) per i)).
         """
         bound = self.term_scale_bound()
-        bits = max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound) \
-            else max(256, self.precision_bits)
-        out = np.empty((3, t.size))
-        with mp.workprec(bits):
+        F = 32 + (max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound)
+                  else max(256, self.precision_bits))
+        with mp.workprec(F):
             T = to_mpf(self.horizon)
             lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t
-            fT = gT = mp.mpf(0)             # sum of Re(ca F(T)), Re(ca G(T)) over the rest
-            terms = []      # (lam, A, B): f^(i) += Re((A_i + B_i u) e^(lam u)), u = T - t
+            rates = {}                      # lam -> [A_0, A_1, A_2, B_0, B_1, B_2]
             for c, k in zip(self.coefficients, self.kernels):
                 c = to_mpf(c)
                 if c == 0:
@@ -378,30 +379,42 @@ class ControlSignal:
                         lin[0] += ca * T ** p
                         lin[1] -= ca * p
                         continue
-                    eT = mp.exp(lam * T)
-                    if p == 0:
-                        FT, GT = eT / lam, eT / lam ** 2
-                        terms.append((lam, (ca / lam ** 2, -ca / lam, ca), None))
-                    else:
-                        FT = eT * (T / lam - 1 / lam ** 2)
-                        GT = eT * (T / lam ** 2 - 2 / lam ** 3)
-                        terms.append((lam, (-2 * ca / lam ** 3, ca / lam ** 2, 0),
-                                      (ca / lam ** 2, -ca / lam, ca)))
-                    fT += mp.re(ca * FT)
-                    gT += mp.re(ca * GT)
-            # f, f', f'' less their exponential terms, as cubics in t
-            poly = [(-gT, fT, lin[0] / 2, lin[1] / 6), (fT, lin[0], lin[1] / 2, 0),
-                    (lin[0], lin[1], 0, 0)]
+                    AB = rates.setdefault(lam, [0] * 6)
+                    g = (ca / lam ** 2, -ca / lam, ca)  # G, G', G'' of G'' = ca e^(lam u)
+                    for i, x in enumerate((-2 * g[0] / lam, g[0], 0) + g if p else g):
+                        AB[i] += x
+            # the cubic cancels the exponential terms' f and f' at t = 0
+            h = [sum(mp.re((AB[i] + AB[i + 3] * T) * mp.exp(lam * T)) for lam, AB in rates.items())
+                 for i in (0, 1)]
+            cubic = [(-h[0], -h[1], lin[0] / 2, lin[1] / 6), (-h[1], lin[0], lin[1] / 2, 0),
+                     (lin[0], lin[1], 0, 0)]
+            ints = [[to_fixed(part(z), F) for z in (lam, *AB) for part in (mp.re, mp.im)]
+                    for lam, AB in rates.items()]
+            return (F, to_fixed(T, F), [[to_fixed(x, F) for x in q] for q in cubic],
+                    [(lr, li, [AB[2 * i:2 * i + 2] + AB[2 * i + 6:2 * i + 8] for i in range(3)])
+                     for lr, li, *AB in ints], ln2_fixed(F), pi_fixed(F - 1))
 
-            for j in range(t.size):
-                tj = mp.mpf(float(t[j]))
-                u = T - tj
-                f = [((q[3] * tj + q[2]) * tj + q[1]) * tj + q[0] for q in poly]
-                for lam, A, B in terms:
-                    z = mp.exp(lam * u)
-                    for i in range(3):
-                        f[i] += mp.re((A[i] if B is None else A[i] + B[i] * u) * z)
-                out[:, j] = [float(v) for v in f]
+    def _sample_extended(self, t: np.ndarray) -> np.ndarray:
+        """Rows f, f', f'' at times t by `term_table`, summed on integers from
+        the exact t_j 2^F and rounded to float64 once.  All terms see the same
+        u = T - t_j: one ulp between them would smear the cancellation by
+        bound * ulp.  One e^(Re lam u) and cos, sin(Im lam u) per rate by
+        mpmath's fixed-point kernels (mpz under gmpy2, untested: made int last).
+        """
+        F, T, cubic, rates, ln2, half_pi = self.term_table
+        out = np.empty((3, t.size))
+        for j, tj in enumerate(t.tolist()):
+            x = to_fixed(tj, F)
+            u, x2 = T - x, x * x >> F
+            acc = [(q0 << F) + q1 * x + q2 * x2 + q3 * (x2 * x >> F) for q0, q1, q2, q3 in cubic]
+            for lr, li, rows in rates:
+                zr, zi = exp_fixed(lr * u >> F, F, ln2), 0
+                if li:
+                    cos, sin = cos_sin_fixed(li * u >> F, F, half_pi)
+                    zr, zi = zr * cos >> F, zr * sin >> F
+                for i, (ar, ai, br, bi) in enumerate(rows):
+                    acc[i] += (ar + (br * u >> F)) * zr - (ai + (bi * u >> F)) * zi
+            out[:, j] = [quotient(int(v), 1 << 2 * F) for v in acc]
         return out
 
 

@@ -33,7 +33,7 @@ from typing import Tuple
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, decimal_str, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
 from .kernels import ControlSignal, power_exp_moments
 from .moment_problem import MomentSystem
@@ -50,19 +50,6 @@ __all__ = [
 ]
 
 PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
-
-
-def _fixed(x, scale: int) -> int:
-    """x 2^scale, rounded toward zero, for a finite mpf x."""
-    return int(mp.ldexp(x, scale))
-
-
-def _quotient(a: int, b: int) -> float:
-    """a / b, b > 0, correctly rounded to float, or an infinity past its range."""
-    try:
-        return a / b
-    except OverflowError:
-        return math.copysign(math.inf, a)
 
 
 @dataclass(frozen=True)
@@ -106,7 +93,7 @@ def _moment_set(d: int, one, other, t: int, scale: int) -> list:
     if 4 * n2 * t * t < 1 << 4 * scale:
         mpc = [mp.mpc(mp.ldexp(re, -scale), mp.ldexp(im, -scale)) for re, im in ((a, b), (x, y))]
         moments = power_exp_moments(d, mpc[0], mp.ldexp(t, -scale), mpc[1])
-        return [(_fixed(mp.re(m), scale), _fixed(mp.im(m), scale)) for m in moments]
+        return [(to_fixed(mp.re(m), scale), to_fixed(mp.im(m), scale)) for m in moments]
     out, p, q, tp = [], x - (1 << scale), y, 1 << scale
     for j in range(d + 1):
         if j:
@@ -138,9 +125,9 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
             rate[1] = max(rate[1], *(p for _, p in poly))
             poly = tuple((int(mp.nint(c * den)), p) for c, p in poly)   # c is 1, -1 or T
             rows.append((terms.setdefault((rate[0], poly), len(terms)), int(imag)))
-        fixed = [tuple(_fixed(part(z), F) for z in (lam, mp.exp(lam * T))
+        fixed = [tuple(to_fixed(part(z), F) for z in (lam, mp.exp(lam * T))
                        for part in (mp.re, mp.im)) for lam in rates]
-        top, terms, t = [top for _, top in rates.values()], list(terms), _fixed(T, F)
+        top, terms, t = [top for _, top in rates.values()], list(terms), to_fixed(T, F)
         moments = {}    # (r, s) -> ([M_d(lam_r + lam_s, T)], [M_d(lam_r + conj(lam_s), T)])
         table = {}      # (u, v) -> the entries [2 a + b] of terms u, v, a and b as in rows
         G = [[0] * len(rows) for _ in rows]
@@ -180,7 +167,7 @@ def cholesky_factor(G, precision_bits: int):
         A = [r if all(map(mp.isfinite, r[:j + 1])) else [0] * len(r)
              for j, r in enumerate(G.tolist())]
         F = P + 16 + max(0, -mp.mag(min((r[j] for j, r in enumerate(A) if r[j] > 0), default=1)))
-        G = FixedMatrix(tuple(tuple(_fixed(x, F) if mp.isfinite(x) else 0 for x in r)
+        G = FixedMatrix(tuple(tuple(to_fixed(x, F) if mp.isfinite(x) else 0 for x in r)
                               for r in A), F)
     A, F = G.ints, G.scale
     shift = max(0, 2 * (P + 16) - min((r[j].bit_length() for j, r in enumerate(A)), default=0))
@@ -190,7 +177,7 @@ def cholesky_factor(G, precision_bits: int):
     for j, r in enumerate(A):
         if r[j] <= 0:
             raise NumericalRankDeficiency(
-                j, _quotient(r[j] << 2 * P, top or 1 << (2 * P + F)), precision_bits)
+                j, quotient(r[j] << 2 * P, top or 1 << (2 * P + F)), precision_bits)
         row = []
         for k in range(j):
             dot = (r[k] << (2 * P + shift)) // (roots[j] * roots[k]) - sum(map(mul, row, rows[k]))
@@ -198,13 +185,13 @@ def cholesky_factor(G, precision_bits: int):
         h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
         s = h * r[j]
         if s <= 0 or s << precision_bits // 2 < top:
-            raise NumericalRankDeficiency(j, _quotient(s, top) if top else 1.0, precision_bits)
+            raise NumericalRankDeficiency(j, quotient(s, top) if top else 1.0, precision_bits)
         pivots.append(s)
         top = max(top, s)
         rows.append(row + [isqrt(h)])
     L = FixedMatrix(tuple(tuple(R * x for x in row) for R, row in zip(roots, rows)),
                     P + (F + shift) // 2)
-    return L, _quotient(top, min(pivots)) if pivots else 1.0
+    return L, quotient(top, min(pivots)) if pivots else 1.0
 
 
 def _solve(L: FixedMatrix, targets) -> list:
@@ -213,7 +200,7 @@ def _solve(L: FixedMatrix, targets) -> list:
     K, n = L.scale, L.rows
     y = []
     for row, t in zip(L.ints, targets):
-        y.append((_fixed(t, 2 * K) - sum(map(mul, row, y))) // row[-1])
+        y.append((to_fixed(t, 2 * K) - sum(map(mul, row, y))) // row[-1])
     c = [0] * n
     for i in reversed(range(n)):
         c[i] = ((y[i] << K) - sum(L.ints[k][i] * c[k] for k in range(i + 1, n))) // L.ints[i][i]
@@ -258,10 +245,10 @@ def _attempt(system: MomentSystem) -> SynthesisReport:
         targets = [to_mpf(t) for t in system.targets]
         c, S = _solve(L, targets), L.scale
         Gc = [sum(map(mul, row, c)) for row in G.ints]      # times 2^(F + S)
-        residuals = [abs(_quotient(g - _fixed(t, G.scale + S), 1 << (G.scale + S)))
+        residuals = [abs(quotient(g - to_fixed(t, G.scale + S), 1 << (G.scale + S)))
                      for g, t in zip(Gc, targets)]
         e = G.scale + 2 * S                                 # c^T G c times 2^e
-        cost = _quotient(isqrt(max(sum(map(mul, c, Gc)), 0) << (e & 1)), 1 << (e + 1) // 2)
+        cost = quotient(isqrt(max(sum(map(mul, c, Gc)), 0) << (e & 1)), 1 << (e + 1) // 2)
         coefficients = tuple(mp.ldexp(ci, -S) for ci in c)
         control = ControlSignal(system.kernels, coefficients, to_mpf(system.config.horizon), bits)
     return SynthesisReport(system, control, coefficients, cost, cond, bits, (bits,),

@@ -1,11 +1,12 @@
 """Kernel algebra: moments, Gram entries, slope and value, signal sampling."""
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from beamctl._numutil import ulp_close
+from beamctl._numutil import to_mpf, ulp_close
 from beamctl.kernels import (
     ControlSignal,
     Kernel,
@@ -13,6 +14,58 @@ from beamctl.kernels import (
     kernel_value,
     power_exp_moment,
 )
+
+
+def elementwise_sample_extended(sig, t):
+    """Reference for ControlSignal._sample_extended: every part's term summed
+    in mpf at the precision the term bound asks for, one mp.exp per part and
+    node, no merging by rate; rows f, f', f'' rounded to float64 once.  Also
+    returns that precision."""
+    bound = sig.term_scale_bound()
+    bits = max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound) \
+        else max(256, sig.precision_bits)
+    out = np.empty((3, t.size))
+    with mp.workprec(bits):
+        T = to_mpf(sig.horizon)
+        lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t
+        fT = gT = mp.mpf(0)             # sum of Re(ca F(T)), Re(ca G(T)) over the rest
+        terms = []      # (lam, A, B): f^(i) += Re((A_i + B_i u) e^(lam u)), u = T - t
+        for c, k in zip(sig.coefficients, sig.kernels):
+            c = to_mpf(c)
+            if c == 0:
+                continue
+            for (a, p, lam) in k.exponential_parts(T):
+                if mp.im(lam) < 0:
+                    continue            # conjugate twin carries it
+                ca = c * a * (2 if mp.im(lam) > 0 else 1)
+                if lam == 0:            # ca (T - t)^p
+                    lin[0] += ca * T ** p
+                    lin[1] -= ca * p
+                    continue
+                eT = mp.exp(lam * T)
+                if p == 0:
+                    FT, GT = eT / lam, eT / lam ** 2
+                    terms.append((lam, (ca / lam ** 2, -ca / lam, ca), None))
+                else:
+                    FT = eT * (T / lam - 1 / lam ** 2)
+                    GT = eT * (T / lam ** 2 - 2 / lam ** 3)
+                    terms.append((lam, (-2 * ca / lam ** 3, ca / lam ** 2, 0),
+                                  (ca / lam ** 2, -ca / lam, ca)))
+                fT += mp.re(ca * FT)
+                gT += mp.re(ca * GT)
+        # f, f', f'' less their exponential terms, as cubics in t
+        poly = [(-gT, fT, lin[0] / 2, lin[1] / 6), (fT, lin[0], lin[1] / 2, 0),
+                (lin[0], lin[1], 0, 0)]
+        for j in range(t.size):
+            tj = mp.mpf(float(t[j]))
+            u = T - tj
+            f = [((q[3] * tj + q[2]) * tj + q[1]) * tj + q[0] for q in poly]
+            for lam, A, B in terms:
+                z = mp.exp(lam * u)
+                for i in range(3):
+                    f[i] += mp.re((A[i] if B is None else A[i] + B[i] * u) * z)
+            out[:, j] = [float(v) for v in f]
+    return out, bits
 
 
 def test_power_exp_moment_closed_forms():
@@ -60,6 +113,37 @@ def test_series_branch_follows_the_abs_rule(monkeypatch):
             calls.clear()
             kernels.power_exp_moments(1, nu, t, mp.exp(nu * t))
             assert bool(calls) == (abs(nu) * t < mp.mpf(0.5)), nu
+
+
+def abs_rule_series_moment(d, nu, t):
+    """Reference for kernels._series_moment: stop once abs(term) < abs(total) eps."""
+    total = mp.mpf(0)
+    term = t ** (d + 1)
+    k = 0
+    while True:
+        contrib = term / (k + d + 1)
+        total += contrib
+        if abs(contrib) < abs(total) * mp.eps and k > 2:
+            return total
+        k += 1
+        term = term * nu * t / k
+
+
+@pytest.mark.parametrize("prec", [128, 256, 1024])
+def test_series_moment_matches_the_abs_rule(prec):
+    """Squared magnitudes in the series' stopping test agree with the abs
+    rule to 2^-(prec - 4) relative, on real and complex nu with |nu t| < 1/2."""
+    from beamctl.kernels import _series_moment
+
+    with mp.workprec(prec):
+        t = mp.mpf("0.7")
+        radii = [mp.mpf(r) for r in ("1e-30", "0.01", "0.1", "0.3", "0.45", "0.4999")]
+        for k in range(8):                  # k = 0 and 4 are the real axis
+            turn = mp.expjpi(mp.mpf(k) / 4)
+            for nu in [turn * r / t for r in radii]:
+                for d in (0, 2):
+                    ref = abs_rule_series_moment(d, nu, t)
+                    assert abs(_series_moment(d, nu, t) - ref) <= abs(ref) * mp.mpf(2) ** (4 - prec)
 
 
 def test_kernel_validation():
@@ -161,16 +245,26 @@ def test_sample_fast_path_matches_evaluators():
             assert abs(s["f"][i] - float(mp.re(sig.convolve(1, 0, mp.mpf(t[i]))))) < 1e-13
 
 
-def test_sample_extended_path_defeats_cancellation():
-    # two nearly identical exponentials with huge opposite weights: the sum
-    # is O(100) but each term is O(1e9), far beyond float64 summation
+def cancellation_control(kind):
+    """Two nearly identical kernels with huge opposite weights: the sum is
+    O(100) but each term O(1e9) ("exp") or O(1e10) ("expcos"), far beyond
+    float64 summation."""
     with mp.workprec(256):
-        big = mp.mpf(10) ** 9
-        sig = ControlSignal(
-            kernels=(Kernel("exp", rate=mp.mpf(-1)),
-                     Kernel("exp", rate=mp.mpf(-1) - mp.mpf(10) ** -7),),
-            coefficients=(big, -big),
-            horizon=Fraction(1), precision_bits=256)
+        if kind == "exp":
+            big = mp.mpf(10) ** 9
+            kernels = (Kernel("exp", rate=mp.mpf(-1)),
+                       Kernel("exp", rate=mp.mpf(-1) - mp.mpf(10) ** -7))
+        else:
+            big = mp.mpf(10) ** 10
+            kernels = (Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(3)),
+                       Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(3) + mp.mpf(10) ** -8))
+        return ControlSignal(kernels=kernels, coefficients=(big, -big),
+                             horizon=Fraction(1), precision_bits=256)
+
+
+def test_sample_extended_path_defeats_cancellation():
+    with mp.workprec(256):
+        sig = cancellation_control("exp")
         assert sig.term_scale_bound() > 1e6
         t = np.linspace(0, 1, 101)
         s = sig.sample(t)
@@ -186,12 +280,7 @@ def test_sample_extended_path_defeats_cancellation():
 
 def test_sample_extended_nonuniform_grid():
     with mp.workprec(256):
-        big = mp.mpf(10) ** 10
-        sig = ControlSignal(
-            kernels=(Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(3)),
-                     Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(3) + mp.mpf(10) ** -8)),
-            coefficients=(big, -big),
-            horizon=Fraction(1), precision_bits=256)
+        sig = cancellation_control("expcos")
         t = np.array([0.0, 0.03, 0.5, 0.500001, 0.99, 1.0])
         s = sig.sample(t)
         for i in range(t.size):
@@ -208,7 +297,7 @@ def test_kernel_descriptor_round_trip():
         assert ulp_close(k2.freq, k.freq, ulps=8)
 
 
-def acceptance_control(boundary, rho, n_modes):
+def acceptance_control(boundary, rho, n_modes, horizon=1):
     """The acceptance battery's minimum-norm control at 256 bits."""
     from beamctl.modal_dynamics import ModalState
     from beamctl.moment_problem import assemble
@@ -225,7 +314,7 @@ def acceptance_control(boundary, rho, n_modes):
         if slot < len(data[0]):
             data[part][slot] = amp
     state = ModalState(Boundary(boundary), tuple(data[0]), tuple(data[1]))
-    config = BeamConfig(Boundary(boundary), Fraction(rho), n_modes, Fraction(1), 256)
+    config = BeamConfig(Boundary(boundary), Fraction(rho), n_modes, Fraction(horizon), 256)
     return solve_min_norm(assemble(config, state)).control
 
 
@@ -265,6 +354,58 @@ def test_sample_reuses_one_proxy_per_control():
     assert sig.proxy.heldout_error <= 1e-12
     assert 16 <= sig.proxy.nodes <= 4096
     assert max(sig.proxy.degrees) < sig.proxy.nodes
+
+
+@pytest.mark.parametrize("case", [
+    *[("dirichlet", rho, 3, T) for rho in ("1/2", "1", "2", "3") for T in ("1/1000", "1", "4")],
+    *[("neumann", rho, 5, T) for rho in ("1", "5/2") for T in ("1/1000", "1", "4")],
+    "exp", "expcos"], ids=lambda c: c if isinstance(c, str) else "{}-rho{}-T{}".format(*c[:2], c[3]))
+def test_sample_extended_matches_elementwise_reference(case):
+    """The fixed-point evaluator against the mpf loop, at the proxy's nodes
+    and at 64 random times: within the floor bound * 2^-(bits - 8) everywhere,
+    and float64-equal where a half ulp of the value exceeds that floor (below
+    it, equality would ask more than the reference's own rounding gives)."""
+    from beamctl.kernels import _lobatto_times
+
+    sig = cancellation_control(case) if isinstance(case, str) else acceptance_control(*case)
+    T, n = float(sig.horizon), sig.proxy.nodes
+    t = np.concatenate([_lobatto_times(T, np.arange(n + 1), n),
+                        np.random.default_rng(14).uniform(0.0, T, 64)])
+    ref, bits = elementwise_sample_extended(sig, t)
+    got = sig._sample_extended(t)
+    floor = sig.term_scale_bound() * 2.0 ** -(bits - 8)
+    assert np.all(np.abs(got - ref) <= floor)
+    large = np.abs(ref) > 2.0 ** 53 * floor
+    assert large.mean() > 0.9
+    assert np.array_equal(got[large], ref[large])
+
+
+def test_proxy_builds_one_term_table_with_one_exponential_per_rate(monkeypatch):
+    """At rho = 1 the expcos and expsin kernels of a mode share one rate: one
+    exp_fixed per mode and node, and one term bound per proxy build."""
+    import beamctl.kernels as kernels
+
+    counts = {"bound": 0, "exp": 0, "points": 0}
+
+    def counted(key, fn, amount=lambda *args: 1):
+        def wrapper(*args):
+            counts[key] += amount(*args)
+            return fn(*args)
+        return wrapper
+
+    n_modes = 3
+    sig = acceptance_control("dirichlet", "1", n_modes)
+    signal = kernels.ControlSignal
+    monkeypatch.setattr(signal, "term_scale_bound", counted("bound", signal.term_scale_bound))
+    monkeypatch.setattr(signal, "_sample_extended", counted(
+        "points", signal._sample_extended, lambda self, t: t.size))
+    monkeypatch.setattr(kernels, "exp_fixed", counted("exp", kernels.exp_fixed))
+    sig.sample(np.linspace(0.0, 1.0, 11))
+    assert counts["bound"] == 1
+    assert counts["points"] > 0
+    assert counts["exp"] == n_modes * counts["points"]
+    assert sig.term_table is sig.term_table
+    assert len(sig.term_table[3]) == n_modes
 
 
 def test_sample_rejects_times_outside_the_horizon():
