@@ -103,12 +103,11 @@ def _series_moment(d: int, nu, t):
     """M_d(nu, t) = sum_k nu^k t^(k+d+1) / (k! (k+d+1)); geometric-factorial decay."""
     total = mp.mpf(0)
     term = t ** (d + 1)
-    eps2, k = mp.eps ** 2, 0
+    drop, k = mp.mp.prec + 2, 0     # mag may overstate by 2 bits: stop once term < total eps
     while True:
         contrib = term / (k + d + 1)
         total += contrib
-        if k > 2 and contrib.real ** 2 + contrib.imag ** 2 < \
-                (total.real ** 2 + total.imag ** 2) * eps2:
+        if k > 2 and mp.mag(total) - mp.mag(contrib) >= drop:
             return total
         k += 1
         term = term * nu * t / k
@@ -356,13 +355,14 @@ class ControlSignal:
     def term_table(self) -> tuple:
         """The oracle route's own calculus, independent of `convolve`, built
         once: (F, T, cubic, rates, ln 2, pi / 2) on integers with F fraction
-        bits, 32 past what the term bound asks for.  f^(i)(t) = cubic[i](t) +
-        sum over rates of Re((A_i + B_i u) e^(lam u)), u = T - t, parts merged
-        by rate, each rate (Re lam, Im lam, ((Re, Im of A_i, B_i) per i)).
+        bits, 32 past what the term bound asks for and past a bound's negative
+        exponent (2^-F <= bound 2^-(bits + 32) for data of any size).  f^(i)(t)
+        = cubic[i](t) + sum over rates of Re((A_i + B_i u) e^(lam u)), u = T - t,
+        parts merged by rate, each (Re lam, Im lam, ((Re, Im of A_i, B_i) per i)).
         """
         bound = self.term_scale_bound()
-        F = 32 + (max(128, int(math.log2(max(bound, 1.0))) + 80) if math.isfinite(bound)
-                  else max(256, self.precision_bits))
+        F = 32 + (max(128, int(math.log2(max(bound, 1.0))) + 80) + max(0, 1 - math.frexp(bound)[1])
+                  if math.isfinite(bound) else max(256, self.precision_bits))
         with mp.workprec(F):
             T = to_mpf(self.horizon)
             lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t

@@ -131,19 +131,19 @@ def abs_rule_series_moment(d, nu, t):
 
 @pytest.mark.parametrize("prec", [128, 256, 1024])
 def test_series_moment_matches_the_abs_rule(prec):
-    """Squared magnitudes in the series' stopping test agree with the abs
-    rule to 2^-(prec - 4) relative, on real and complex nu with |nu t| < 1/2."""
+    """The series' stopping test on mp.mag agrees with the abs rule to
+    2^-(prec - 4) relative, on real and complex nu with |nu t| < 1/2."""
     from beamctl.kernels import _series_moment
 
     with mp.workprec(prec):
         t = mp.mpf("0.7")
         radii = [mp.mpf(r) for r in ("1e-30", "0.01", "0.1", "0.3", "0.45", "0.4999")]
-        for k in range(8):                  # k = 0 and 4 are the real axis
-            turn = mp.expjpi(mp.mpf(k) / 4)
-            for nu in [turn * r / t for r in radii]:
-                for d in (0, 2):
-                    ref = abs_rule_series_moment(d, nu, t)
-                    assert abs(_series_moment(d, nu, t) - ref) <= abs(ref) * mp.mpf(2) ** (4 - prec)
+        real = [s * r / t for r in radii for s in (1, -1)]     # mpf, as the series gets them
+        turns = [mp.expjpi(mp.mpf(k) / 4) for k in range(8)]   # k = 0, 4: the real axis as mpc
+        for nu in real + [turn * r / t for turn in turns for r in radii]:
+            for d in (0, 2):
+                ref = abs_rule_series_moment(d, nu, t)
+                assert abs(_series_moment(d, nu, t) - ref) <= abs(ref) * mp.mpf(2) ** (4 - prec)
 
 
 def test_kernel_validation():
@@ -356,18 +356,39 @@ def test_sample_reuses_one_proxy_per_control():
     assert max(sig.proxy.degrees) < sig.proxy.nodes
 
 
-@pytest.mark.parametrize("case", [
-    *[("dirichlet", rho, 3, T) for rho in ("1/2", "1", "2", "3") for T in ("1/1000", "1", "4")],
-    *[("neumann", rho, 5, T) for rho in ("1", "5/2") for T in ("1/1000", "1", "4")],
-    "exp", "expcos"], ids=lambda c: c if isinstance(c, str) else "{}-rho{}-T{}".format(*c[:2], c[3]))
-def test_sample_extended_matches_elementwise_reference(case):
+def scaled(sig, factor):
+    """The same control with every coefficient times factor (a power of 10)."""
+    with mp.workprec(sig.precision_bits + 64):
+        return ControlSignal(sig.kernels, tuple(c * mp.mpf(factor) for c in sig.coefficients),
+                             sig.horizon, sig.precision_bits)
+
+
+def reference_case(case, factor="1"):
+    """One control of the evaluator's reference test: an acceptance control
+    (boundary, rho, modes, T) or a cancellation control, times factor."""
+    name = "{}-rho{}-T{}".format(*case[:2], case[3]) if isinstance(case, tuple) else case
+    return pytest.param(case, factor, id=name if factor == "1" else f"{name}-{factor}")
+
+
+@pytest.mark.parametrize("case,factor", [
+    *[reference_case(("dirichlet", rho, 3, T)) for rho in ("1/2", "1", "2", "3")
+      for T in ("1/1000", "1", "4")],
+    *[reference_case(("neumann", rho, 5, T)) for rho in ("1", "5/2") for T in ("1/1000", "1", "4")],
+    reference_case("exp"), reference_case("expcos"),
+    reference_case(("dirichlet", "1", 3, "1"), "1e-50"),
+    reference_case(("neumann", "5/2", 5, "1"), "1e-30"),
+    reference_case("exp", "1e-60"), reference_case("expcos", "1e-300")])
+def test_sample_extended_matches_elementwise_reference(case, factor):
     """The fixed-point evaluator against the mpf loop, at the proxy's nodes
     and at 64 random times: within the floor bound * 2^-(bits - 8) everywhere,
     and float64-equal where a half ulp of the value exceeds that floor (below
-    it, equality would ask more than the reference's own rounding gives)."""
+    it, equality would ask more than the reference's own rounding gives).
+    Controls scaled far below 1, whose term bound is below 1, hold to the
+    same floor relative to that bound."""
     from beamctl.kernels import _lobatto_times
 
-    sig = cancellation_control(case) if isinstance(case, str) else acceptance_control(*case)
+    sig = scaled(cancellation_control(case) if isinstance(case, str) else
+                 acceptance_control(*case), factor)
     T, n = float(sig.horizon), sig.proxy.nodes
     t = np.concatenate([_lobatto_times(T, np.arange(n + 1), n),
                         np.random.default_rng(14).uniform(0.0, T, 64)])
