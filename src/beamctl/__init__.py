@@ -45,7 +45,6 @@ from .modal_dynamics import (
     closed_form_state,
     simulate_oracle,
     state_pair_norm,
-    write_trajectory_csv,
 )
 from .moment_problem import (
     MomentSystem,
@@ -59,7 +58,6 @@ from .synthesis import (
     biorthogonal_family,
     gram_matrix,
     solve_min_norm,
-    write_control_csv,
 )
 from .condensation import (
     CondensationEstimate,
@@ -69,7 +67,6 @@ from .condensation import (
     ratio_from_quotients,
     ratio_from_sqrt,
     weierstrass_E,
-    write_condensation_csv,
 )
 from .verification import (
     CostSweep,
@@ -114,7 +111,6 @@ __all__ = [
     "closed_form_state",
     "simulate_oracle",
     "state_pair_norm",
-    "write_trajectory_csv",
     "MomentSystem",
     "assemble",
     "data_l2_norm",
@@ -124,7 +120,6 @@ __all__ = [
     "biorthogonal_family",
     "gram_matrix",
     "solve_min_norm",
-    "write_control_csv",
     "CondensationEstimate",
     "condensation_estimate",
     "eprime_magnitudes",
@@ -132,7 +127,6 @@ __all__ = [
     "ratio_from_quotients",
     "ratio_from_sqrt",
     "weierstrass_E",
-    "write_condensation_csv",
     "CostSweep",
     "Verdict",
     "VerificationReport",

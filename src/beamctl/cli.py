@@ -32,12 +32,7 @@ import mpmath as mp
 import numpy as np
 
 from ._numutil import GUARD_BITS, decimal_str, to_mpf
-from .condensation import (
-    condensation_estimate,
-    ratio_from_quotients,
-    ratio_from_sqrt,
-    write_condensation_csv,
-)
+from .condensation import condensation_estimate, ratio_from_quotients, ratio_from_sqrt
 from .errors import (
     ImaginaryResidue,
     NumericalRankDeficiency,
@@ -47,7 +42,8 @@ from .errors import (
     StepSizeError,
     UncontrollableMode,
 )
-from .modal_dynamics import ModalState, write_trajectory_csv
+from .kernels import ControlSignal
+from .modal_dynamics import ModalState, Trajectory
 from .moment_problem import assemble
 from .spectrum import (
     BeamConfig,
@@ -57,7 +53,7 @@ from .spectrum import (
     branch_ratio_exact,
     gap_statistics,
 )
-from .synthesis import solve_min_norm, write_control_csv
+from .synthesis import solve_min_norm
 from .verification import Verdict, cost_sweep, null_control_experiment
 
 __all__ = ["main", "CONFIG_SCHEMA", "build_initial_state"]
@@ -71,9 +67,12 @@ UNCONTROLLABLE_ERRORS = (UncontrollableMode, ResonanceDefect, RationalResonance)
 NUMERICAL_ERRORS = (NumericalRankDeficiency, StepSizeError, SamplingError,
                     ImaginaryResidue)
 
-# subcommand -> the report that carries its error document on exit 3 or 4
-REPORT_FILES = {"synthesize": "synthesis.json", "verify": "verification.json",
-                "cost-sweep": "cost_sweep.json", "condensation": "condensation.json"}
+# subcommand -> its JSON report, which carries the error document on exit 3 or 4
+REPORT_FILES = {"spectrum": "spectrum.json", "synthesize": "synthesis.json",
+                "verify": "verification.json", "cost-sweep": "cost_sweep.json",
+                "condensation": "condensation.json"}
+
+CONTROL_SAMPLES = 501       # uniform samples of the control in control.csv
 
 # (section, key) -> (args attribute, converter); the whole config-file schema
 CONFIG_SCHEMA = {
@@ -261,6 +260,30 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_control_csv(control: ControlSignal, path) -> None:
+    """Uniform samples of the boundary signal as CSV: t, f, f_prime, f_second."""
+    header = ["t", "f", "f_prime", "f_second"]
+    data = control.sample(np.linspace(0.0, float(control.horizon), CONTROL_SAMPLES))
+    _write_csv(path, header, zip(*(map(repr, map(float, data[c])) for c in header)))
+
+
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    """Long-format CSV: t, n, value, velocity (header row, '.' decimal, LF)."""
+    modes = trajectory.state_at(0).modes
+    _write_csv(path, ["t", "n", "value", "velocity"],
+               ([repr(t), n, repr(val), repr(vel)]
+                for t, vals, vels in zip(trajectory.times, trajectory.values,
+                                         trajectory.velocities)
+                for n, val, vel in zip(modes, vals, vels)))
+
+
 def _error_doc(command: str, exc: Exception) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
     for field, value in vars(exc).items():
@@ -277,24 +300,25 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _write_report(args: argparse.Namespace, doc: dict) -> None:
+    _write_json(_out_path(args, REPORT_FILES[args.command]), {"command": args.command, **doc})
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = beam_config(args)
     bits = config.precision_bits
-    csv_path = _out_path(args, "spectrum.csv")
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "regime", "lambda_plus_re", "lambda_plus_im",
-                    "lambda_minus_re", "lambda_minus_im"])
-        for e in config.spectrum.eigenvalues:
-            w.writerow([e.n, e.regime.value,
-                        decimal_str(mp.re(e.lambda_plus), bits),
-                        decimal_str(mp.im(e.lambda_plus), bits),
-                        decimal_str(mp.re(e.lambda_minus), bits),
-                        decimal_str(mp.im(e.lambda_minus), bits)])
+    _write_csv(_out_path(args, "spectrum.csv"),
+               ["n", "regime", "lambda_plus_re", "lambda_plus_im",
+                "lambda_minus_re", "lambda_minus_im"],
+               ([e.n, e.regime.value,
+                 decimal_str(mp.re(e.lambda_plus), bits),
+                 decimal_str(mp.im(e.lambda_plus), bits),
+                 decimal_str(mp.re(e.lambda_minus), bits),
+                 decimal_str(mp.im(e.lambda_minus), bits)]
+                for e in config.spectrum.eigenvalues))
 
     stats = gap_statistics(config.rho, config.n_modes, bits)
     doc = {
-        "command": "spectrum",
         "rho": str(config.rho),
         "n_modes": config.n_modes,
         "regime": config.regime.value,
@@ -307,7 +331,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         exact = config.spectrum.ratio_exact
         doc["branch_ratio"] = decimal_str(branch_ratio(config.rho, bits), bits)
         doc["branch_ratio_exact"] = None if exact is None else str(exact)
-    _write_json(_out_path(args, "spectrum.json"), doc)
+    _write_report(args, doc)
     msg = (f"spectrum: {config.n_modes} modes, regime {config.regime.value}, "
            f"{len(stats.collisions)} collision pair(s)")
     print(msg)
@@ -321,9 +345,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     report = solve_min_norm(system)
     # sampling can still fail (SamplingError): before any success report
     write_control_csv(report.control, _out_path(args, "control.csv"))
-    doc = {"command": "synthesize"}
-    doc.update(report.to_json_dict())
-    _write_json(_out_path(args, "synthesis.json"), doc)
+    _write_report(args, report.to_json_dict())
     print(f"synthesize: cost {report.cost:.6g}, condition ~{report.condition_estimate:.3g}, "
           f"{report.precision_bits_used} bits")
     return EXIT_OK
@@ -333,9 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = beam_config(args)
     state0 = build_initial_state(args.data, config, args.seed)
     report = null_control_experiment(config, state0, tolerance=args.tolerance)
-    doc = {"command": "verify"}
-    doc.update(report.to_json_dict())
-    _write_json(_out_path(args, "verification.json"), doc)
+    _write_report(args, report.to_json_dict())
     write_control_csv(report.synthesis.control, _out_path(args, "control.csv"))
     write_trajectory_csv(report.trajectory, _out_path(args, "trajectory.csv"))
     rel = report.final_norm / max(report.initial_norm, 1e-300)
@@ -367,10 +387,10 @@ def cmd_condensation(args: argparse.Namespace) -> int:
         source = f"rho:{rho}"
     est = condensation_estimate(r, args.nmax, tail_start=args.tail_start,
                                 precision_bits=bits)
-    doc = {"command": "condensation", "ratio_source": source}
-    doc.update(est.to_json_dict())
-    _write_json(_out_path(args, "condensation.json"), doc)
-    write_condensation_csv(est, _out_path(args, "condensation.csv"))
+    _write_report(args, {"ratio_source": source, **est.to_json_dict()})
+    _write_csv(_out_path(args, "condensation.csv"), ["n", "branch", "value", "running_sup"],
+               ([row.n, row.branch, repr(row.value),
+                 "" if row.running_sup is None else repr(row.running_sup)] for row in est.rows))
     print(f"condensation: estimate {est.estimate:.6g} "
           f"(slow {est.sup_slow:.6g}, fast {est.sup_fast:.6g}, "
           f"tail {args.tail_start}..{args.nmax})")
@@ -382,14 +402,9 @@ def cmd_cost_sweep(args: argparse.Namespace) -> int:
     state0 = build_initial_state(args.data, config, args.seed)
     horizons = [h.strip() for h in args.horizons.split(",") if h.strip()]
     sweep = cost_sweep(config, state0, horizons)
-    with open(_out_path(args, "cost_sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["horizon", "cost"])
-        for T, c in zip(sweep.horizons, sweep.costs):
-            w.writerow([str(float(T)), repr(c)])
-    doc = {"command": "cost-sweep"}
-    doc.update(sweep.to_json_dict())
-    _write_json(_out_path(args, "cost_sweep.json"), doc)
+    _write_csv(_out_path(args, "cost_sweep.csv"), ["horizon", "cost"],
+               ([str(float(T)), repr(c)] for T, c in zip(sweep.horizons, sweep.costs)))
+    _write_report(args, sweep.to_json_dict())
     fit = "n/a" if sweep.fit_r_squared is None else f"{sweep.fit_r_squared:.4f}"
     print(f"cost-sweep: {len(sweep.costs)} horizons, monotone "
           f"{sweep.monotone_nonincreasing}, fit r^2 {fit}")
@@ -407,9 +422,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except UNCONTROLLABLE_ERRORS + NUMERICAL_ERRORS as exc:
         uncontrollable = isinstance(exc, UNCONTROLLABLE_ERRORS)
-        if args.command in REPORT_FILES:
-            _write_json(_out_path(args, REPORT_FILES[args.command]),
-                        _error_doc(args.command, exc))
+        _write_report(args, _error_doc(args.command, exc))
         what = "uncontrollable" if uncontrollable else "numerically infeasible"
         print(f"beamctl {args.command}: {what}: {exc}", file=sys.stderr)
         return EXIT_UNCONTROLLABLE if uncontrollable else EXIT_NUMERICAL

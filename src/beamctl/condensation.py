@@ -48,7 +48,6 @@ __all__ = [
     "condensation_estimate",
     "ratio_from_quotients",
     "ratio_from_sqrt",
-    "write_condensation_csv",
 ]
 
 
@@ -295,15 +294,3 @@ def ratio_from_sqrt(d: int, precision_bits: int = 256) -> Union[Fraction, mp.mpf
         if value < 1:
             raise ValueError(f"branch ratio must be >= 1, got sqrt({d})")
         return value
-
-
-def write_condensation_csv(estimate: CondensationEstimate, path) -> None:
-    """Long-format CSV: n, branch, value, running_sup (blank before the tail)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "branch", "value", "running_sup"])
-        for row in estimate.rows:
-            sup = "" if row.running_sup is None else repr(row.running_sup)
-            w.writerow([row.n, row.branch, repr(row.value), sup])

@@ -33,7 +33,6 @@ true start (Blelloch, Prefix sums and their applications, CMU-CS-90-190).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional, Tuple
@@ -54,7 +53,6 @@ __all__ = [
     "default_steps",
     "ORACLE_STEP_CAP",
     "simulate_oracle",
-    "write_trajectory_csv",
 ]
 
 ORACLE_STEP_CAP = 200000    # largest RK4 step count a verification sizes itself
@@ -396,14 +394,3 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     du = rows[:, m:] + x_arr * lift_fp[:, None]
     return Trajectory(config.boundary, tuple(row_times.tolist()),
                       tuple(map(tuple, u.tolist())), tuple(map(tuple, du.tolist())))
-
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Long-format CSV: t, n, value, velocity (header row, '.' decimal, LF)."""
-    modes = trajectory.state_at(0).modes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "n", "value", "velocity"])
-        for i, t in enumerate(trajectory.times):
-            for n, val, vel in zip(modes, trajectory.values[i], trajectory.velocities[i]):
-                w.writerow([repr(t), n, repr(val), repr(vel)])

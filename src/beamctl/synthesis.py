@@ -24,7 +24,6 @@ series moments of rate pairs with |nu T| < 1/2, the returned coefficients.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from math import isqrt
@@ -46,7 +45,6 @@ __all__ = [
     "cholesky_factor",
     "solve_min_norm",
     "biorthogonal_family",
-    "write_control_csv",
 ]
 
 PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
@@ -72,10 +70,10 @@ def _gram_scale(system: MomentSystem) -> int:
     bits below the smallest G_jj >= w^2 min(h, h^3) / 10 (each kernel keeps a
     share of its value near u = 0 on [0, h], h = min(T, 1/(2 max |lam|)),
     w = min(1, least expsin frequency)) and 3 log2(2T) for divisions by nu."""
-    rates = [complex(float(k.rate or k.decay or 0), float(k.freq or 0)) for k in system.kernels]
-    w = min([1.0] + [r.imag for r, k in zip(rates, system.kernels) if k.kind == "expsin"])
+    rates = [k.real_form(system.config.horizon)[:2] for k in system.kernels]  # (lam, Im)
+    w = min([1.0] + [float(mp.im(lam)) for lam, imag in rates if imag])
     log_t = math.log2(system.config.horizon)
-    log_h = min(log_t, -math.log2(2 * max(map(abs, rates)) or 1e-300))
+    log_h = min(log_t, -math.log2(2 * max(abs(complex(lam)) for lam, _ in rates) or 1e-300))
     floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
     return (system.config.precision_bits + GUARD_BITS + 16 + math.ceil(max(0.0, -floor))
             + 3 * max(0, math.ceil(log_t + 1)))
@@ -243,7 +241,10 @@ def _attempt(system: MomentSystem) -> SynthesisReport:
     L, cond = cholesky_factor(G, bits)
     with mp.workprec(bits + GUARD_BITS):
         targets = [to_mpf(t) for t in system.targets]
-        c, S = _solve(L, targets), L.scale
+        # targets far below 1 are solved times 2^shift, so that c keeps its bits
+        top = max((mp.mag(t) for t in targets if t), default=0)
+        shift = max(0, bits + GUARD_BITS - L.scale - top)
+        c, S = _solve(L, [mp.ldexp(t, shift) for t in targets]), L.scale + shift
         Gc = [sum(map(mul, row, c)) for row in G.ints]      # times 2^(F + S)
         residuals = [abs(quotient(g - to_fixed(t, G.scale + S), 1 << (G.scale + S)))
                      for g, t in zip(Gc, targets)]
@@ -298,19 +299,3 @@ def biorthogonal_family(system: MomentSystem):
             controls.append(ControlSignal(system.kernels, coefficients, T, bits))
             norms.append(float(mp.sqrt(max(coefficients[m], mp.mpf(0)))))
     return tuple(controls), tuple(norms)
-
-
-def write_control_csv(control: ControlSignal, path, samples: int = 501) -> None:
-    """Uniform samples of the boundary signal as CSV: t, f, f_prime, f_second."""
-    import numpy as np
-
-    T = float(control.horizon)
-    times = np.linspace(0.0, T, samples)
-    data = control.sample(times)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "f", "f_prime", "f_second"])
-        for k in range(samples):
-            w.writerow([repr(float(data["t"][k])), repr(float(data["f"][k])),
-                        repr(float(data["f_prime"][k])),
-                        repr(float(data["f_second"][k]))])

@@ -52,14 +52,31 @@ def test_spectrum_single_mode(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_spectrum_csv_uses_dot_decimal_and_lf(tmp_path):
-    code, out = run(tmp_path, "spectrum", "--rho", "0.5", "--modes", "2")
+# a small run of each subcommand, with the CSV files it writes
+SMALL_RUNS = {
+    "spectrum": (["--rho", "0.5", "--modes", "2"], ["spectrum.csv"]),
+    "synthesize": (["--modes", "2", "--data", "random", "--seed", "7", *FAST],
+                   ["control.csv"]),
+    "verify": (["--modes", "2", "--data", "1:1:0,2:0:0.3", *FAST],
+               ["control.csv", "trajectory.csv"]),
+    "condensation": (["--ratio-sqrt", "2", "--nmax", "40", "--tail-start", "10"],
+                     ["condensation.csv"]),
+    "cost-sweep": (["--modes", "1", "--horizons", "0.5,1", *FAST], ["cost_sweep.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_csv_uses_dot_decimal_and_lf(tmp_path, command):
+    argv, names = SMALL_RUNS[command]
+    code, out = run(tmp_path, command, *argv)
     assert code == 0
-    raw = (out / "spectrum.csv").read_bytes()
-    assert b"\r" not in raw
-    body = raw.decode().splitlines()[1:]
-    for row in body:
-        assert len(row.split(",")) == 6
+    for name in names:
+        raw = (out / name).read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        header, *body = raw.decode().splitlines()
+        assert body
+        for row in body:
+            assert len(row.split(",")) == len(header.split(","))
 
 
 def test_synthesize_small_system(tmp_path):
@@ -74,13 +91,17 @@ def test_synthesize_small_system(tmp_path):
     assert lines[0] == "t,f,f_prime,f_second"
 
 
-def test_synthesize_outputs_are_byte_identical(tmp_path):
-    args = ["synthesize", "--modes", "2", "--data", "random", "--seed", "7", *FAST]
-    code1, out1 = run(tmp_path / "a", *args)
-    code2, out2 = run(tmp_path / "b", *args)
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_outputs_are_byte_identical(tmp_path, command):
+    argv, csvs = SMALL_RUNS[command]
+    code1, out1 = run(tmp_path / "a", command, *argv)
+    code2, out2 = run(tmp_path / "b", command, *argv)
     assert code1 == code2 == 0
-    assert (out1 / "synthesis.json").read_bytes() == (out2 / "synthesis.json").read_bytes()
-    assert (out1 / "control.csv").read_bytes() == (out2 / "control.csv").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert len(names) == 1 + len(csvs)     # the JSON report and the CSVs
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_synthesize_seed_changes_random_data(tmp_path):

@@ -5,6 +5,7 @@ from math import inf, isinf
 import mpmath as mp
 import pytest
 
+from beamctl.cli import main
 from beamctl.condensation import (
     condensation_estimate,
     eprime_magnitudes,
@@ -12,7 +13,6 @@ from beamctl.condensation import (
     ratio_from_quotients,
     ratio_from_sqrt,
     weierstrass_E,
-    write_condensation_csv,
 )
 from beamctl.errors import RationalResonance
 
@@ -168,10 +168,9 @@ def test_ratio_from_sqrt():
 
 
 def test_condensation_csv(tmp_path):
-    est = condensation_estimate(ratio_from_sqrt(2), 12, tail_start=5)
-    path = tmp_path / "condensation.csv"
-    write_condensation_csv(est, path)
-    lines = path.read_text().splitlines()
+    argv = ["condensation", "--ratio-sqrt", "2", "--nmax", "12", "--tail-start", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "condensation.csv").read_text().splitlines()
     assert lines[0] == "n,branch,value,running_sup"
     assert len(lines) == 1 + 24
     # pre-tail rows leave the running sup blank

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamctl._numutil import to_mpf
+from beamctl.cli import write_trajectory_csv
 from beamctl.errors import StepSizeError
 from beamctl.kernels import ControlSignal, Kernel, kernel_value
 from beamctl.modal_dynamics import (
@@ -15,7 +16,6 @@ from beamctl.modal_dynamics import (
     forcing_resolution_steps,
     simulate_oracle,
     state_pair_norm,
-    write_trajectory_csv,
 )
 from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from beamctl._numutil import GUARD_BITS, to_mpf
+from beamctl.cli import write_control_csv
 from beamctl.errors import NumericalRankDeficiency
 from beamctl.kernels import gram_entry
 from beamctl.modal_dynamics import ModalState
@@ -17,7 +18,6 @@ from beamctl.synthesis import (
     cholesky_factor,
     gram_matrix,
     solve_min_norm,
-    write_control_csv,
 )
 
 CRIT_DATA = dict(values=(1, 0, 0.3, 0, 0, 0), velocities=(0, 0.2, 0, 0, 0, 0))

@@ -127,8 +127,10 @@ def test_cost_sweep_requires_horizons():
     (Boundary.DIRICHLET, Fraction(2), 3, (1, 0, "0.2"), (0, "0.1", 0)),
     (Boundary.DIRICHLET, Fraction(5, 2), 4, (0, 0, 1, 0), (0, 0, "0.1", 0)),
     (Boundary.NEUMANN, Fraction(3, 2), 3, (0, 1, 0, "0.2"), (0, 0, 0, 0)),
+    (Boundary.DIRICHLET, Fraction(1), 2, ("1e-200", 0), (0, 0)),
+    (Boundary.NEUMANN, Fraction(3, 2), 3, (0, "1e-200", 0, "2e-201"), (0, 0, 0, 0)),
 ], ids=["dirichlet-underdamped", "dirichlet-critical", "dirichlet-overdamped",
-        "neumann-underdamped"])
+        "neumann-underdamped", "dirichlet-tiny-data", "neumann-tiny-data"])
 def test_crosscheck_battery(boundary, rho, n_modes, values, velocities):
     config = BeamConfig(boundary=boundary, rho=rho, n_modes=n_modes,
                         horizon=Fraction(1), precision_bits=160)
