@@ -32,13 +32,7 @@ from .spectrum import (
     gap_statistics,
     mode_eigenvalues,
 )
-from .kernels import (
-    ControlSignal,
-    Kernel,
-    gram_entry,
-    kernel_value,
-    power_exp_moment,
-)
+from .kernels import ControlSignal, Kernel
 from .modal_dynamics import (
     ModalState,
     Trajectory,
@@ -103,9 +97,6 @@ __all__ = [
     "mode_eigenvalues",
     "ControlSignal",
     "Kernel",
-    "gram_entry",
-    "kernel_value",
-    "power_exp_moment",
     "ModalState",
     "Trajectory",
     "closed_form_state",

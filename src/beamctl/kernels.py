@@ -11,20 +11,19 @@ p in {0, 1}:
     expcos       e^(beta (T-s)) cos(alpha (T-s))   (conjugate-pair real part)
     expsin       e^(beta (T-s)) sin(alpha (T-s))   (conjugate-pair imag part)
 
-Those (coefficient, power, rate) parts (Kernel.exponential_parts) are all
-that the two verification routes share.  The closed-form route needs one
-primitive, the truncated moment
+Those parts (Kernel.real_form, Kernel.exponential_parts) are all that the
+two verification routes share.  The closed-form route needs one primitive,
+the truncated moment
 
-    M_d(nu, t) = int_0^t w^d e^(nu w) dw,
+    M_d(nu, T) = int_0^T w^d e^(nu w) dw,
 
-computed for d = 0..D at once by power_exp_moments, from an exponential
-e^(nu t) the caller supplies, by a stable series for small |nu t| and by the
-usual recursion in d otherwise.  Gram entries and the convolutions of f''
-against (t-s)^d e^(lam (t-s)) (ControlSignal.convolve) that give the slope
-f', the signal f and the modal Duhamel response are all sums of M_d.  The
-Gram matrix (synthesis.gram_matrix) takes each kernel as Re or Im of one
-rate's term (Kernel.real_form), one moment pair per rate pair, in fixed point
-but for the series; gram_entry, the per-entry reference, sums all products.
+computed for d = 0..D at once by _moment_set, on integers with a fixed
+binary point, from the exponentials of the two rates summed into nu: a
+stable series for small |nu T|, the usual recursion in d otherwise.  Gram
+entries (synthesis.gram_matrix) and the control's moments K(p, lam) =
+int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give
+f(T), f'(T) and the modal Duhamel responses at T, are sums of M_d, each
+kernel taken as Re or Im of one rate's term, one moment pair per rate pair.
 
 The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
 per signal, built from extended-precision values at Chebyshev-Lobatto nodes
@@ -38,24 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import Optional, Tuple
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
-from ._numutil import GUARD_BITS, decimal_str, quotient, strip_imag, to_fixed, to_mpf
+from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import SamplingError
 
 __all__ = [
     "Kernel",
     "ControlSignal",
-    "power_exp_moment",
-    "power_exp_moments",
-    "gram_entry",
-    "kernel_value",
-    "convolution_moment",
     "ChebyshevProxy",
 ]
 
@@ -71,32 +64,6 @@ SIGNALS = ("f", "f_prime", "f_second")    # ControlSignal.sample's keys, in prox
 # kernel kind -> the parameters it takes, in descriptor order
 _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",),
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
-_HALF = mp.mpf(0.5)         # power_exp_moments' series bound, built once (exact at any precision)
-
-
-def power_exp_moments(d: int, nu, t, e_nut) -> list:
-    """[M_0, ..., M_d](nu, t), M_j = int_0^t w^j e^(nu w) dw, given e_nut = e^(nu t).
-
-    The one M_d calculus, for an mpf t at the current working precision.
-    Series when |nu t| < 1/2 (covers nu = 0 exactly; abs(nu) only once
-    max(|Re nu|, |Im nu|) t, never rounded above it, is below 1/2); otherwise
-    M_j = (t^j e^(nu t) - j M_(j-1)) / nu seeded with M_0 = (e^(nu t) - 1) / nu.
-    That seed loses log2(|e^(nu t)| / |e^(nu t) - 1|) bits, a few for the
-    damped rates (Re nu < 0) of this problem, well inside GUARD_BITS.
-    Callers that need many moments pass exponentials they computed once.
-    """
-    if d < 0:
-        raise ValueError("moment order must be nonnegative")
-    if t == 0:
-        return [mp.mpf(0)] * (d + 1)
-    if max(abs(nu.real), abs(nu.imag)) * t < _HALF and abs(nu) * t < _HALF:
-        return [_series_moment(j, nu, t) for j in range(d + 1)]
-    out = [(e_nut - 1) / nu]
-    tp = mp.mpf(1)
-    for j in range(1, d + 1):
-        tp = tp * t
-        out.append((tp * e_nut - j * out[-1]) / nu)
-    return out
 
 
 def _series_moment(d: int, nu, t):
@@ -113,9 +80,29 @@ def _series_moment(d: int, nu, t):
         term = term * nu * t / k
 
 
-def power_exp_moment(d: int, nu, t):
-    """M_d(nu, t) with its own exponential, at the working precision; see power_exp_moments."""
-    return power_exp_moments(d, nu, mp.mpf(t), mp.exp(nu * mp.mpf(t)))[d]
+def _moment_set(d: int, one, other, t: int, scale: int) -> list:
+    """[M_0, ..., M_d](lam + mu, T) as pairs (re, im), from rates one and other
+    as (Re lam, Im lam, Re e^(lam T), Im e^(lam T)) and t = T, all times
+    2^scale: the one M_d calculus.  |nu T| < 1/2, decided on integers, sums
+    the series at the working precision (covers nu = 0 exactly); otherwise
+    M_j = (T^j e^(nu T) - j M_(j-1)) / nu from M_0 = (e^(nu T) - 1) / nu,
+    dividing through |nu|^2.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|)
+    bits, a few for the damped rates (Re nu < 0) of this problem."""
+    (a, b, x, y), (a2, b2, x2, y2) = one, other
+    a, b = a + a2, b + b2
+    x, y = (x * x2 - y * y2) >> scale, (x * y2 + y * x2) >> scale
+    n2 = a * a + b * b
+    if 4 * n2 * t * t < 1 << 4 * scale:
+        nu, T = mp.mpc(mp.ldexp(a, -scale), mp.ldexp(b, -scale)), mp.ldexp(t, -scale)
+        moments = [_series_moment(j, nu, T) for j in range(d + 1)]
+        return [(to_fixed(mp.re(m), scale), to_fixed(mp.im(m), scale)) for m in moments]
+    out, p, q, tp = [], x - (1 << scale), y, 1 << scale
+    for j in range(d + 1):
+        if j:
+            tp = tp * t >> scale
+            p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
+        out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,72 +157,15 @@ class Kernel:
         return Kernel(kind, **{p: mp.mpf(d[p]) for p in _PARAMETERS.get(kind, ())})
 
 
-def kernel_value(kernel: Kernel, s, horizon):
-    """Pointwise value at time s in [0, T], at the current working precision.
-
-    Per-kind formulas rather than a parts sum: this is the independent
-    reference the quadrature tests hold the M_d calculus to.
-    """
-    s = mp.mpf(s)
-    T = to_mpf(horizon)
-    u = T - s
-    if kernel.kind == "const":
-        return mp.mpf(1)
-    if kernel.kind == "linear":
-        return s
-    if kernel.kind == "exp":
-        return mp.e ** (kernel.rate * u)
-    if kernel.kind == "polyexp":
-        return u * mp.e ** (kernel.rate * u)
-    if kernel.kind == "expcos":
-        return mp.e ** (kernel.decay * u) * mp.cos(kernel.freq * u)
-    return mp.e ** (kernel.decay * u) * mp.sin(kernel.freq * u)
-
-
-def gram_entry(kernel_a: Kernel, kernel_b: Kernel, horizon,
-               precision_bits: int = 256):
-    """L2(0, T) inner product of two kernels, by closed form.
-
-    Expands both kernels into u^p e^(lam u) terms and sums
-    a_i conj(b_j) M_(p_i + p_j)(lam_i + conj(mu_j), T).  Real for the real
-    kernel kinds; the roundoff-level imaginary residue is stripped.
-    """
-    with mp.workprec(precision_bits + GUARD_BITS):
-        T = to_mpf(horizon)
-        total = mp.mpf(0)
-        for (a, p, lam) in kernel_a.exponential_parts(T):
-            for (b, q, mu) in kernel_b.exponential_parts(T):
-                total = total + a * mp.conj(b) * power_exp_moment(p + q, lam + mp.conj(mu), T)
-        return strip_imag(total, precision_bits)
-
-
-def convolution_moment(part, d: int, lam, t, horizon):
-    """int_0^t (T-s)^p e^(mu (T-s)) (t-s)^d e^(lam (t-s)) ds for one kernel part.
-
-    Binomially rewrites (T-s)^p around (T-t) so everything reduces to
-    M moments in the local variable w = t - s.  Used by ControlSignal.convolve.
-    """
-    a, p, mu = part
-    t = mp.mpf(t)
-    T = to_mpf(horizon)
-    head = a * mp.exp(mu * (T - t))
-    nu = mu + lam
-    moments = power_exp_moments(d + p, nu, t, mp.exp(nu * t))
-    total = mp.mpf(0)
-    for j in range(p + 1):
-        total = total + comb(p, j) * (T - t) ** (p - j) * moments[d + j]
-    return head * total
-
-
 @dataclass(frozen=True)
 class ControlSignal:
     """Boundary control in curvature form: f''(s) = sum_k c_k kernel_k(s).
 
-    The signal itself and its slope are recovered by integrating twice from
-    zero, f'(t) = convolve(0, 0, t) and f(t) = convolve(1, 0, t), so
+    The signal itself and its slope are f'' integrated twice from zero, so
     f(0) = f'(0) = 0 holds by construction; f(T) = f'(T) = 0 holds when the
     constant and linear moments of f'' vanish (the first two rows of every
-    assembled moment system).
+    assembled moment system).  `moments` gives the closed-form route its
+    values at T, `sample` gives the oracle route float64 samples on [0, T].
     """
 
     kernels: Tuple[Kernel, ...]
@@ -247,27 +177,71 @@ class ControlSignal:
         if len(self.kernels) != len(self.coefficients):
             raise ValueError("one coefficient per kernel required")
 
-    def curvature(self, t):
-        """f''(t)."""
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            acc = mp.mpf(0)
-            for c, k in zip(self.coefficients, self.kernels):
-                acc = acc + c * kernel_value(k, t, self.horizon)
-            return acc
+    def moments(self, keys) -> dict:
+        """{(p, lam): K(p, lam)} for (power, rate) keys, K(p, lam) =
+        int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds: the closed-form route's calculus.
 
-    def convolve(self, d: int, lam, t):
-        """int_0^t f''(s) (t-s)^d e^(lam (t-s)) ds, the closed-form route's one calculus.
-
-        Sums c * convolution_moment over every kernel's exponential parts, so
-        slope, value and the modal Duhamel response all reduce to M_d moments.
-        A complex rate or kernel part leaves a complex result.
+        f(T) = K(1, 0), f'(T) = K(0, 0), and the modal Duhamel responses at T
+        are sums of K.  Kernel parts are merged by rate mu (Kernel.real_form),
+        so K(p, lam) sums C_q M_(p+q)(lam + mu, T) and, for a complex mu,
+        M_(p+q)(lam + conj mu, T): one moment set (_moment_set) per pair of
+        lam and mu, a key with Im lam < 0 read off its conjugate (f'' is
+        real).  Each key is summed on integers, the moments and the merged
+        coefficients C_q with F fraction bits, and rounded once, to
+        precision_bits + GUARD_BITS.  F is sized as the Gram's is
+        (synthesis._gram_scale), with the term bound in place of the Gram's
+        floor: precision_bits + GUARD_BITS + 16 bits, log2 of the bound above
+        1 and its negative exponent below 1 (a sum of terms near the bound
+        cancels down to the data's size), and 3 log2(2T) for divisions by nu.
         """
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            total = mp.mpf(0)
+        bound, T = self.term_scale_bound(), float(self.horizon)
+        if math.isfinite(bound):
+            above = math.ceil(math.log2(max(bound, 1.0)))
+        else:   # past float64: with damped rates, sum |c| max(1, T)^4 bounds every term
+            above = (int(mp.mag(mp.fsum(map(abs, self.coefficients))))
+                     + 4 * max(0, math.ceil(math.log2(T))))
+        F = (self.precision_bits + GUARD_BITS + 16 + above
+             + max(0, 1 - math.frexp(bound)[1]) + 3 * max(0, math.ceil(math.log2(T) + 1)))
+        with mp.workprec(F + 16):
+            T = to_mpf(self.horizon)
+
+            def fixed(rate):    # (Re, Im of rate and of e^(rate T)) times 2^F
+                z = mp.mpc(rate)
+                e = mp.exp(z * T)
+                return tuple(to_fixed(x, F) for x in (z.real, z.imag, e.real, e.imag))
+
+            merged = {}     # mu -> {q: [C_q of the Re kernels, of the Im kernels]}
             for c, k in zip(self.coefficients, self.kernels):
-                for part in k.exponential_parts(self.horizon):
-                    total = total + c * convolution_moment(part, d, lam, t, self.horizon)
-            return total
+                mu, imag, poly = k.real_form(T)
+                for a, q in poly:
+                    merged.setdefault(mu, {}).setdefault(q, [0, 0])[imag] += to_fixed(c * a, F)
+            rates = [(fixed(mu), poly) for mu, poly in merged.items()]
+            powers = {}     # lam, Im lam >= 0 -> the powers asked for
+            for p, lam in keys:
+                powers.setdefault(mp.conj(lam) if mp.im(lam) < 0 else lam, set()).add(p)
+            # (p, lam) -> 2 K(p, lam) as (re, im) times 2^(2F)
+            sums = {(p, lam): [0, 0] for lam, ps in powers.items() for p in ps}
+            t = to_fixed(T, F)
+            for lam, ps in powers.items():
+                one = fixed(lam)
+                for (a, b, x, y), poly in rates:
+                    d = max(ps) + max(poly)
+                    plus = _moment_set(d, one, (a, b, x, y), t, F)
+                    minus = plus if b == 0 else _moment_set(d, one, (a, -b, x, -y), t, F)
+                    for p in ps:
+                        acc = sums[p, lam]
+                        for q, (A, B) in poly.items():
+                            (pr, pi), (mr, mi) = plus[p + q], minus[p + q]
+                            acc[0] += A * (pr + mr) + B * (pi - mi)
+                            acc[1] += A * (pi + mi) - B * (pr - mr)
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            out = {}
+            for p, lam in keys:
+                twin = mp.im(lam) < 0       # K(p, conj lam) = conj K(p, lam)
+                re, im = sums[p, mp.conj(lam) if twin else lam]
+                z = mp.mpc(mp.ldexp(re, -2 * F - 1), mp.ldexp(im, -2 * F - 1))
+                out[p, lam] = mp.conj(z) if twin else z
+            return out
 
     def term_scale_bound(self) -> float:
         """Upper bound on the magnitude of any single coefficient-times-kernel
@@ -309,7 +283,8 @@ class ControlSignal:
         """Chebyshev series of f, f' and f'' good to float64, built once.
 
         f, f', f'' are summed on fixed-point integers (`_sample_extended` on
-        `term_table`) at the Chebyshev-Lobatto nodes of [0, T], doubling them from
+        `term_table`) at the Chebyshev-Lobatto nodes of [0, T], their times
+        exact to the fixed point (`_lobatto_nodes`), doubling them from
         _FIRST_NODES (each round evaluates only the new half) until the
         standard chop of Aurentz & Trefethen (ACM TOMS 2017) finds all three
         coefficient tails flat at float64 roundoff.  The chopped series are
@@ -321,7 +296,7 @@ class ControlSignal:
         """
         T = float(self.horizon)
         n = _FIRST_NODES
-        values = self._sample_extended(_lobatto_times(T, np.arange(n + 1), n))
+        values = self._sample_extended(self._lobatto_nodes(np.arange(n + 1), n))
         while True:
             coeffs = _chebyshev_coefficients(values)
             cuts = [_standard_chop(row) for row in coeffs]
@@ -332,7 +307,7 @@ class ControlSignal:
                 top = np.maximum(np.abs(coeffs).max(axis=1), _TINY)
                 raise SamplingError(n, float((tail / top).max()), _EPS,
                                     "coefficient tail")
-            fresh = self._sample_extended(_lobatto_times(T, 2 * np.arange(n) + 1, 2 * n))
+            fresh = self._sample_extended(self._lobatto_nodes(2 * np.arange(n) + 1, 2 * n))
             merged = np.empty((3, 2 * n + 1))
             merged[:, ::2] = values
             merged[:, 1::2] = fresh
@@ -353,7 +328,7 @@ class ControlSignal:
 
     @cached_property
     def term_table(self) -> tuple:
-        """The oracle route's own calculus, independent of `convolve`, built
+        """The oracle route's own calculus, independent of `moments`, built
         once: (F, T, cubic, rates, ln 2, pi / 2) on integers with F fraction
         bits, 32 past what the term bound asks for and past a bound's negative
         exponent (2^-F <= bound 2^-(bits + 32) for data of any size).  f^(i)(t)
@@ -394,17 +369,29 @@ class ControlSignal:
                     [(lr, li, [AB[2 * i:2 * i + 2] + AB[2 * i + 6:2 * i + 8] for i in range(3)])
                      for lr, li, *AB in ints], ln2_fixed(F), pi_fixed(F - 1))
 
+    def _lobatto_nodes(self, numer: np.ndarray, denom: int) -> np.ndarray:
+        """The times of `_lobatto_times` as integers t 2^F (`term_table`'s F),
+        in an object array: T sin^2(pi (denom - numer) / (2 denom)) on
+        integers by mpmath's fixed-point sine, within a few 2^-F of exact, so
+        each node value belongs to its Lobatto point (f'' turns at a rate
+        near max |lam| next to t = T, where a float64 time misplaces it)."""
+        F, T, *_, half_pi = self.term_table
+        angles = (half_pi * k // denom for k in (denom - numer).tolist())
+        sines = (cos_sin_fixed(x, F, half_pi)[1] for x in angles)
+        return np.array([T * s * s >> 2 * F for s in sines], dtype=object)
+
     def _sample_extended(self, t: np.ndarray) -> np.ndarray:
         """Rows f, f', f'' at times t by `term_table`, summed on integers from
-        the exact t_j 2^F and rounded to float64 once.  All terms see the same
-        u = T - t_j: one ulp between them would smear the cancellation by
+        t_j 2^F and rounded to float64 once: float64 times exactly, or an
+        object array of those integers (`_lobatto_nodes`).  All terms see the
+        same u = T - t_j: one ulp between them would smear the cancellation by
         bound * ulp.  One e^(Re lam u) and cos, sin(Im lam u) per rate by
         mpmath's fixed-point kernels (mpz under gmpy2, untested: made int last).
         """
         F, T, cubic, rates, ln2, half_pi = self.term_table
         out = np.empty((3, t.size))
-        for j, tj in enumerate(t.tolist()):
-            x = to_fixed(tj, F)
+        xs = t.tolist() if t.dtype == object else [to_fixed(tj, F) for tj in t.tolist()]
+        for j, x in enumerate(xs):
             u, x2 = T - x, x * x >> F
             acc = [(q0 << F) + q1 * x + q2 * x2 + q3 * (x2 * x >> F) for q0, q1, q2, q3 in cubic]
             for lr, li, rows in rates:

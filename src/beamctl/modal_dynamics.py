@@ -15,13 +15,13 @@ u_n(t) = v_n(t) + x_n f(t).
 
 Slot i of a state holds mode Boundary.first_mode + i (ModalState.modes), so
 the Neumann constant mode sits in slot 0.  closed_form_state evolves each
-mode through the two fundamental solutions of its roots; the zero mode's
-double root 0 makes it drift, u0 + u1 t.
+mode to the horizon T through the two fundamental solutions of its roots;
+the zero mode's double root 0 makes it drift, u0 + u1 T.
 
 Two response paths are deliberately kept independent: closed-form evaluation
-through the exponential-part calculus (extended precision), and a classical
-fixed-step 4th-order explicit integrator in float64 that knows nothing about
-the closed forms.  Agreement of the two is a verification gate, not an
+at T from the control's moments (ControlSignal.moments, summed on integers
+at extended precision), and a classical fixed-step 4th-order explicit
+integrator in float64 that knows nothing about the closed forms.  Agreement of the two is a verification gate, not an
 implementation convenience.
 
 On a linear system one RK4 step is an affine map of the state and the three
@@ -129,51 +129,47 @@ def _derivative(parts):
 
 
 def closed_form_state(config: BeamConfig, state0: ModalState,
-                      control: Optional[ControlSignal], t) -> ModalState:
-    """Physical state at time t from initial data state0 under the control.
+                      control: Optional[ControlSignal] = None) -> ModalState:
+    """Physical state at the horizon T from initial data state0 under the control.
 
     With fundamental solutions g, h (_fundamental_parts) of mode n's roots
     in config.spectrum, mode n from (u0, u1) is
 
-        u_n  = u0 g  + u1 h  + x_n (f  - J_h),
-        u_n' = u0 g' + u1 h' + x_n (f' - J_h'),
+        u_n  = u0 g(T)  + u1 h(T)  + x_n (f(T)  - J_h),
+        u_n' = u0 g'(T) + u1 h'(T) + x_n (f'(T) - J_h'),
 
-    J_p = int_0^t f''(s) p(t-s) ds being the Duhamel response of v = u - U
-    and x_n f the lifting.  Each (power, rate) convolution runs once per
-    call, and f, f' are those at rate 0: on the Neumann zero mode (h = t)
-    the lifting cancels J_h, leaving u0 + u1 t exactly.  control=None is the
-    free flow.
+    J_p = int_0^T f''(s) p(T-s) ds being the Duhamel response of v = u - U
+    and x_n f the lifting.  Every J is a sum of the control's moments K(p, lam)
+    (ControlSignal.moments), all asked for in one call, and f(T), f'(T) are
+    K(1, 0), K(0, 0): on the Neumann zero mode (h = t) the lifting cancels
+    J_h, leaving u0 + u1 T exactly.  control=None is the free flow.
     """
     if state0.boundary is not config.boundary or state0.n_modes != config.n_modes:
         raise ValueError("state boundary and modes must match config")
     bits = config.precision_bits
     with mp.workprec(bits + GUARD_BITS):
-        t = to_mpf(t)
-        conv = {}
-
-        def J(parts):
-            for _, p, lam in parts:
-                if (p, lam) not in conv:
-                    conv[p, lam] = control.convolve(p, lam, t)
-            return sum(c * conv[p, lam] for c, p, lam in parts)
-
-        if control is not None:
-            f, f_slope = (strip_imag(J([(1, p, 0)]), control.precision_bits) for p in (1, 0))
-        vals, vels = [], []
-        for n, u0, u1, x in zip(state0.modes, state0.values, state0.velocities,
-                                config.spectrum.traces):
+        T = to_mpf(config.horizon)
+        solutions = []     # g, h, g', h' per mode
+        for n in state0.modes:
             g, h = _fundamental_parts(*config.spectrum.roots(n))
-            dg, dh = _derivative(g), _derivative(h)
-            ex = {lam: mp.exp(lam * t) for _, _, lam in g}
+            solutions.append((g, h, _derivative(g), _derivative(h)))
+        if control is not None:
+            K = control.moments({(1, 0), (0, 0)} | {(p, lam) for _, h, _, dh in solutions
+                                                    for _, p, lam in (*h, *dh)})
+            f, f_slope = (strip_imag(K[p, 0], control.precision_bits) for p in (1, 0))
+        vals, vels = [], []
+        for (g, h, dg, dh), u0, u1, x in zip(solutions, state0.values, state0.velocities,
+                                             config.spectrum.traces):
+            ex = {lam: mp.exp(lam * T) for _, _, lam in g}
 
             def at(parts):
-                return sum(c * t ** p * ex[lam] for c, p, lam in parts)
+                return sum(c * T ** p * ex[lam] for c, p, lam in parts)
 
             v = to_mpf(u0) * at(g) + to_mpf(u1) * at(h)
             w = to_mpf(u0) * at(dg) + to_mpf(u1) * at(dh)
             if control is not None:
-                v += x * (f - J(h))
-                w += x * (f_slope - J(dh))
+                v += x * (f - sum(c * K[p, lam] for c, p, lam in h))
+                w += x * (f_slope - sum(c * K[p, lam] for c, p, lam in dh))
             scale = max(mp.mpf(1), abs(v), abs(w))
             vals.append(strip_imag(v, bits, scale=scale))
             vels.append(strip_imag(w, bits, scale=scale))

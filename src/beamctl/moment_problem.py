@@ -236,7 +236,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
             else:
                 active.append((i, n, x))
 
-        at_T = closed_form_state(config, state0, None, config.horizon)
+        at_T = closed_form_state(config, state0)
         r_exact = spectrum.ratio_exact
 
         kernels = [Kernel("const"), Kernel("linear")]

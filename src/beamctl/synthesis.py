@@ -19,8 +19,10 @@ returned control meets its moment targets to the working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
 fraction bits in the Gram (_gram_scale) and precision_bits + GUARD_BITS in
-its unit-diagonal factor; mpf stays at the edges: each rate's e^(lam T), the
-series moments of rate pairs with |nu T| < 1/2, the returned coefficients.
+its unit-diagonal factor; the Gram's moments come from kernels._moment_set,
+the moment calculus the closed-form final state uses too.  mpf stays at the
+edges: each rate's e^(lam T), the series moments of rate pairs with
+|nu T| < 1/2, the returned coefficients.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, power_exp_moments
+from .kernels import ControlSignal, _moment_set
 from .moment_problem import MomentSystem
 
 __all__ = [
@@ -77,28 +79,6 @@ def _gram_scale(system: MomentSystem) -> int:
     floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
     return (system.config.precision_bits + GUARD_BITS + 16 + math.ceil(max(0.0, -floor))
             + 3 * max(0, math.ceil(log_t + 1)))
-
-
-def _moment_set(d: int, one, other, t: int, scale: int) -> list:
-    """[M_0, ..., M_d](lam + mu, T) as pairs (re, im), from rates one and other
-    as (Re lam, Im lam, Re e^(lam T), Im e^(lam T)) and t = T, all times
-    2^scale.  |nu T| < 1/2, decided on integers, goes to power_exp_moments'
-    series; otherwise its recursion runs here, dividing through |nu|^2."""
-    (a, b, x, y), (a2, b2, x2, y2) = one, other
-    a, b = a + a2, b + b2
-    x, y = (x * x2 - y * y2) >> scale, (x * y2 + y * x2) >> scale
-    n2 = a * a + b * b
-    if 4 * n2 * t * t < 1 << 4 * scale:
-        mpc = [mp.mpc(mp.ldexp(re, -scale), mp.ldexp(im, -scale)) for re, im in ((a, b), (x, y))]
-        moments = power_exp_moments(d, mpc[0], mp.ldexp(t, -scale), mpc[1])
-        return [(to_fixed(mp.re(m), scale), to_fixed(mp.im(m), scale)) for m in moments]
-    out, p, q, tp = [], x - (1 << scale), y, 1 << scale
-    for j in range(d + 1):
-        if j:
-            tp = tp * t >> scale
-            p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
-        out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
-    return out
 
 
 def gram_matrix(system: MomentSystem) -> FixedMatrix:

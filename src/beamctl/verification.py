@@ -1,13 +1,15 @@
 """End-to-end verification of synthesized controls.
 
 A synthesis is only trusted after two independent evaluations agree that the
-state actually reaches rest.  The closed-form route evaluates the forced
-response through the exponential-part calculus at extended precision; the
-oracle route integrates the same modal system with a classical fixed-step
-scheme in float64 that shares no code with the closed forms.  Both final
-states are measured in the pair norm natural to the boundary condition:
-displacement at scale 3 with velocity at scale 1 for Dirichlet control,
-scales 4 and 2 for Neumann.
+state actually reaches rest.  The closed-form route evaluates the state at
+the horizon from the control's moments K(p, lam) (ControlSignal.moments),
+summed on integers at extended precision; the oracle route integrates the
+same modal system with a classical fixed-step scheme in float64, forced by
+samples from the control's own antiderivatives (ControlSignal.sample),
+sharing no moment calculus with the closed forms.  Both final states are
+measured in the pair norm natural to the boundary condition: displacement
+at scale 3 with velocity at scale 1 for Dirichlet control, scales 4 and 2
+for Neumann.
 
 The cost sweep quantifies the price of haste: shrinking the horizon can only
 grow the minimum curvature norm (a control on [0, T1] extends by zero to any
@@ -64,7 +66,7 @@ def pair_norm_scale(boundary) -> int:
 def closed_form_final_state(config: BeamConfig, state0: ModalState,
                             control: ControlSignal) -> ModalState:
     """Physical state at the horizon: free flow plus forced response."""
-    return closed_form_state(config, state0, control, config.horizon)
+    return closed_form_state(config, state0, control)
 
 
 def _max_componentwise_gap(a: ModalState, b: ModalState) -> float:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from beamctl._numutil import to_mpf, ulp_close
-from beamctl.kernels import (
-    ControlSignal,
-    Kernel,
+from beamctl.kernels import ControlSignal, Kernel
+from reference_calculus import (
+    convolve,
+    curvature,
     gram_entry,
     kernel_value,
     power_exp_moment,
+    series_moment,
 )
 
 
@@ -92,41 +94,35 @@ def test_power_exp_moment_small_rate_series_is_smooth():
 
 
 def test_series_branch_follows_the_abs_rule(monkeypatch):
-    """power_exp_moments tests max(|Re nu|, |Im nu|) t before |nu t|; on a
-    grid of complex and real nu around |nu t| = 1/2 it still takes the
-    series exactly when abs(nu) t < 1/2."""
+    """_moment_set decides on integers; on a grid of complex and real nu
+    around |nu T| = 1/2 it takes the series exactly when abs(nu) T < 1/2."""
     import beamctl.kernels as kernels
+    from beamctl._numutil import to_fixed
 
     calls = []
     series = kernels._series_moment
     monkeypatch.setattr(kernels, "_series_moment",
                         lambda *args: calls.append(args) or series(*args))
-    with mp.workprec(128):
-        t = mp.mpf("0.7")
+    F = 128
+    zero = (0, 0, 1 << F, 0)            # rate 0: e^(0 T) = 1
+    with mp.workprec(F + 16):
+        T = mp.mpf("0.7")
+        t = to_fixed(T, F)
         radii = [mp.mpf(r) for r in ("0.3", "0.45", "0.49", "0.51", "0.6", "0.7")]
         radii += [mp.mpf("0.5") + k * mp.mpf(2) ** -120 for k in (-2, -1, 0, 1, 2)]
-        cases = [r / t for r in radii] + [-r / t for r in radii]
+        cases = [r / T for r in radii] + [-r / T for r in radii]
         for k in range(24):
             turn = mp.expjpi(mp.mpf(k) / 12)
-            cases += [turn * r / t for r in radii]
+            cases += [turn * r / T for r in radii]
         for nu in cases:
+            nu = mp.mpc(nu)
+            e = mp.exp(nu * T)
+            rate = tuple(to_fixed(x, F) for x in (nu.real, nu.imag, e.real, e.imag))
             calls.clear()
-            kernels.power_exp_moments(1, nu, t, mp.exp(nu * t))
-            assert bool(calls) == (abs(nu) * t < mp.mpf(0.5)), nu
-
-
-def abs_rule_series_moment(d, nu, t):
-    """Reference for kernels._series_moment: stop once abs(term) < abs(total) eps."""
-    total = mp.mpf(0)
-    term = t ** (d + 1)
-    k = 0
-    while True:
-        contrib = term / (k + d + 1)
-        total += contrib
-        if abs(contrib) < abs(total) * mp.eps and k > 2:
-            return total
-        k += 1
-        term = term * nu * t / k
+            kernels._moment_set(1, rate, zero, t, F)
+            with mp.workprec(8 * F):        # exact for these integers
+                expect = mp.hypot(rate[0], rate[1]) * t < mp.ldexp(1, 2 * F - 1)
+            assert bool(calls) == expect, nu
 
 
 @pytest.mark.parametrize("prec", [128, 256, 1024])
@@ -142,7 +138,7 @@ def test_series_moment_matches_the_abs_rule(prec):
         turns = [mp.expjpi(mp.mpf(k) / 4) for k in range(8)]   # k = 0, 4: the real axis as mpc
         for nu in real + [turn * r / t for turn in turns for r in radii]:
             for d in (0, 2):
-                ref = abs_rule_series_moment(d, nu, t)
+                ref = series_moment(d, nu, t)
                 assert abs(_series_moment(d, nu, t) - ref) <= abs(ref) * mp.mpf(2) ** (4 - prec)
 
 
@@ -207,7 +203,7 @@ def test_slope_and_value_match_quadrature():
                   Kernel("linear")):
             sig = ControlSignal((k,), (1,), T, 192)
             for t in (mp.mpf("0.25"), mp.mpf("0.9")):
-                i1, i2 = mp.re(sig.convolve(0, 0, t)), mp.re(sig.convolve(1, 0, t))
+                i1, i2 = mp.re(convolve(sig, 0, 0, t)), mp.re(convolve(sig, 1, 0, t))
                 q1 = mp.quad(lambda s: kernel_value(k, s, T), [0, t])
                 assert abs(i1 - q1) < mp.mpf(2) ** -150
                 # Cauchy: int_0^t int_0^tau k = int_0^t (t - s) k(s) ds
@@ -220,9 +216,9 @@ def test_control_signal_flat_oracle():
     with mp.workprec(256):
         sig = ControlSignal(kernels=(Kernel("const"),), coefficients=(mp.mpf(1),),
                             horizon=Fraction(1), precision_bits=256)
-        assert abs(sig.curvature(mp.mpf("0.3")) - 1) < mp.mpf(2) ** -246
-        assert abs(mp.re(sig.convolve(0, 0, mp.mpf("0.3"))) - mp.mpf("0.3")) < mp.mpf(2) ** -246
-        assert abs(mp.re(sig.convolve(1, 0, mp.mpf("0.6"))) - mp.mpf("0.18")) < mp.mpf(2) ** -246
+        assert abs(curvature(sig, mp.mpf("0.3")) - 1) < mp.mpf(2) ** -246
+        assert abs(mp.re(convolve(sig, 0, 0, mp.mpf("0.3"))) - mp.mpf("0.3")) < mp.mpf(2) ** -246
+        assert abs(mp.re(convolve(sig, 1, 0, mp.mpf("0.6"))) - mp.mpf("0.18")) < mp.mpf(2) ** -246
         s = sig.sample(np.linspace(0, 1, 11))
         assert np.allclose(s["f_second"], 1.0, rtol=0, atol=1e-14)
         assert np.allclose(s["f_prime"], np.linspace(0, 1, 11), rtol=0, atol=1e-14)
@@ -240,9 +236,9 @@ def test_sample_fast_path_matches_evaluators():
         t = np.linspace(0, 1, 17)
         s = sig.sample(t)
         for i in (0, 5, 16):
-            assert abs(s["f_second"][i] - float(sig.curvature(mp.mpf(t[i])))) < 1e-13
-            assert abs(s["f_prime"][i] - float(mp.re(sig.convolve(0, 0, mp.mpf(t[i]))))) < 1e-13
-            assert abs(s["f"][i] - float(mp.re(sig.convolve(1, 0, mp.mpf(t[i]))))) < 1e-13
+            assert abs(s["f_second"][i] - float(curvature(sig, mp.mpf(t[i])))) < 1e-13
+            assert abs(s["f_prime"][i] - float(mp.re(convolve(sig, 0, 0, mp.mpf(t[i]))))) < 1e-13
+            assert abs(s["f"][i] - float(mp.re(convolve(sig, 1, 0, mp.mpf(t[i]))))) < 1e-13
 
 
 def cancellation_control(kind):
@@ -270,9 +266,9 @@ def test_sample_extended_path_defeats_cancellation():
         s = sig.sample(t)
         scale = float(max(abs(x) for x in s["f_second"])) or 1.0
         for i in (0, 1, 50, 99, 100):
-            ref2 = float(sig.curvature(mp.mpf(t[i])))
-            ref1 = float(mp.re(sig.convolve(0, 0, mp.mpf(t[i]))))
-            ref0 = float(mp.re(sig.convolve(1, 0, mp.mpf(t[i]))))
+            ref2 = float(curvature(sig, mp.mpf(t[i])))
+            ref1 = float(mp.re(convolve(sig, 0, 0, mp.mpf(t[i]))))
+            ref0 = float(mp.re(convolve(sig, 1, 0, mp.mpf(t[i]))))
             assert abs(s["f_second"][i] - ref2) < 1e-12 * max(scale, 1.0)
             assert abs(s["f_prime"][i] - ref1) < 1e-12 * max(scale, 1.0)
             assert abs(s["f"][i] - ref0) < 1e-12 * max(scale, 1.0)
@@ -284,7 +280,7 @@ def test_sample_extended_nonuniform_grid():
         t = np.array([0.0, 0.03, 0.5, 0.500001, 0.99, 1.0])
         s = sig.sample(t)
         for i in range(t.size):
-            ref = float(sig.curvature(mp.mpf(t[i])))
+            ref = float(curvature(sig, mp.mpf(t[i])))
             assert abs(s["f_second"][i] - ref) < 1e-10
 
 
@@ -328,9 +324,9 @@ def test_sample_matches_evaluators_in_every_regime(boundary, rho, n_modes):
                         1.0 - rng.uniform(0.0, 0.02, 8)])   # the fast kernels peak at T
     s = sig.sample(t)
     dense = sig.sample(np.linspace(0.0, 1.0, 2001))
-    for key, exact in (("f_second", sig.curvature),
-                       ("f_prime", lambda t: mp.re(sig.convolve(0, 0, t))),
-                       ("f", lambda t: mp.re(sig.convolve(1, 0, t)))):
+    for key, exact in (("f_second", lambda t: curvature(sig, t)),
+                       ("f_prime", lambda t: mp.re(convolve(sig, 0, 0, t))),
+                       ("f", lambda t: mp.re(convolve(sig, 1, 0, t)))):
         scale = float(np.max(np.abs(dense[key])))
         for i, ti in enumerate(t):
             assert abs(s[key][i] - float(exact(mp.mpf(ti)))) <= 1e-12 * scale, (key, ti)
@@ -344,8 +340,8 @@ def test_control_is_flat_at_both_ends(boundary, rho, n_modes):
     sig = acceptance_control(boundary, rho, n_modes)
     floor = mp.mpf(2) ** -200 * sig.term_scale_bound()
     for t in (0, sig.horizon):
-        assert abs(mp.re(sig.convolve(1, 0, t))) < floor, ("f", t)
-        assert abs(mp.re(sig.convolve(0, 0, t))) < floor, ("f'", t)
+        assert abs(mp.re(convolve(sig, 1, 0, t))) < floor, ("f", t)
+        assert abs(mp.re(convolve(sig, 0, 0, t))) < floor, ("f'", t)
 
 
 def test_sample_reuses_one_proxy_per_control():

@@ -5,10 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from beamctl._numutil import to_mpf
 from beamctl.cli import write_trajectory_csv
 from beamctl.errors import StepSizeError
-from beamctl.kernels import ControlSignal, Kernel, kernel_value
+from beamctl.kernels import ControlSignal, Kernel
 from beamctl.modal_dynamics import (
     ModalState,
     closed_form_state,
@@ -18,6 +17,7 @@ from beamctl.modal_dynamics import (
     state_pair_norm,
 )
 from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
+from reference_calculus import convolve, curvature
 
 
 def stage_loop_oracle(config, state0, control, steps):
@@ -88,7 +88,7 @@ def one_mode(rho, bits=256):
 def test_free_flow_underdamped_oracle():
     # rho=1, n=1, u0=1, u1=0: u(t) = e^{-t/2}(cos(sqrt3 t/2) + sin(sqrt3 t/2)/sqrt3)
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(1)), st, None, 1)
+    out = closed_form_state(one_mode(Fraction(1)), st)
     assert abs(float(out.values[0]) - 0.659700153392) < 1e-11
     with mp.workprec(300):
         expect = mp.exp(mp.mpf(-1) / 2) * (mp.cos(mp.sqrt(3) / 2)
@@ -99,7 +99,7 @@ def test_free_flow_underdamped_oracle():
 def test_free_flow_critical_oracle():
     # rho=2, n=1, u0=1, u1=0: u(t) = (1+t) e^{-t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(2)), st, None, 1)
+    out = closed_form_state(one_mode(Fraction(2)), st)
     with mp.workprec(300):
         assert abs(out.values[0] - 2 / mp.e) < mp.mpf(2) ** -240
         # velocity: u'(t) = -t e^{-t}
@@ -109,7 +109,7 @@ def test_free_flow_critical_oracle():
 def test_free_flow_overdamped_oracle():
     # rho=5/2, n=1: u(t) = (4/3) e^{-t/2} - (1/3) e^{-2t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(5, 2)), st, None, 1)
+    out = closed_form_state(one_mode(Fraction(5, 2)), st)
     with mp.workprec(300):
         expect = mp.mpf(4) / 3 * mp.exp(mp.mpf(-1) / 2) - mp.exp(-2) / 3
         assert abs(out.values[0] - expect) < mp.mpf(2) ** -240
@@ -119,7 +119,7 @@ def test_free_flow_neumann_zero_mode_drifts():
     # the constant mode has no restoring force: u_0(t) = u0 + u1 t exactly
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(2))
     st = ModalState.neumann(values=(0.25, 1, 0), velocities=(0.5, 0, 0.3))
-    out = closed_form_state(cfg, st, None, 2)
+    out = closed_form_state(cfg, st)
     assert out.boundary is Boundary.NEUMANN and len(out.values) == 3
     assert out.values[0] == mp.mpf("1.25")
     assert out.velocities[0] == mp.mpf("0.5")
@@ -128,31 +128,31 @@ def test_free_flow_neumann_zero_mode_drifts():
 def test_neumann_zero_mode_drifts_exactly_under_a_control():
     # the lifting must cancel the zero mode's Duhamel response J_h = f exactly,
     # complex kernel parts included
-    cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 3, Fraction(2))
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 3, Fraction(3, 2))
     sig = ControlSignal(
         kernels=(Kernel("const"), Kernel("linear"), Kernel("exp", rate=mp.mpf(-3)),
                  Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(5)),
                  Kernel("expsin", decay=mp.mpf(-1), freq=mp.mpf(3))),
         coefficients=(mp.mpf("0.7"), mp.mpf(-2), mp.mpf("1.3"), mp.mpf(40), mp.mpf(-9)),
-        horizon=Fraction(2))
+        horizon=Fraction(3, 2))
     st = ModalState.neumann(values=(0.25, 1, 0, 0.5), velocities=(0.5, 0, 0.3, 0))
-    out = closed_form_state(cfg, st, sig, Fraction(3, 2))
+    out = closed_form_state(cfg, st, sig)
     assert out.values[0] == 1 and out.velocities[0] == mp.mpf("0.5")
-    assert abs(mp.re(sig.convolve(1, 0, mp.mpf("1.5")))) > 0.1   # the lifting is not trivially 0
+    assert abs(mp.re(convolve(sig, 1, 0, mp.mpf("1.5")))) > 0.1   # the lifting is not trivially 0
 
 
-def duhamel_part(cfg, control, t, n):
-    """Forced state of mode n from zero data, less the lifting x_n f(t)."""
+def duhamel_part(cfg, control, n):
+    """Forced state of mode n at T from zero data, less the lifting x_n f(T)."""
     out = closed_form_state(cfg, ModalState(cfg.boundary, (0,) * cfg.n_modes,
-                                            (0,) * cfg.n_modes), control, t)
+                                            (0,) * cfg.n_modes), control)
     x = cfg.spectrum.traces[n - 1]
     with mp.workprec(cfg.precision_bits + 64):
-        return out.values[n - 1] - x * mp.re(control.convolve(1, 0, t)), x
+        return out.values[n - 1] - x * mp.re(convolve(control, 1, 0, cfg.horizon)), x
 
 
 def test_duhamel_response_frozen_oracle():
     # unit curvature driving mode 1 at rho=1 through the Dirichlet trace
-    val, _ = duhamel_part(one_mode(Fraction(1)), unit_control(), 1, 1)
+    val, _ = duhamel_part(one_mode(Fraction(1)), unit_control(), 1)
     assert abs(float(val) + 0.271519993652) < 1e-11
 
 
@@ -162,17 +162,12 @@ def test_duhamel_response_matches_quadrature():
             kernels=(Kernel("expcos", decay=mp.mpf(-2), freq=mp.mpf(5)),
                      Kernel("linear")),
             coefficients=(mp.mpf("1.3"), mp.mpf("-0.4")),
-            horizon=Fraction(1), precision_bits=192)
+            horizon=Fraction(4, 5), precision_bits=192)
         e = mode_eigenvalues(Fraction(1), 2, 192)
-        t = mp.mpf("0.8")
-
-        def fpp(s):
-            return sum(c * kernel_value(k, s, mp.mpf(1))
-                       for c, k in zip(sig.coefficients, sig.kernels))
-
-        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1), 192)
-        val, x = duhamel_part(cfg, sig, t, 2)
-        q = mp.quad(lambda s: fpp(s) * mp.re(
+        t = mp.mpf(4) / 5
+        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(4, 5), 192)
+        val, x = duhamel_part(cfg, sig, 2)
+        q = mp.quad(lambda s: curvature(sig, s) * mp.re(
             (mp.e ** (e.lambda_plus * (t - s)) - mp.e ** (e.lambda_minus * (t - s)))
             / (e.lambda_plus - e.lambda_minus)), [0, t])
         assert abs(val + x * q) < mp.mpf(2) ** -140
@@ -183,39 +178,13 @@ def test_duhamel_critical_matches_quadrature():
         sig = ControlSignal(
             kernels=(Kernel("exp", rate=mp.mpf(-1)),),
             coefficients=(mp.mpf(2),),
-            horizon=Fraction(1), precision_bits=192)
-        t = mp.mpf("0.6")
-        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(2), 2, Fraction(1), 192)
-        val, x = duhamel_part(cfg, sig, t, 2)
-        q = mp.quad(lambda s: 2 * mp.exp(-(1 - s)) * (t - s) * mp.exp(-4 * (t - s)),
+            horizon=Fraction(3, 5), precision_bits=192)
+        t = mp.mpf(3) / 5
+        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(2), 2, Fraction(3, 5), 192)
+        val, x = duhamel_part(cfg, sig, 2)
+        q = mp.quad(lambda s: 2 * mp.exp(-(t - s)) * (t - s) * mp.exp(-4 * (t - s)),
                     [0, t])
         assert abs(val + x * q) < mp.mpf(2) ** -140
-
-
-def test_forced_state_zero_at_time_zero():
-    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
-    zero = ModalState.dirichlet(values=(0, 0, 0), velocities=(0, 0, 0))
-    out = closed_form_state(cfg, zero, unit_control(), 0)
-    for v, w in zip(out.values, out.velocities):
-        assert abs(v) < mp.mpf(2) ** -200
-        assert abs(w) < mp.mpf(2) ** -200
-
-
-@pytest.mark.parametrize("boundary, rho", [
-    (Boundary.DIRICHLET, Fraction(1)), (Boundary.DIRICHLET, Fraction(2)),
-    (Boundary.DIRICHLET, Fraction(3)), (Boundary.NEUMANN, Fraction(1)),
-], ids=["rho1", "rho2", "rho3", "neumann-rho1"])
-def test_closed_form_state_at_time_zero_is_the_data(boundary, rho):
-    cfg = BeamConfig(boundary, rho, 3, Fraction(1))
-    slots = len(range(boundary.first_mode, 4))
-    st = ModalState(boundary, ("0.3", -1, "0.25", 2)[:slots], (1, "0.2", 0, "-0.7")[:slots])
-    sig = ControlSignal(kernels=(Kernel("linear"), Kernel("expcos", decay=mp.mpf(-2),
-                                                          freq=mp.mpf(5))),
-                        coefficients=(mp.mpf(3), mp.mpf(-8)), horizon=Fraction(1))
-    out = closed_form_state(cfg, st, sig, 0)
-    with mp.workprec(320):
-        for got, want in zip(out.values + out.velocities, st.values + st.velocities):
-            assert abs(got - to_mpf(Fraction(want))) < mp.mpf(2) ** -250
 
 
 def test_sobolev_and_pair_norms():
@@ -233,7 +202,7 @@ def test_oracle_free_flow_matches_closed_form():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0, -0.4), velocities=(0, 0.3, 0))
     traj = simulate_oracle(cfg, st, None)
-    expect = closed_form_state(cfg, st, None, 1)
+    expect = closed_form_state(cfg, st)
     got = traj.final_state()
     for a, b in zip(got.values, expect.values):
         assert abs(float(a) - float(b)) < 1e-11
@@ -246,7 +215,7 @@ def test_oracle_forced_matches_closed_form():
     st = ModalState.dirichlet(values=(0.2, -0.1), velocities=(0, 0))
     sig = unit_control()
     traj = simulate_oracle(cfg, st, sig)
-    expect = closed_form_state(cfg, st, sig, 1)
+    expect = closed_form_state(cfg, st, sig)
     got = traj.final_state()
     for i in range(2):
         assert abs(float(got.values[i]) - float(expect.values[i])) < 1e-9
@@ -373,3 +342,44 @@ def test_oracle_rejects_instability_starting_mid_run():
         simulate_oracle(cfg, st, None, steps=140)
     assert got.value.steps == 140
     assert abs(got.value.growth - ref.value.growth) <= 1e-9 * ref.value.growth
+
+
+def crosscheck_case(boundary, rho, n_modes=3, horizon="1", tiny=False):
+    name = f"{boundary}-rho{rho}-{n_modes}-modes-T{horizon}" + ("-tiny-data" if tiny else "")
+    return pytest.param(Boundary(boundary), Fraction(rho), n_modes, Fraction(horizon), tiny,
+                        id=name)
+
+
+@pytest.mark.parametrize("boundary,rho,n_modes,horizon,tiny", [
+    *[crosscheck_case("dirichlet", rho) for rho in ("1", "2", "3", "7/3")],
+    *[crosscheck_case("neumann", rho) for rho in ("1", "5/2")],
+    crosscheck_case("dirichlet", "1", tiny=True), crosscheck_case("neumann", "1", tiny=True),
+    crosscheck_case("dirichlet", "1", horizon="1/1000"),
+    crosscheck_case("dirichlet", "1", horizon="7/2"),
+    crosscheck_case("dirichlet", "1", n_modes=24)])
+def test_closed_form_state_matches_the_convolution_reference(boundary, rho, n_modes,
+                                                             horizon, tiny):
+    """The integer moment calculus at T against the mpf convolutions, under
+    the minimum-norm control, within 2^-(bits/2) of the initial pair norm."""
+    from beamctl.moment_problem import assemble
+    from beamctl.synthesis import solve_min_norm
+    from beamctl.verification import pair_norm_scale
+    from reference_calculus import closed_form_state as reference_state
+
+    first = boundary.first_mode
+    values, velocities = [0] * (n_modes + 1 - first), [0] * (n_modes + 1 - first)
+    if tiny:
+        values[1 - first] = "1e-200"
+    else:
+        values[1 - first], velocities[3 - first], values[n_modes - first] = 1, "0.2", "0.3"
+    state0 = ModalState(boundary, tuple(values), tuple(velocities))
+    report = solve_min_norm(assemble(BeamConfig(boundary, rho, n_modes, horizon), state0))
+    cfg = report.system.config
+    got = closed_form_state(cfg, state0, report.control)
+    want = reference_state(cfg, state0, report.control, cfg.horizon)
+    with mp.workprec(2 * cfg.precision_bits):
+        gap = ModalState(boundary, [a - b for a, b in zip(got.values, want.values)],
+                         [a - b for a, b in zip(got.velocities, want.velocities)])
+    p = pair_norm_scale(boundary)
+    bound = 2.0 ** -(cfg.precision_bits // 2) * state_pair_norm(state0, p)
+    assert state_pair_norm(gap, p) <= bound

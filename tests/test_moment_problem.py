@@ -5,7 +5,6 @@ import mpmath as mp
 import pytest
 
 from beamctl.errors import ResonanceDefect, UncontrollableMode
-from beamctl.kernels import kernel_value
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import (
     MomentSystem,
@@ -15,6 +14,7 @@ from beamctl.moment_problem import (
 )
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl.synthesis import solve_min_norm
+from reference_calculus import kernel_value
 
 
 def dirichlet_config(rho, n_modes, bits=256, horizon=Fraction(1)):

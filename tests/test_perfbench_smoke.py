@@ -19,3 +19,29 @@ def test_perfbench_verify_regimes_passes_its_checks():
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] > 0
+
+
+# names the span recorders look up that beamctl no longer has, so their
+# metrics read 0 on purpose: spectrum.boundary_trace_coefficients went with
+# the one-spectrum-per-config change, kernels.gram_entry is a test reference
+ABSENT = {("spectrum", "boundary_trace_coefficients"), ("kernels", "gram_entry")}
+
+
+def test_every_traced_name_resolves():
+    """Every function perfbench/spans.py wraps exists in beamctl, so a rename
+    fails here instead of silently zeroing its layer."""
+    import importlib
+    import importlib.util
+
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wanted = {(module, name) for module, name, _ in spans.SPANS}
+    wanted |= {("cli", name) for name in spans.EMITTERS}
+    wanted |= {("kernels", "gram_entry"), ("kernels", "ControlSignal")}
+    found = {(module, name) for module, name in wanted
+             if hasattr(importlib.import_module(f"beamctl.{module}"), name)}
+    assert wanted - found == ABSENT
+    signal = importlib.import_module("beamctl.kernels").ControlSignal
+    assert hasattr(signal, "sample") and hasattr(signal, "_sample_extended")

@@ -8,7 +8,6 @@ import pytest
 from beamctl._numutil import GUARD_BITS, to_mpf
 from beamctl.cli import write_control_csv
 from beamctl.errors import NumericalRankDeficiency
-from beamctl.kernels import gram_entry
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
@@ -19,6 +18,7 @@ from beamctl.synthesis import (
     gram_matrix,
     solve_min_norm,
 )
+from reference_calculus import gram_entry
 
 CRIT_DATA = dict(values=(1, 0, 0.3, 0, 0, 0), velocities=(0, 0.2, 0, 0, 0, 0))
 

@@ -37,7 +37,7 @@ def test_zero_control_reduces_to_free_flow():
                          precision_bits=128)
     with mp.workprec(200):
         final = closed_form_final_state(config, state0, zero)
-        free = closed_form_state(config, state0, None, mp.mpf(1))
+        free = closed_form_state(config, state0)
         for a, b in zip(final.values + final.velocities,
                         free.values + free.velocities):
             assert abs(a - b) < mp.mpf(2) ** -100
