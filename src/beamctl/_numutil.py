@@ -89,10 +89,3 @@ def decimal_str(x, precision_bits: int) -> str:
     dps = max(17, int(precision_bits * 0.30103) + 2)
     with mp.workprec(precision_bits + GUARD_BITS):
         return mp.nstr(to_mpf(x), dps)
-
-
-def ulp_close(a, b, ulps: int = 10) -> bool:
-    """|a - b| within `ulps` units in the last place at current precision."""
-    a, b = mp.mpf(a), mp.mpf(b)
-    scale = max(abs(a), abs(b), mp.mpf(2) ** (-mp.mp.prec))
-    return abs(a - b) <= ulps * scale * mp.mpf(2) ** (-mp.mp.prec)

@@ -11,19 +11,20 @@ p in {0, 1}:
     expcos       e^(beta (T-s)) cos(alpha (T-s))   (conjugate-pair real part)
     expsin       e^(beta (T-s)) sin(alpha (T-s))   (conjugate-pair imag part)
 
-Those parts (Kernel.real_form, Kernel.exponential_parts) are all that the
-two verification routes share.  The closed-form route needs one primitive,
-the truncated moment
+Kernel.real_form writes a kernel as Re, or Im, of one rate's term; that
+form is all the two verification routes share.  The closed-form route
+needs one primitive, the truncated moment
 
     M_d(nu, T) = int_0^T w^d e^(nu w) dw,
 
-computed for d = 0..D at once by _moment_set, on integers with a fixed
-binary point, from the exponentials of the two rates summed into nu: a
-stable series for small |nu T|, the usual recursion in d otherwise.  Gram
-entries (synthesis.gram_matrix) and the control's moments K(p, lam) =
-int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give
-f(T), f'(T) and the modal Duhamel responses at T, are sums of M_d, each
-kernel taken as Re or Im of one rate's term, one moment pair per rate pair.
+computed for d = 0..D at once by _moment_set, on integers only, at nu =
+lam + mu and lam + conj mu from two rates encoded by _fixed_rate (each
+rate's e^(lam T) at a fixed binary point): one series pass for all orders
+when |nu T| < 1/2, the usual recursion in d otherwise.  Gram entries
+(synthesis.gram_matrix) and the control's moments K(p, lam) = int_0^T
+f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give f(T),
+f'(T) and the modal Duhamel responses at T, are sums of M_d, one moment
+pair per rate pair.
 
 The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
 per signal, built from extended-precision values at Chebyshev-Lobatto nodes
@@ -66,43 +67,63 @@ _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",)
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
 
 
-def _series_moment(d: int, nu, t):
-    """M_d(nu, t) = sum_k nu^k t^(k+d+1) / (k! (k+d+1)); geometric-factorial decay."""
-    total = mp.mpf(0)
-    term = t ** (d + 1)
-    drop, k = mp.mp.prec + 2, 0     # mag may overstate by 2 bits: stop once term < total eps
-    while True:
-        contrib = term / (k + d + 1)
-        total += contrib
-        if k > 2 and mp.mag(total) - mp.mag(contrib) >= drop:
-            return total
+def _fixed_rate(lam, T, F: int) -> tuple:
+    """A rate as _moment_set takes it: (Re lam, Im lam, Re e^(lam T),
+    Im e^(lam T)) times 2^F, the exponential taken at F + 16 bits."""
+    with mp.workprec(F + 16):
+        z, e = mp.mpc(lam), mp.exp(lam * T)
+        return tuple(to_fixed(x, F) for x in (z.real, z.imag, e.real, e.imag))
+
+
+def _series_moments(d: int, a: int, b: int, t: int, scale: int) -> list:
+    """[M_0, ..., M_d](nu, T), nu = a + i b, for |nu T| < 1/2, as pairs (re, im),
+    all times 2^scale: M_j = T^j sum_k tau_k / (k + j + 1) over the shared
+    terms tau_k = nu^k T^(k+1) / k!, summed with 20 guard bits (and those
+    T^j takes) and truncated toward zero."""
+    G = 20 + d * (t >> scale).bit_length()
+    S, t = scale + G, t << G
+    wr, wi = a * t >> scale, b * t >> scale         # nu T times 2^S
+    sums = [[0, 0] for _ in range(d + 1)]
+    tr, ti, k = t, 0, 0
+    while abs(tr) + abs(ti) > 16:   # the tail is below 2 |tau_k| (|nu T| < 1/2)
+        for j, s in enumerate(sums, k + 1):
+            s[0] += tr // j
+            s[1] += ti // j
         k += 1
-        term = term * nu * t / k
-
-
-def _moment_set(d: int, one, other, t: int, scale: int) -> list:
-    """[M_0, ..., M_d](lam + mu, T) as pairs (re, im), from rates one and other
-    as (Re lam, Im lam, Re e^(lam T), Im e^(lam T)) and t = T, all times
-    2^scale: the one M_d calculus.  |nu T| < 1/2, decided on integers, sums
-    the series at the working precision (covers nu = 0 exactly); otherwise
-    M_j = (T^j e^(nu T) - j M_(j-1)) / nu from M_0 = (e^(nu T) - 1) / nu,
-    dividing through |nu|^2.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|)
-    bits, a few for the damped rates (Re nu < 0) of this problem."""
-    (a, b, x, y), (a2, b2, x2, y2) = one, other
-    a, b = a + a2, b + b2
-    x, y = (x * x2 - y * y2) >> scale, (x * y2 + y * x2) >> scale
-    n2 = a * a + b * b
-    if 4 * n2 * t * t < 1 << 4 * scale:
-        nu, T = mp.mpc(mp.ldexp(a, -scale), mp.ldexp(b, -scale)), mp.ldexp(t, -scale)
-        moments = [_series_moment(j, nu, T) for j in range(d + 1)]
-        return [(to_fixed(mp.re(m), scale), to_fixed(mp.im(m), scale)) for m in moments]
-    out, p, q, tp = [], x - (1 << scale), y, 1 << scale
-    for j in range(d + 1):
-        if j:
-            tp = tp * t >> scale
-            p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
-        out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+        tr, ti = (tr * wr - ti * wi >> S) // k, (tr * wi + ti * wr >> S) // k
+    out, tp = [], 1 << S
+    for s in sums:
+        out.append(tuple(v >> G if v >= 0 else -(-v >> G) for v in (tp * x >> S for x in s)))
+        tp = tp * t >> S
     return out
+
+
+def _moment_set(d: int, one, other, t: int, scale: int) -> tuple:
+    """([M_0, ..., M_d](lam + mu, T), the same at lam + conj mu) as pairs
+    (re, im), from rates one (lam) and other (mu) encoded by _fixed_rate and
+    t = T, all times 2^scale: the one M_d calculus, on integers only.  For a
+    real mu both are the same list.  |nu T| < 1/2, decided on integers, sums
+    the series (_series_moments, covering nu = 0 exactly); otherwise M_j =
+    (T^j e^(nu T) - j M_(j-1)) / nu from M_0 = (e^(nu T) - 1) / nu, dividing
+    through |nu|^2.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|) bits,
+    a few for the damped rates (Re nu < 0) of this problem."""
+    (a1, b1, x1, y1), (a2, b2, x2, y2) = one, other
+    sets = []
+    for sign in (1, -1) if b2 else (1,):
+        a, b = a1 + a2, b1 + sign * b2
+        x, y = (x1 * x2 - sign * y1 * y2) >> scale, (sign * x1 * y2 + y1 * x2) >> scale
+        n2 = a * a + b * b
+        if 4 * n2 * t * t < 1 << 4 * scale:
+            sets.append(_series_moments(d, a, b, t, scale))
+            continue
+        out, p, q, tp = [], x - (1 << scale), y, 1 << scale
+        for j in range(d + 1):
+            if j:
+                tp = tp * t >> scale
+                p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
+            out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+        sets.append(out)
+    return sets[0], sets[-1]
 
 
 @dataclass(frozen=True)
@@ -132,17 +153,6 @@ class Kernel:
             return mp.mpf(0), False, ((to_mpf(horizon), 0), (-1, 1))
         rate = mp.mpf(0 if self.rate is None else self.rate)
         return rate, False, ((1, int(self.kind == "polyexp")),)
-
-    def exponential_parts(self, horizon) -> Tuple[Tuple[mp.mpc, int, mp.mpc], ...]:
-        """(coefficient, power, rate) terms of sum a u^p e^(lam u), u = T - s:
-        the real form, with Re z = (z + conj z) / 2 and Im z = (z - conj z) / (2i)
-        splitting a complex rate's term over the rate and its conjugate."""
-        lam, imag, poly = self.real_form(horizon)
-        if mp.im(lam) == 0:
-            return tuple((mp.mpf(c), p, lam) for c, p in poly)
-        a = mp.mpc(0, -0.5) if imag else mp.mpf(0.5)
-        return tuple(part for c, p in poly
-                     for part in ((c * a, p, lam), (c * mp.conj(a), p, mp.conj(lam))))
 
     def descriptor(self, precision_bits: int) -> dict:
         """JSON-ready description with decimal-string parameters."""
@@ -184,7 +194,7 @@ class ControlSignal:
         f(T) = K(1, 0), f'(T) = K(0, 0), and the modal Duhamel responses at T
         are sums of K.  Kernel parts are merged by rate mu (Kernel.real_form),
         so K(p, lam) sums C_q M_(p+q)(lam + mu, T) and, for a complex mu,
-        M_(p+q)(lam + conj mu, T): one moment set (_moment_set) per pair of
+        M_(p+q)(lam + conj mu, T): one _moment_set call per pair of
         lam and mu, a key with Im lam < 0 read off its conjugate (f'' is
         real).  Each key is summed on integers, the moments and the merged
         coefficients C_q with F fraction bits, and rounded once, to
@@ -204,18 +214,12 @@ class ControlSignal:
              + max(0, 1 - math.frexp(bound)[1]) + 3 * max(0, math.ceil(math.log2(T) + 1)))
         with mp.workprec(F + 16):
             T = to_mpf(self.horizon)
-
-            def fixed(rate):    # (Re, Im of rate and of e^(rate T)) times 2^F
-                z = mp.mpc(rate)
-                e = mp.exp(z * T)
-                return tuple(to_fixed(x, F) for x in (z.real, z.imag, e.real, e.imag))
-
             merged = {}     # mu -> {q: [C_q of the Re kernels, of the Im kernels]}
             for c, k in zip(self.coefficients, self.kernels):
                 mu, imag, poly = k.real_form(T)
                 for a, q in poly:
                     merged.setdefault(mu, {}).setdefault(q, [0, 0])[imag] += to_fixed(c * a, F)
-            rates = [(fixed(mu), poly) for mu, poly in merged.items()]
+            rates = [(_fixed_rate(mu, T, F), poly) for mu, poly in merged.items()]
             powers = {}     # lam, Im lam >= 0 -> the powers asked for
             for p, lam in keys:
                 powers.setdefault(mp.conj(lam) if mp.im(lam) < 0 else lam, set()).add(p)
@@ -223,11 +227,9 @@ class ControlSignal:
             sums = {(p, lam): [0, 0] for lam, ps in powers.items() for p in ps}
             t = to_fixed(T, F)
             for lam, ps in powers.items():
-                one = fixed(lam)
-                for (a, b, x, y), poly in rates:
-                    d = max(ps) + max(poly)
-                    plus = _moment_set(d, one, (a, b, x, y), t, F)
-                    minus = plus if b == 0 else _moment_set(d, one, (a, -b, x, -y), t, F)
+                one = _fixed_rate(lam, T, F)
+                for mu, poly in rates:
+                    plus, minus = _moment_set(max(ps) + max(poly), one, mu, t, F)
                     for p in ps:
                         acc = sums[p, lam]
                         for q, (A, B) in poly.items():
@@ -247,8 +249,8 @@ class ControlSignal:
         """Upper bound on the magnitude of any single coefficient-times-kernel
         term across [0, T], signal and antiderivatives included.
 
-        A part c a u^p e^(lam u) is at most |c a| T^p e^(max(Re lam, 0) T) on
-        [0, T], and two integrations from 0 scale that by max(1, T, T^2/2).
+        A part c a u^p e^(lam u) of a real form is at most |c a| T^p
+        e^(max(Re lam, 0) T) on [0, T]; two integrations scale that by max(1, T, T^2/2).
         Synthesized curvatures are small numbers written as differences of
         enormous ones; this bound measures the enormity, which decides how
         much precision faithful samples require.
@@ -256,9 +258,10 @@ class ControlSignal:
         T = float(self.horizon)
         bound = 0.0
         for c, k in zip(self.coefficients, self.kernels):
-            for a, p, lam in k.exponential_parts(self.horizon):
-                grow = math.exp(max(float(mp.re(lam)), 0.0) * T)
-                bound += abs(complex(c * a)) * T ** p * grow
+            lam, _, poly = k.real_form(self.horizon)
+            grow = math.exp(max(float(mp.re(lam)), 0.0) * T)
+            for a, p in poly:
+                bound += abs(float(c * a)) * T ** p * grow
         return bound * max(1.0, T, T * T / 2)
 
     def sample(self, times, signals=SIGNALS) -> dict:
@@ -346,10 +349,9 @@ class ControlSignal:
                 c = to_mpf(c)
                 if c == 0:
                     continue
-                for (a, p, lam) in k.exponential_parts(T):
-                    if mp.im(lam) < 0:
-                        continue            # conjugate twin carries it
-                    ca = c * a * (2 if mp.im(lam) > 0 else 1)
+                lam, imag, poly = k.real_form(T)
+                for a, p in poly:           # Im z = Re(-i z)
+                    ca = c * a * (mp.mpc(0, -1) if imag else 1)
                     if lam == 0:            # ca (T - t)^p
                         lin[0] += ca * T ** p
                         lin[1] -= ca * p

@@ -19,10 +19,10 @@ returned control meets its moment targets to the working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
 fraction bits in the Gram (_gram_scale) and precision_bits + GUARD_BITS in
-its unit-diagonal factor; the Gram's moments come from kernels._moment_set,
-the moment calculus the closed-form final state uses too.  mpf stays at the
-edges: each rate's e^(lam T), the series moments of rate pairs with
-|nu T| < 1/2, the returned coefficients.
+its unit-diagonal factor; the Gram's rates and moments come from
+kernels._fixed_rate and kernels._moment_set, the moment calculus the
+closed-form final state uses too.  mpf stays at the edges: each rate's
+e^(lam T) and the returned coefficients.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, _moment_set
+from .kernels import ControlSignal, _fixed_rate, _moment_set
 from .moment_problem import MomentSystem
 
 __all__ = [
@@ -103,8 +103,7 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
             rate[1] = max(rate[1], *(p for _, p in poly))
             poly = tuple((int(mp.nint(c * den)), p) for c, p in poly)   # c is 1, -1 or T
             rows.append((terms.setdefault((rate[0], poly), len(terms)), int(imag)))
-        fixed = [tuple(to_fixed(part(z), F) for z in (lam, mp.exp(lam * T))
-                       for part in (mp.re, mp.im)) for lam in rates]
+        fixed = [_fixed_rate(lam, T, F) for lam in rates]
         top, terms, t = [top for _, top in rates.values()], list(terms), to_fixed(T, F)
         moments = {}    # (r, s) -> ([M_d(lam_r + lam_s, T)], [M_d(lam_r + conj(lam_s), T)])
         table = {}      # (u, v) -> the entries [2 a + b] of terms u, v, a and b as in rows
@@ -114,10 +113,7 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
                 if (u, v) not in table:
                     (r, P), (s, Q) = terms[u], terms[v]
                     if (r, s) not in moments:
-                        d, (a2, b2, x2, y2) = top[r] + top[s], fixed[s]
-                        plus = _moment_set(d, fixed[r], fixed[s], t, F)
-                        moments[r, s] = plus, plus if b2 == 0 else _moment_set(
-                            d, fixed[r], (a2, -b2, x2, -y2), t, F)
+                        moments[r, s] = _moment_set(top[r] + top[s], fixed[r], fixed[s], t, F)
                     sp, sm = ([sum(c * e * m[p + q][k] for c, p in P for e, q in Q)
                                // (2 * den * den) for k in (0, 1)] for m in moments[r, s])
                     table[u, v] = (sp[0] + sm[0], sp[1] - sm[1], sp[1] + sm[1], sm[0] - sp[0])

@@ -4,8 +4,10 @@ beamctl computes every truncated moment M_d(nu, T) = int_0^T w^d e^(nu w) dw
 on fixed-point integers (kernels._moment_set), and the control's
 convolutions only at the horizon (ControlSignal.moments).  The functions
 here are the per-entry, any-time mpf forms that calculus replaced, written
-from the kernels' exponential parts and per-kind formulas: the tests hold
-the Gram matrix, the closed-form state and the sampler to them.
+from each kernel kind's own formula (exponential_parts, kernel_value) and not
+from Kernel.real_form: the tests hold the Gram matrix, the closed-form state
+and the sampler to them.  ulp_close is the tests' comparison in units of the
+last place.
 """
 from math import comb
 
@@ -13,6 +15,29 @@ import mpmath as mp
 
 from beamctl._numutil import GUARD_BITS, strip_imag, to_mpf
 from beamctl.modal_dynamics import ModalState
+
+
+def ulp_close(a, b, ulps=10):
+    """|a - b| within `ulps` units in the last place at current precision."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    scale = max(abs(a), abs(b), mp.mpf(2) ** (-mp.mp.prec))
+    return abs(a - b) <= ulps * scale * mp.mpf(2) ** (-mp.mp.prec)
+
+
+def exponential_parts(kernel, horizon):
+    """(a, p, lam) parts of a kernel as sum a u^p e^(lam u), u = T - s, by
+    kind; cos and sin split over the rate and its conjugate by Euler's
+    formula, cos x = (e^(ix) + e^(-ix)) / 2, sin x = (e^(ix) - e^(-ix)) / (2i)."""
+    zero = mp.mpf(0)
+    if kernel.kind == "const":
+        return ((mp.mpf(1), 0, zero),)
+    if kernel.kind == "linear":                     # s = T - u
+        return ((to_mpf(horizon), 0, zero), (mp.mpf(-1), 1, zero))
+    if kernel.kind in ("exp", "polyexp"):
+        return ((mp.mpf(1), int(kernel.kind == "polyexp"), mp.mpf(kernel.rate)),)
+    lam = mp.mpc(kernel.decay, kernel.freq)
+    a = mp.mpf(0.5) if kernel.kind == "expcos" else mp.mpc(0, -0.5)
+    return ((a, 0, lam), (mp.conj(a), 0, mp.conj(lam)))
 
 
 def series_moment(d, nu, t):
@@ -73,8 +98,8 @@ def gram_entry(kernel_a, kernel_b, horizon, precision_bits=256):
     with mp.workprec(precision_bits + GUARD_BITS):
         T = to_mpf(horizon)
         total = mp.mpf(0)
-        for a, p, lam in kernel_a.exponential_parts(T):
-            for b, q, mu in kernel_b.exponential_parts(T):
+        for a, p, lam in exponential_parts(kernel_a, T):
+            for b, q, mu in exponential_parts(kernel_b, T):
                 total += a * mp.conj(b) * power_exp_moment(p + q, lam + mp.conj(mu), T)
         return strip_imag(total, precision_bits)
 
@@ -98,7 +123,7 @@ def convolve(control, d, lam, t):
         t, T = to_mpf(t), to_mpf(control.horizon)
         total = mp.mpf(0)
         for c, k in zip(control.coefficients, control.kernels):
-            for a, p, mu in k.exponential_parts(T):
+            for a, p, mu in exponential_parts(k, T):
                 nu = mu + lam
                 moments = power_exp_moments(d + p, nu, t, mp.exp(nu * t))
                 total += c * a * mp.exp(mu * (T - t)) * sum(

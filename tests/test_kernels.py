@@ -6,15 +6,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from beamctl._numutil import to_mpf, ulp_close
+import beamctl.kernels as kernels
+from beamctl._numutil import to_fixed, to_mpf
 from beamctl.kernels import ControlSignal, Kernel
 from reference_calculus import (
     convolve,
     curvature,
+    exponential_parts,
     gram_entry,
     kernel_value,
     power_exp_moment,
     series_moment,
+    ulp_close,
 )
 
 
@@ -36,7 +39,7 @@ def elementwise_sample_extended(sig, t):
             c = to_mpf(c)
             if c == 0:
                 continue
-            for (a, p, lam) in k.exponential_parts(T):
+            for (a, p, lam) in exponential_parts(k, T):
                 if mp.im(lam) < 0:
                     continue            # conjugate twin carries it
                 ca = c * a * (2 if mp.im(lam) > 0 else 1)
@@ -96,12 +99,9 @@ def test_power_exp_moment_small_rate_series_is_smooth():
 def test_series_branch_follows_the_abs_rule(monkeypatch):
     """_moment_set decides on integers; on a grid of complex and real nu
     around |nu T| = 1/2 it takes the series exactly when abs(nu) T < 1/2."""
-    import beamctl.kernels as kernels
-    from beamctl._numutil import to_fixed
-
     calls = []
-    series = kernels._series_moment
-    monkeypatch.setattr(kernels, "_series_moment",
+    series = kernels._series_moments
+    monkeypatch.setattr(kernels, "_series_moments",
                         lambda *args: calls.append(args) or series(*args))
     F = 128
     zero = (0, 0, 1 << F, 0)            # rate 0: e^(0 T) = 1
@@ -115,9 +115,7 @@ def test_series_branch_follows_the_abs_rule(monkeypatch):
             turn = mp.expjpi(mp.mpf(k) / 12)
             cases += [turn * r / T for r in radii]
         for nu in cases:
-            nu = mp.mpc(nu)
-            e = mp.exp(nu * T)
-            rate = tuple(to_fixed(x, F) for x in (nu.real, nu.imag, e.real, e.imag))
+            rate = kernels._fixed_rate(nu, T, F)
             calls.clear()
             kernels._moment_set(1, rate, zero, t, F)
             with mp.workprec(8 * F):        # exact for these integers
@@ -125,21 +123,78 @@ def test_series_branch_follows_the_abs_rule(monkeypatch):
             assert bool(calls) == expect, nu
 
 
-@pytest.mark.parametrize("prec", [128, 256, 1024])
-def test_series_moment_matches_the_abs_rule(prec):
-    """The series' stopping test on mp.mag agrees with the abs rule to
-    2^-(prec - 4) relative, on real and complex nu with |nu t| < 1/2."""
-    from beamctl.kernels import _series_moment
+def test_series_moments_match_the_mpf_series(monkeypatch):
+    """The integer series branch of _moment_set against the mpf series at
+    F + 16 bits, rounded as to_fixed rounds: within one unit of 2^-F for
+    M_0..M_3 on a grid of real and complex nu, nu = 0 and |nu T| just under
+    1/2 included.  Prints how many points match exactly."""
+    calls = []
+    series = kernels._series_moments
+    monkeypatch.setattr(kernels, "_series_moments",
+                        lambda *args: calls.append(args) or series(*args))
+    points = exact = 0
+    for T in (Fraction(1, 1000), Fraction(1, 4), Fraction(1), Fraction(7, 2)):
+        for F in (200, 350, 550):
+            with mp.workprec(F + 16):
+                Tm = to_mpf(T)
+                t = to_fixed(Tm, F)
+                zero = kernels._fixed_rate(0, Tm, F)
+                radii = [mp.mpf(r) for r in ("1e-30", "0.1", "0.3")] + [0.5 - mp.mpf(2) ** -30]
+                turns = [1, -1, mp.expjpi(mp.mpf(1) / 3), mp.expjpi(mp.mpf(-3) / 4)]
+                for nu in [mp.mpf(0)] + [turn * r / Tm for turn in turns for r in radii]:
+                    one = kernels._fixed_rate(nu, Tm, F)
+                    calls.clear()
+                    plus, minus = kernels._moment_set(3, one, zero, t, F)
+                    assert calls and plus is minus
+                    nu_t = mp.mpc(mp.ldexp(one[0], -F), mp.ldexp(one[1], -F))
+                    for j, got in enumerate(plus):
+                        m = series_moment(j, nu_t, mp.ldexp(t, -F))
+                        ref = (to_fixed(mp.re(m), F), to_fixed(mp.im(m), F))
+                        gap = max(abs(g - r) for g, r in zip(got, ref))
+                        assert gap <= 1, (T, F, nu, j, gap)
+                        points, exact = points + 1, exact + (gap == 0)
+    print(f"integer series: {exact} of {points} points equal to_fixed of the mpf series")
 
-    with mp.workprec(prec):
-        t = mp.mpf("0.7")
-        radii = [mp.mpf(r) for r in ("1e-30", "0.01", "0.1", "0.3", "0.45", "0.4999")]
-        real = [s * r / t for r in radii for s in (1, -1)]     # mpf, as the series gets them
-        turns = [mp.expjpi(mp.mpf(k) / 4) for k in range(8)]   # k = 0, 4: the real axis as mpc
-        for nu in real + [turn * r / t for turn in turns for r in radii]:
-            for d in (0, 2):
-                ref = series_moment(d, nu, t)
-                assert abs(_series_moment(d, nu, t) - ref) <= abs(ref) * mp.mpf(2) ** (4 - prec)
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"_moment_set reached for mpmath's {name}")
+
+
+def test_moment_set_is_integer_only(monkeypatch):
+    """_moment_set runs with mpmath out of reach: nu = 0, the series for a
+    real and a complex nu (and its conjugate pair) and the recursion."""
+    F = 200
+    with mp.workprec(F + 16):
+        T = mp.mpf("0.7")
+        t = to_fixed(T, F)
+        rates = [kernels._fixed_rate(lam, T, F) for lam in
+                 (0, mp.mpf("-0.3"), mp.mpc("0.1", "0.2"), mp.mpc(-5, 7), mp.mpf(-6))]
+    zero, small, turn, fast, real = rates
+    cases = [(zero, zero), (small, zero), (small, turn), (turn, turn), (fast, real), (fast, fast)]
+    expect = [kernels._moment_set(2, one, other, t, F) for one, other in cases]
+    monkeypatch.setattr(kernels, "mp", _NoMpmath())
+    assert [kernels._moment_set(2, one, other, t, F) for one, other in cases] == expect
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel("const"), Kernel("linear"), Kernel("exp", rate=mp.mpf(-3)),
+    Kernel("polyexp", rate=mp.mpf(-2)),
+    Kernel("expcos", decay=mp.mpf(-1), freq=mp.mpf(5)),
+    Kernel("expsin", decay=mp.mpf("-1.5"), freq=mp.mpf(7))], ids=lambda k: k.kind)
+def test_real_form_matches_kernel_value(kernel):
+    """Re, or Im for expsin, of sum c u^p e^(lam u) from real_form is the
+    kernel's value by its kind's formula, within 2^-(bits - 8)."""
+    bits = 256
+    with mp.workprec(bits):
+        T = mp.mpf("1.4")
+        lam, imag, poly = kernel.real_form(T)
+        assert imag == (kernel.kind == "expsin")
+        for s in ("0", "0.3", "0.77", "1.2", "1.4"):
+            u = T - mp.mpf(s)
+            z = sum(c * u ** p * mp.exp(lam * u) for c, p in poly)
+            got = mp.im(z) if imag else mp.re(z)
+            assert abs(got - kernel_value(kernel, s, T)) <= mp.mpf(2) ** -(bits - 8), s
 
 
 def test_kernel_validation():

@@ -10,8 +10,8 @@ from beamctl._numutil import (
     rational_sqrt,
     strip_imag,
     to_mpf,
-    ulp_close,
 )
+from reference_calculus import ulp_close
 
 
 def test_as_fraction_accepts_exact_forms():

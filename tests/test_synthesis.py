@@ -233,18 +233,24 @@ def test_cholesky_reconstructs_badly_scaled_matrix():
 @pytest.mark.parametrize("rho, per_pair", [(Fraction(1), 2), (Fraction(3), 1)],
                          ids=["rho1-underdamped", "rho3-real"])
 def test_gram_moment_sets_per_rate_pair(monkeypatch, rho, per_pair):
-    """Two moment sets, M(lam + mu) and M(lam + conj(mu)), per unordered rate
-    pair at most, and one where the rates are real."""
+    """One _moment_set call per unordered rate pair at most, each giving
+    M(lam + mu) and M(lam + conj(mu)): two moment sets, and one (the same
+    list twice) where mu is real, as every rate is at rho = 3."""
     cfg = BeamConfig(Boundary.DIRICHLET, rho, 6, Fraction(1), 128)
     system = assemble(cfg, decaying_data(Boundary.DIRICHLET, 6))
     calls = []
     moments = synthesis._moment_set
     monkeypatch.setattr(synthesis, "_moment_set",
-                        lambda *args: calls.append(args) or moments(*args))
+                        lambda *args: calls.append((args, moments(*args))) or calls[-1][1])
     gram_matrix(system)
     with mp.workprec(128 + GUARD_BITS):
         rates = len({k.real_form(1)[0] for k in system.kernels})
-    assert 0 < len(calls) <= per_pair * rates * (rates + 1) // 2
+    assert 0 < len(calls) <= rates * (rates + 1) // 2
+    for (d, _, mu, _, _), (plus, minus) in calls:
+        assert (plus is minus) == (mu[1] == 0)
+        assert len(plus) == len(minus) == d + 1
+    sets = sum(1 + (plus is not minus) for _, (plus, minus) in calls)
+    assert sets <= per_pair * rates * (rates + 1) // 2
 
 
 def test_solver_reproduces_targets():
