@@ -9,6 +9,8 @@ overdamped branch ratio is rational.
 from fractions import Fraction
 
 from beamctl.spectrum import (
+    BeamConfig,
+    Boundary,
     branch_ratio_exact,
     detect_collisions,
     gap_statistics,
@@ -38,6 +40,7 @@ pairs = detect_collisions(r, 8)
 print(f"collisions among the first 8 modes: {pairs}")
 print("  (slow rate of the first mode equals fast rate of the second)")
 
-stats = gap_statistics(Fraction(5, 2), 8, BITS)
+config = BeamConfig(Boundary.DIRICHLET, Fraction(5, 2), n_modes=8, horizon=1, precision_bits=BITS)
+stats = gap_statistics(config.spectrum)
 print(f"smallest gap in the merged rate sequence: {stats.merged_min_gap:.3g} "
       f"at pair {stats.merged_min_pair}")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, inf, isfinite, isqrt
+from math import inf, isfinite, isqrt
 from typing import Optional, Union
 
 import mpmath as mp
@@ -62,7 +62,7 @@ def quotient(a: int, b: int) -> float:
     try:
         return a / b
     except OverflowError:
-        return copysign(inf, a)
+        return inf if a > 0 else -inf
 
 
 def strip_imag(z, precision_bits: int, scale=None):

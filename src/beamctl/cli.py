@@ -199,8 +199,9 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
 
     'mode1' puts unit displacement on the first oscillatory mode.  'random'
     draws Gaussian data from `seed` with a 1/n^2 amplitude decay on every
-    controllable mode, which keeps Neumann fixtures admissible by
-    construction.  Triples may name mode 0 under Neumann, e.g. to probe the
+    oscillatory mode whose trace in config.spectrum is nonzero (under
+    Neumann the odd cosine modes), which keeps Neumann fixtures admissible
+    by construction.  Triples may name mode 0 under Neumann, e.g. to probe the
     admissibility screening on purpose.
     """
     descriptor = descriptor.strip()
@@ -217,8 +218,8 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
         with mp.workprec(config.precision_bits + GUARD_BITS):
             vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
             for n in range(1, config.n_modes + 1):
-                if config.boundary is Boundary.NEUMANN and n % 2 == 0:
-                    continue    # even cosine modes are invisible to the control
+                if config.spectrum.traces[n - first] == 0:
+                    continue    # a mode the control cannot see
                 vals[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
                 vels[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
             return ModalState(config.boundary, tuple(vals), tuple(vels))
@@ -317,7 +318,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                  decimal_str(mp.im(e.lambda_minus), bits)]
                 for e in config.spectrum.eigenvalues))
 
-    stats = gap_statistics(config.rho, config.n_modes, bits)
+    stats = gap_statistics(config.spectrum)
     doc = {
         "rho": str(config.rho),
         "n_modes": config.n_modes,

@@ -67,6 +67,14 @@ _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",)
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
 
 
+def _fixed_point_bits(precision_bits: int, magnitude_bits: int, horizon) -> int:
+    """Fraction bits F of a fixed-point moment sum (the Gram's, or a control's
+    moments): precision_bits + GUARD_BITS + 16, the caller's magnitude_bits
+    (how far below 1 its sums must reach), and 3 log2(2T) for divisions by nu."""
+    return (precision_bits + GUARD_BITS + 16 + magnitude_bits
+            + 3 * max(0, math.ceil(math.log2(horizon) + 1)))
+
+
 def _fixed_rate(lam, T, F: int) -> tuple:
     """A rate as _moment_set takes it: (Re lam, Im lam, Re e^(lam T),
     Im e^(lam T)) times 2^F, the exponential taken at F + 16 bits."""
@@ -161,11 +169,6 @@ class Kernel:
             out[p] = decimal_str(getattr(self, p), precision_bits)
         return out
 
-    @staticmethod
-    def from_descriptor(d: dict) -> "Kernel":
-        kind = d["kind"]
-        return Kernel(kind, **{p: mp.mpf(d[p]) for p in _PARAMETERS.get(kind, ())})
-
 
 @dataclass(frozen=True)
 class ControlSignal:
@@ -198,20 +201,14 @@ class ControlSignal:
         lam and mu, a key with Im lam < 0 read off its conjugate (f'' is
         real).  Each key is summed on integers, the moments and the merged
         coefficients C_q with F fraction bits, and rounded once, to
-        precision_bits + GUARD_BITS.  F is sized as the Gram's is
-        (synthesis._gram_scale), with the term bound in place of the Gram's
-        floor: precision_bits + GUARD_BITS + 16 bits, log2 of the bound above
-        1 and its negative exponent below 1 (a sum of terms near the bound
-        cancels down to the data's size), and 3 log2(2T) for divisions by nu.
+        precision_bits + GUARD_BITS.  F (_fixed_point_bits) takes as magnitude
+        bits log2 of the term bound above 1 and its negative exponent below 1:
+        a sum of terms near the bound cancels down to the data's size.
         """
-        bound, T = self.term_scale_bound(), float(self.horizon)
-        if math.isfinite(bound):
-            above = math.ceil(math.log2(max(bound, 1.0)))
-        else:   # past float64: with damped rates, sum |c| max(1, T)^4 bounds every term
-            above = (int(mp.mag(mp.fsum(map(abs, self.coefficients))))
-                     + 4 * max(0, math.ceil(math.log2(T))))
-        F = (self.precision_bits + GUARD_BITS + 16 + above
-             + max(0, 1 - math.frexp(bound)[1]) + 3 * max(0, math.ceil(math.log2(T) + 1)))
+        y, e = mp.frexp(self.term_scale_bound())    # bound = y 2^e, 1/2 <= y < 1
+        # ceil(log2 bound) is e, or e - 1 at a power of two
+        F = _fixed_point_bits(self.precision_bits, max(0, e - (y == 0.5)) + max(0, 1 - e),
+                              self.horizon)
         with mp.workprec(F + 16):
             T = to_mpf(self.horizon)
             merged = {}     # mu -> {q: [C_q of the Re kernels, of the Im kernels]}
@@ -245,7 +242,7 @@ class ControlSignal:
                 out[p, lam] = mp.conj(z) if twin else z
             return out
 
-    def term_scale_bound(self) -> float:
+    def term_scale_bound(self) -> mp.mpf:
         """Upper bound on the magnitude of any single coefficient-times-kernel
         term across [0, T], signal and antiderivatives included.
 
@@ -253,16 +250,18 @@ class ControlSignal:
         e^(max(Re lam, 0) T) on [0, T]; two integrations scale that by max(1, T, T^2/2).
         Synthesized curvatures are small numbers written as differences of
         enormous ones; this bound measures the enormity, which decides how
-        much precision faithful samples require.
+        much precision faithful samples require.  Summed at 53 bits, rounding
+        as float64 does but with mpf's unbounded exponent, so it never overflows.
         """
-        T = float(self.horizon)
-        bound = 0.0
-        for c, k in zip(self.coefficients, self.kernels):
-            lam, _, poly = k.real_form(self.horizon)
-            grow = math.exp(max(float(mp.re(lam)), 0.0) * T)
-            for a, p in poly:
-                bound += abs(float(c * a)) * T ** p * grow
-        return bound * max(1.0, T, T * T / 2)
+        with mp.workprec(53):
+            T = to_mpf(self.horizon)
+            bound = mp.mpf(0)
+            for c, k in zip(self.coefficients, self.kernels):
+                lam, _, poly = k.real_form(T)
+                grow = mp.exp(max(mp.re(lam), 0) * T)
+                for a, p in poly:
+                    bound += abs(c * a) * T ** p * grow
+            return bound * max(1, T, T * T / 2)
 
     def sample(self, times, signals=SIGNALS) -> dict:
         """Float64 samples {t, f, f_prime, f_second} at times in [0, T].
@@ -338,9 +337,8 @@ class ControlSignal:
         = cubic[i](t) + sum over rates of Re((A_i + B_i u) e^(lam u)), u = T - t,
         parts merged by rate, each (Re lam, Im lam, ((Re, Im of A_i, B_i) per i)).
         """
-        bound = self.term_scale_bound()
-        F = 32 + (max(128, int(math.log2(max(bound, 1.0))) + 80) + max(0, 1 - math.frexp(bound)[1])
-                  if math.isfinite(bound) else max(256, self.precision_bits))
+        e = mp.frexp(self.term_scale_bound())[1]      # floor(log2 bound) is e - 1
+        F = 32 + max(128, e - 1 + 80) + max(0, 1 - e)
         with mp.workprec(F):
             T = to_mpf(self.horizon)
             lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t

@@ -43,7 +43,7 @@ import numpy as np
 from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import StepSizeError
 from .kernels import ControlSignal
-from .spectrum import BeamConfig, Boundary, DampingRegime
+from .spectrum import BeamConfig, Boundary
 
 __all__ = [
     "ModalState",
@@ -89,6 +89,12 @@ class ModalState:
     def n_modes(self) -> int:
         """Number of oscillatory modes (the Neumann zero mode not counted)."""
         return self.modes[-1]
+
+    def check_fits(self, config: BeamConfig) -> None:
+        """Raise ValueError unless the state has config's boundary and mode count."""
+        if self.boundary is not config.boundary or self.n_modes != config.n_modes:
+            raise ValueError(f"{self.boundary.value} state with n_modes={self.n_modes} does not "
+                             f"fit a {config.boundary.value} config with n_modes={config.n_modes}")
 
     def mode_index(self, n: int) -> int:
         if n not in self.modes:
@@ -144,8 +150,7 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
     K(1, 0), K(0, 0): on the Neumann zero mode (h = t) the lifting cancels
     J_h, leaving u0 + u1 T exactly.  control=None is the free flow.
     """
-    if state0.boundary is not config.boundary or state0.n_modes != config.n_modes:
-        raise ValueError("state boundary and modes must match config")
+    state0.check_fits(config)
     bits = config.precision_bits
     with mp.workprec(bits + GUARD_BITS):
         T = to_mpf(config.horizon)
@@ -207,12 +212,9 @@ class Trajectory:
 
 
 def _stiffest_rate(config: BeamConfig) -> float:
-    """Largest root modulus across modes: r N^2 overdamped (mode 1's fast
-    root is -r), N^2 otherwise, where |Re lambda_N| is only rho N^2 / 2."""
-    n2 = config.n_modes ** 2
-    if config.regime is DampingRegime.OVERDAMPED:
-        return -float(config.spectrum.eigenvalues[0].lambda_minus) * n2
-    return float(n2)
+    """Largest root modulus in config.spectrum: |lambda-| of the last mode,
+    r N^2 overdamped and N^2 otherwise (|Re lambda_N| is only rho N^2 / 2)."""
+    return float(abs(config.spectrum.eigenvalues[-1].lambda_minus))
 
 
 def default_steps(config: BeamConfig) -> int:
@@ -222,9 +224,7 @@ def default_steps(config: BeamConfig) -> int:
     against synthesized controls, whose curvature can reach 1e8, should
     raise this through forcing_resolution_steps.
     """
-    lam_max = _stiffest_rate(config)
-    T = float(to_mpf(config.horizon))
-    return max(4000, ceil(60 * lam_max * T), ceil(20 * config.n_modes ** 2 * T))
+    return max(4000, ceil(60 * _stiffest_rate(config) * float(to_mpf(config.horizon))))
 
 
 def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
@@ -306,10 +306,7 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     the growth at the first step that trips it, when the state norm grows by
     1e6 over its reference scale (explicit-scheme instability).
     """
-    if state0.boundary is not config.boundary:
-        raise ValueError("state boundary does not match config")
-    if state0.n_modes != config.n_modes:
-        raise ValueError(f"state has {state0.n_modes} modes, config wants {config.n_modes}")
+    state0.check_fits(config)
     if steps is None:
         steps = default_steps(config)
     if steps < 1:

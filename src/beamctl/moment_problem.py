@@ -207,11 +207,7 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
     nonzero trace coefficient and collisions only merge compatible rows or
     fail, which is decided here and nowhere downstream.
     """
-    if state0.boundary is not config.boundary:
-        raise ValueError("data boundary does not match configuration")
-    if state0.n_modes != config.n_modes:
-        raise ValueError(
-            f"data carries {state0.n_modes} modes, configuration wants {config.n_modes}")
+    state0.check_fits(config)
 
     spectrum = config.spectrum
     norm = data_l2_norm(state0)

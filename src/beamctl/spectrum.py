@@ -270,8 +270,8 @@ def detect_collisions(r, n_max: int) -> list:
     return out
 
 
-def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapStatistics:
-    """Minimum pairwise separation of eigenvalues along and across branches.
+def gap_statistics(spectrum: Spectrum) -> GapStatistics:
+    """Minimum pairwise separation of a spectrum's roots along and across branches.
 
     Along one branch the gap modulus for modes m != n is |n^2 - m^2| in every
     regime (the complex pair has modulus-one slope: |beta_n - beta_m +
@@ -280,11 +280,9 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
     mode has none (None).  Across branches the merged minimum is zero
     exactly at a collision, and for one mode it is |lambda_1^+ - lambda_1^-|.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    eigs = [mode_eigenvalues(rho, n, precision_bits) for n in range(1, n_max + 1)]
-    plus = [e.lambda_plus for e in eigs]
-    minus = [e.lambda_minus for e in eigs]
+    n_max = len(spectrum.eigenvalues)
+    plus = [e.lambda_plus for e in spectrum.eigenvalues]
+    minus = [e.lambda_minus for e in spectrum.eigenvalues]
 
     cons_p = tuple(float(abs(plus[i + 1] - plus[i])) for i in range(n_max - 1))
     cons_m = tuple(float(abs(minus[i + 1] - minus[i])) for i in range(n_max - 1))
@@ -301,8 +299,7 @@ def gap_statistics(rho: RealLike, n_max: int, precision_bits: int = 256) -> GapS
                 merged_best, merged_pair = g, (labeled[i][0], labeled[j][0])
 
     # an irrational branch ratio has no m = r n
-    rho_fr = as_fraction(rho, "rho")
-    r_exact = branch_ratio_exact(rho_fr) if rho_fr > 2 else None
+    r_exact = spectrum.ratio_exact
     collisions = () if r_exact is None else tuple(detect_collisions(r_exact, n_max))
 
     return GapStatistics(

@@ -18,11 +18,11 @@ or gives up with a quantitative report.  There is no approximate fallback: a
 returned control meets its moment targets to the working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
-fraction bits in the Gram (_gram_scale) and precision_bits + GUARD_BITS in
-its unit-diagonal factor; the Gram's rates and moments come from
-kernels._fixed_rate and kernels._moment_set, the moment calculus the
-closed-form final state uses too.  mpf stays at the edges: each rate's
-e^(lam T) and the returned coefficients.
+fraction bits in the Gram (_gram_scale, by kernels._fixed_point_bits) and
+precision_bits + GUARD_BITS in its unit-diagonal factor; the Gram's rates
+and moments come from kernels._fixed_rate and kernels._moment_set, the
+moment calculus the closed-form final state uses too.  mpf stays at the
+edges: each rate's e^(lam T) and the returned coefficients.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, _fixed_rate, _moment_set
+from .kernels import ControlSignal, _fixed_point_bits, _fixed_rate, _moment_set
 from .moment_problem import MomentSystem
 
 __all__ = [
@@ -68,17 +68,16 @@ class FixedMatrix:
 
 
 def _gram_scale(system: MomentSystem) -> int:
-    """Fraction bits of a system's Gram: precision_bits + GUARD_BITS + 16, the
-    bits below the smallest G_jj >= w^2 min(h, h^3) / 10 (each kernel keeps a
-    share of its value near u = 0 on [0, h], h = min(T, 1/(2 max |lam|)),
-    w = min(1, least expsin frequency)) and 3 log2(2T) for divisions by nu."""
-    rates = [k.real_form(system.config.horizon)[:2] for k in system.kernels]  # (lam, Im)
+    """Fraction bits of a system's Gram (kernels._fixed_point_bits), its
+    magnitude bits those below the smallest G_jj >= w^2 min(h, h^3) / 10
+    (each kernel keeps a share of its value near u = 0 on [0, h], h = min(T,
+    1/(2 max |lam|)), w = min(1, least expsin frequency))."""
+    T = system.config.horizon
+    rates = [k.real_form(T)[:2] for k in system.kernels]  # (lam, Im)
     w = min([1.0] + [float(mp.im(lam)) for lam, imag in rates if imag])
-    log_t = math.log2(system.config.horizon)
-    log_h = min(log_t, -math.log2(2 * max(abs(complex(lam)) for lam, _ in rates) or 1e-300))
+    log_h = min(math.log2(T), -math.log2(2 * max(abs(complex(lam)) for lam, _ in rates) or 1e-300))
     floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
-    return (system.config.precision_bits + GUARD_BITS + 16 + math.ceil(max(0.0, -floor))
-            + 3 * max(0, math.ceil(log_t + 1)))
+    return _fixed_point_bits(system.config.precision_bits, math.ceil(max(0.0, -floor)), T)
 
 
 def gram_matrix(system: MomentSystem) -> FixedMatrix:

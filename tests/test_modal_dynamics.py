@@ -1,5 +1,6 @@
 """Modal flows: free evolution, Duhamel responses, the RK4 oracle."""
 from fractions import Fraction
+from math import ceil
 
 import mpmath as mp
 import numpy as np
@@ -10,13 +11,15 @@ from beamctl.errors import StepSizeError
 from beamctl.kernels import ControlSignal, Kernel
 from beamctl.modal_dynamics import (
     ModalState,
+    _stiffest_rate,
     closed_form_state,
     default_steps,
     forcing_resolution_steps,
     simulate_oracle,
     state_pair_norm,
 )
-from beamctl.spectrum import BeamConfig, Boundary, mode_eigenvalues
+from beamctl.moment_problem import assemble
+from beamctl.spectrum import BeamConfig, Boundary, DampingRegime, mode_eigenvalues
 from reference_calculus import convolve, curvature
 
 
@@ -247,6 +250,54 @@ def test_step_choices_scale_with_forcing():
     assert s_big >= s_small
     # tighter targets cannot lower the count
     assert forcing_resolution_steps(cfg, big, 1e-10) >= s_big
+
+
+def stiffness_configs():
+    """Every regime (rho = 2 critical, 5/2 and 10/3 rational overdamped, 3
+    irrational), both boundaries, one to forty modes, two horizons."""
+    for boundary in Boundary:
+        for rho in ("1/10", "1", "2", "5/2", "3", "10/3"):
+            for n_modes in (1, 3, 24, 40):
+                for horizon in ("1", "1/3"):
+                    yield BeamConfig(boundary, Fraction(rho), n_modes, Fraction(horizon))
+
+
+def test_stiffest_rate_is_the_largest_root_of_the_spectrum():
+    for cfg in stiffness_configs():
+        roots = [lam for e in cfg.spectrum.eigenvalues for lam in (e.lambda_plus, e.lambda_minus)]
+        assert _stiffest_rate(cfg) == max(float(abs(lam)) for lam in roots), cfg
+
+
+def test_default_steps_keeps_the_regime_formula():
+    """The step count read off the spectrum equals the regime-by-regime
+    formula it replaced, whose third term 20 N^2 T never won."""
+    def regime_formula(cfg):
+        n2 = cfg.n_modes ** 2
+        if cfg.regime is DampingRegime.OVERDAMPED:
+            lam_max = -float(cfg.spectrum.eigenvalues[0].lambda_minus) * n2
+        else:
+            lam_max = float(n2)
+        T = float(cfg.horizon)
+        return max(4000, ceil(60 * lam_max * T), ceil(20 * n2 * T))
+
+    for cfg in stiffness_configs():
+        assert default_steps(cfg) == regime_formula(cfg), cfg
+
+
+def test_every_route_checks_state_and_config_alike():
+    """The closed form, the oracle and assembly refuse a state of the wrong
+    boundary or mode count with one message."""
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
+    routes = (lambda st: closed_form_state(cfg, st), lambda st: simulate_oracle(cfg, st, None),
+              lambda st: assemble(cfg, st))
+    for state, text in ((ModalState.neumann((0, 1, 0), (0, 0, 0)), "neumann state with n_modes=2"),
+                        (ModalState.dirichlet((1,), (0,)), "dirichlet state with n_modes=1")):
+        messages = set()
+        for route in routes:
+            with pytest.raises(ValueError, match=text) as info:
+                route(state)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 def test_trajectory_csv_layout(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from beamctl._numutil import (
     as_fraction,
     decimal_str,
+    quotient,
     rational_sqrt,
     strip_imag,
     to_mpf,
@@ -104,3 +105,11 @@ def test_decimal_str_keeps_full_precision_and_takes_fractions():
         text = decimal_str(x, 256)
     with mp.workprec(320):
         assert abs(mp.mpf(text) - x) <= mp.mpf(2) ** -250 * x
+
+
+def test_quotient_rounds_once_and_saturates_past_float64():
+    assert quotient(1, 3) == 1 / 3
+    assert quotient(10 ** 400 + 1, 10 ** 380) == 1e20
+    # numerators too large to convert to float still saturate to a signed infinity
+    assert quotient(10 ** 400, 1) == float("inf")
+    assert quotient(-10 ** 400, 3) == float("-inf")

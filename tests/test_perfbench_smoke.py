@@ -32,6 +32,7 @@ def test_every_traced_name_resolves():
     fails here instead of silently zeroing its layer."""
     import importlib
     import importlib.util
+    import inspect
 
     path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -45,3 +46,10 @@ def test_every_traced_name_resolves():
     assert wanted - found == ABSENT
     signal = importlib.import_module("beamctl.kernels").ControlSignal
     assert hasattr(signal, "sample") and hasattr(signal, "_sample_extended")
+    # spans.py also binds parameters: steps used and requested read 0 if
+    # these are renamed, and sample point counts read the times positionally
+    dynamics = importlib.import_module("beamctl.modal_dynamics")
+    assert "steps" in inspect.signature(dynamics.simulate_oracle).parameters
+    assert "cap" in inspect.signature(dynamics.forcing_resolution_steps).parameters
+    assert list(inspect.signature(signal.sample).parameters)[:2] == ["self", "times"]
+    assert list(inspect.signature(signal._sample_extended).parameters)[:2] == ["self", "t"]

@@ -131,8 +131,13 @@ def test_neumann_traces_even_modes_vanish():
         assert abs(traces[0] - mp.pi ** mp.mpf("1.5") / 2) < mp.mpf(2) ** -240
 
 
+def spectrum(rho, n_modes, bits=256):
+    """The spectrum gap_statistics reads: a Dirichlet beam's, horizon 1."""
+    return BeamConfig(Boundary.DIRICHLET, rho, n_modes, Fraction(1), bits).spectrum
+
+
 def test_gap_statistics_underdamped():
-    stats = gap_statistics(Fraction(1), 6, 256)
+    stats = gap_statistics(spectrum(Fraction(1), 6))
     # per branch the tightest spacing is |lambda_2 - lambda_1| >= 3; merged,
     # the conjugate pair of mode 1 sits sqrt(3) apart
     assert abs(stats.min_gap_plus - 3.0) < 1e-12
@@ -143,7 +148,7 @@ def test_gap_statistics_underdamped():
 @pytest.mark.parametrize("rho", [Fraction(1), Fraction(2), Fraction(5, 2)])
 def test_gap_minimum_is_the_smallest_consecutive_gap(rho):
     # one per regime: underdamped, critical, overdamped
-    stats = gap_statistics(rho, 7, 128)
+    stats = gap_statistics(spectrum(rho, 7, 128))
     assert stats.min_gap_plus == min(stats.consecutive_gaps_plus)
     assert stats.min_gap_minus == min(stats.consecutive_gaps_minus)
     with mp.workprec(128):
@@ -160,13 +165,14 @@ def test_gap_statistics_single_mode():
     # for the conjugate pair at rho = 1, 0 at the double root, r - 1/r = sqrt 5
     # at rho = 3
     for rho, gap in ((Fraction(1), 3 ** 0.5), (Fraction(2), 0.0), (Fraction(3), 5 ** 0.5)):
-        stats = gap_statistics(rho, 1, 256)
+        stats = gap_statistics(spectrum(rho, 1))
         assert stats.min_gap_plus is None and stats.min_gap_minus is None
         assert stats.consecutive_gaps_plus == stats.consecutive_gaps_minus == ()
         assert abs(stats.merged_min_gap - gap) < 1e-12
         assert stats.merged_min_pair == ((1, "+"), (1, "-"))
-    with pytest.raises(ValueError):
-        gap_statistics(Fraction(1), 0)
+    # no modes, no spectrum: the config refuses it
+    with pytest.raises(ValueError, match="n_modes must be a positive integer"):
+        spectrum(Fraction(1), 0)
 
 
 def test_spectrum_is_built_once_per_config():
@@ -191,9 +197,9 @@ def test_spectrum_is_built_once_per_config():
 
 def test_gap_statistics_irrational_ratio_has_no_collisions():
     # rho = 3 gives r = (3 + sqrt 5)/2, irrational: no m = r n exists
-    assert gap_statistics(Fraction(3), 12).collisions == ()
+    assert gap_statistics(spectrum(Fraction(3), 12)).collisions == ()
 
 
 def test_gap_statistics_reports_collisions():
-    stats = gap_statistics(Fraction(5, 2), 4, 256)
+    stats = gap_statistics(spectrum(Fraction(5, 2), 4))
     assert (2, 1) in stats.collisions and (4, 2) in stats.collisions
