@@ -330,7 +330,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     }
     if config.regime is DampingRegime.OVERDAMPED:
         exact = config.spectrum.ratio_exact
-        doc["branch_ratio"] = decimal_str(branch_ratio(config.rho, bits), bits)
+        # lambda_1^- = -r; fneg(exact=True) keeps all of its bits
+        doc["branch_ratio"] = decimal_str(mp.fneg(config.spectrum.roots(1)[1], exact=True), bits)
         doc["branch_ratio_exact"] = None if exact is None else str(exact)
     _write_report(args, doc)
     msg = (f"spectrum: {config.n_modes} modes, regime {config.regime.value}, "

@@ -117,12 +117,14 @@ class SamplingError(BeamControlError):
 
 
 class StepSizeError(BeamControlError):
-    """The explicit integrator went unstable at the requested step count."""
+    """RK4 is unstable at the requested step count: growth, the amplification
+    over the run, is the largest |R(h lambda)| on the spectrum (R being RK4's
+    stability function) to the power steps; inf on overflow or a non-finite state."""
 
     def __init__(self, steps: int, growth: float):
         self.steps = steps
         self.growth = growth
         super().__init__(
-            f"trajectory norm grew {growth:.3e}x at {steps} steps; "
-            "raise the step count (stiffest mode must satisfy the stability bound)"
+            f"RK4 amplifies the state {growth:.3e}x over {steps} steps; "
+            "raise the step count (every root needs |R(h lambda)| <= 1)"
         )

@@ -27,7 +27,7 @@ def stage_loop_oracle(config, state0, control, steps):
     """Reference RK4: the stage formulas run one step at a time, every state kept.
 
     Returns (times, values, velocities) of the physical state at all
-    steps + 1 grid times; raises StepSizeError like simulate_oracle.
+    steps + 1 grid times.
     """
     T = float(config.horizon)
     h = T / steps
@@ -43,9 +43,6 @@ def stage_loop_oracle(config, state0, control, steps):
         F, lift_f, lift_fp = sampled["f_second"], sampled["f"], sampled["f_prime"]
     else:
         F = lift_f = lift_fp = np.zeros_like(half_times)
-    ref = max(float(np.hypot(np.linalg.norm(a), np.linalg.norm(v))),
-              float(np.max(np.abs(F)) * max(np.max(np.abs(x_arr)), 1.0) * max(T, 1.0) ** 2),
-              1e-30)
 
     def deriv(ai, vi, fj):
         return vi, -damp * vi - stiff * ai - fj * x_arr
@@ -59,9 +56,6 @@ def stage_loop_oracle(config, state0, control, steps):
         k4a, k4v = deriv(a + h * k3a, v + h * k3v, f2)
         a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        growth = float(np.hypot(np.linalg.norm(a), np.linalg.norm(v))) / ref
-        if not np.isfinite(growth) or growth > 1e6:
-            raise StepSizeError(steps, growth)
         vals.append(a + x_arr * lift_f[2 * k + 2])
         vels.append(v + x_arr * lift_fp[2 * k + 2])
     return half_times[::2], np.array(vals), np.array(vels)
@@ -227,7 +221,7 @@ def test_oracle_forced_matches_closed_form():
 
 def test_oracle_rejects_unstable_step_count():
     # mode 6 decays at rate |lambda| = 36; four RK4 steps put lambda h far
-    # outside the stability region and the growth guard must trip
+    # outside the stability region and the oracle must refuse them
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(1))
     st = ModalState.dirichlet(values=(0, 0, 0, 0, 0, 1), velocities=(0,) * 6)
     with pytest.raises(StepSizeError):
@@ -323,10 +317,10 @@ def test_trajectory_csv_layout(tmp_path):
     assert abs(float(lines[1].split(",")[2]) - 0.5) < 1e-15
 
 
-def curved_control():
+def curved_control(horizon=Fraction(1)):
     return ControlSignal(kernels=(Kernel("exp", rate=mp.mpf(-2)), Kernel("linear")),
                          coefficients=(mp.mpf("1.3"), mp.mpf("-0.4")),
-                         horizon=Fraction(1), precision_bits=128)
+                         horizon=horizon, precision_bits=128)
 
 
 BLOCKED_CASES = [
@@ -338,18 +332,20 @@ BLOCKED_CASES = [
 @pytest.mark.parametrize("boundary, rho", BLOCKED_CASES)
 @pytest.mark.parametrize("steps", [1, 150, 4096, 4099])
 def test_blocked_oracle_matches_stage_loop(boundary, rho, steps):
-    # steps: one step, fewer steps than samples, a perfect square, a prime.
-    # The blocked recurrence sums in another order than the stage loop; its
-    # roundoff stays below steps * eps of the trajectory scale, and 1e-12
-    # bounds that for up to 4,500 steps.
-    cfg = BeamConfig(boundary, Fraction(rho), 4, Fraction(1))
+    # steps: one step (one block of one), fewer steps than samples, a perfect
+    # square, a prime.  The blocked recurrence sums in another order than the
+    # stage loop; its roundoff stays below steps * eps of the trajectory
+    # scale, and 1e-12 bounds that for up to 4,500 steps.  A single step over
+    # T = 1 is unstable (|R(h lambda)| near 2.4e3), so it runs over T = 1/100.
+    horizon = Fraction(1, 100) if steps == 1 else Fraction(1)
+    cfg = BeamConfig(boundary, Fraction(rho), 4, horizon)
     slots = 5 if boundary is Boundary.NEUMANN else 4    # Neumann: zero mode first
     st = ModalState(boundary, (0.3, -1, 0.5, 0.2, 0.1)[:slots],
                     (0.2, 0, 0.4, -0.1, 0.3)[:slots])
-    times, vals, vels = stage_loop_oracle(cfg, st, curved_control(), steps)
-    traj = simulate_oracle(cfg, st, curved_control(), steps=steps)
+    times, vals, vels = stage_loop_oracle(cfg, st, curved_control(horizon), steps)
+    traj = simulate_oracle(cfg, st, curved_control(horizon), steps=steps)
     assert len(traj.times) == min(201, steps + 1)
-    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    assert traj.times[0] == 0.0 and traj.times[-1] == float(horizon)
     ks = [int((2 * r * steps + 200) // 400) for r in range(201)]   # round half up
     ks = sorted(set(ks))
     assert list(traj.times) == [float(times[k]) for k in ks]
@@ -378,21 +374,92 @@ def test_final_state_does_not_depend_on_samples():
     assert few.final_state() == many.final_state()
 
 
+def rk4_amplification(config, steps, modes=None):
+    """max |R(h lambda)| at 200 bits over the roots of the given modes (all
+    by default), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 being RK4's stability
+    function, for steps steps over the horizon."""
+    modes = modes or range(config.boundary.first_mode, config.n_modes + 1)
+    with mp.workprec(200):
+        h = mp.mpf(config.horizon.numerator) / config.horizon.denominator / steps
+        zs = [h * lam for n in modes for lam in config.spectrum.roots(n)]
+        return max(abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) for z in zs)
+
+
 def test_oracle_rejects_instability_starting_mid_run():
     # h = 0.1 puts mode 6 (|lambda| = 36) outside the RK4 stability region,
-    # but its data is 1e-20, so growth trips the guard only after step 44,
-    # in the fourth of 12 blocks; the error reports the growth at the first
-    # tripped step, as the stage loop does
+    # but its data is 1e-20, so the state stays small for dozens of steps;
+    # run anyway, 44 steps end mode 6 at -2.4e4 where the closed form gives
+    # -2.1e-57.  Both counts are refused with mode 6's amplification.
     st = ModalState.dirichlet(values=(1, 0, 0, 0, 0, 1e-20), velocities=(0,) * 6)
+    for horizon, steps, growth in ((Fraction(44, 10), 44, 2.19e24), (Fraction(14), 140, 1e77)):
+        cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, horizon)
+        with pytest.raises(StepSizeError) as got:
+            simulate_oracle(cfg, st, None, steps=steps)
+        assert got.value.steps == steps
+        stiff = float(rk4_amplification(cfg, steps, modes=[6]) ** steps)
+        assert abs(got.value.growth - stiff) <= 1e-12 * stiff
+        assert stiff > growth
     early = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(44, 10))
-    simulate_oracle(early, st, None, steps=44)
-    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(14))
-    with pytest.raises(StepSizeError) as ref:
-        stage_loop_oracle(cfg, st, None, 140)
-    with pytest.raises(StepSizeError) as got:
-        simulate_oracle(cfg, st, None, steps=140)
-    assert got.value.steps == 140
-    assert abs(got.value.growth - ref.value.growth) <= 1e-9 * ref.value.growth
+    assert abs(closed_form_state(early, st).values[5]) < 1e-56
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("rho", [Fraction(1, 10 ** 6), Fraction(1, 10), Fraction(1),
+                                 Fraction(2), Fraction(3)], ids=str)
+def test_oracle_is_stable_exactly_where_the_stability_function_is(boundary, rho):
+    """simulate_oracle refuses a step count exactly when some root's
+    |R(h lambda)| exceeds 1, and reports the worst |R| to the power steps.
+    Complex roots (rho < 2) leave the region near the imaginary axis at
+    |h lambda| ~ 2.83, real ones (rho >= 2) at h lambda ~ -2.79."""
+    cfg = BeamConfig(boundary, rho, 3, Fraction(1))
+    st = ModalState(boundary, (1,) * (cfg.n_modes + 1 - boundary.first_mode),
+                    (0,) * (cfg.n_modes + 1 - boundary.first_mode))
+    verdicts = []
+    for steps in range(1, 25):
+        worst = rk4_amplification(cfg, steps)
+        if worst > 1:
+            with pytest.raises(StepSizeError) as got:
+                simulate_oracle(cfg, st, None, steps=steps)
+            assert got.value.steps == steps
+            assert abs(got.value.growth / float(worst ** steps) - 1) <= 1e-12
+        else:
+            traj = simulate_oracle(cfg, st, None, steps=steps)
+            assert np.isfinite(traj.values).all()
+        verdicts.append(worst > 1)
+    # both sides of the boundary are in the scan: unstable at one step,
+    # stable from some count on
+    assert verdicts[0] and not verdicts[-1]
+    boundary_steps = verdicts.index(False)
+    assert all(verdicts[:boundary_steps]) and not any(verdicts[boundary_steps:])
+
+
+def test_oracle_refuses_before_it_samples_the_control(monkeypatch):
+    calls = []
+    sample = ControlSignal.sample
+
+    def spy(self, times, *args, **kwargs):
+        calls.append(len(times))
+        return sample(self, times, *args, **kwargs)
+
+    monkeypatch.setattr(ControlSignal, "sample", spy)
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 6, Fraction(1))
+    st = ModalState.dirichlet(values=(1, 0, 0, 0, 0, 0), velocities=(0,) * 6)
+    with pytest.raises(StepSizeError):
+        simulate_oracle(cfg, st, curved_control(), steps=4)
+    assert calls == []
+    simulate_oracle(cfg, st, curved_control(), steps=400)
+    assert calls      # the spy sees the samples of a stable count
+
+
+def test_oracle_carries_data_near_the_float64_limit():
+    # squaring such a state overflows float64 (1e160^2 > 1.8e308); RK4 itself
+    # never squares it, so the run must end where the closed form does
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
+    st = ModalState.dirichlet(values=(1e160, -3e159, 2e159), velocities=(0, 5e159, -4e159))
+    got = simulate_oracle(cfg, st, None, steps=4000).final_state()
+    expect = closed_form_state(cfg, st)
+    for a, b in zip(got.values + got.velocities, expect.values + expect.velocities):
+        assert abs(float(a) - float(b)) <= 1e-10 * abs(float(b))
 
 
 def crosscheck_case(boundary, rho, n_modes=3, horizon="1", tiny=False):
