@@ -48,7 +48,11 @@ class ResonanceDefect(BeamControlError):
 
 
 class NumericalRankDeficiency(BeamControlError):
-    """A Gram pivot fell below the meaningful threshold for the working precision."""
+    """A Gram pivot fell below the meaningful threshold for the working precision.
+
+    attempted_bits lists every rung of the ladder, the ones the spectral pivot
+    bound refused without factoring too; the pivot is the factored ceiling's.
+    """
 
     def __init__(self, pivot_index: int, pivot_ratio: float, precision_bits: int,
                  attempted_bits=()):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from sys import float_info
 from typing import Optional, Tuple
 
 import mpmath as mp
@@ -181,18 +182,34 @@ def closed_form_state(config: BeamConfig, state0: ModalState,
         return ModalState(config.boundary, tuple(vals), tuple(vels))
 
 
+class _TinyNorm(float):
+    """A norm below float64's normal range, where the float keeps only a few
+    bits (or none): it computes as that float, and its repr gives 17
+    significant digits of the mpf it was rounded from."""
+
+    def __new__(cls, exact):
+        self = super().__new__(cls, float(exact))
+        self.exact = exact
+        return self
+
+    def __repr__(self):
+        return mp.nstr(self.exact, 17, strip_zeros=False)
+
+
 def state_pair_norm(state: ModalState, p) -> float:
     """Energy-style pair norm: displacement at scale p, velocity at scale p-2.
 
     sqrt(sum n^(2p) |u_n|^2 + n^(2p-4) |u_n'|^2); the Neumann zero mode
-    carries unit weight in both parts.
+    carries unit weight in both parts.  A norm below float64's normal range
+    is a _TinyNorm, so that its repr keeps the digits the float lost.
     """
     total = mp.mpf(0)
     for n, u, du in zip(state.modes, state.values, state.velocities):
         w = mp.mpf(max(n, 1))
         total += w ** (2 * p) * to_mpf(u) ** 2
         total += w ** (2 * (p - 2)) * to_mpf(du) ** 2
-    return float(mp.sqrt(total))
+    norm = mp.sqrt(total)
+    return _TinyNorm(norm) if 0 < norm < float_info.min else float(norm)
 
 
 @dataclass(frozen=True)

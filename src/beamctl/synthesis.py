@@ -14,7 +14,10 @@ to unit diagonal, by a Cholesky routine that watches its own pivots.  A pivot
 collapsing below 2^(-precision_bits/2) of the largest one seen means the
 matrix has lost definiteness at the working precision: the solver then
 reassembles everything at doubled precision, up to PRECISION_CEILING bits,
-or gives up with a quantitative report.  There is no approximate fallback: a
+or gives up with a quantitative report.  Rungs that an upper bound on the
+pivots, read from the kernel rates alone, proves too coarse are tried
+without factoring: the ladder starts at the first rung the bound does not
+refuse, and always factors the ceiling.  There is no approximate fallback: a
 returned control meets its moment targets to the working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
@@ -50,6 +53,8 @@ __all__ = [
 ]
 
 PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
+_REFUSAL_MARGIN_BITS = 2    # refuse a rung this far below its pivot test, which rounds GUARD_BITS finer
+_COLLISION = 2.0 ** -30     # relative gap under which two float64 rates count as one
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ class SynthesisReport:
     cost: float                          # L2 norm of f'' on [0, T]
     condition_estimate: float
     precision_bits_used: int
-    precision_trace: Tuple[int, ...]     # every precision attempted, in order
+    precision_trace: Tuple[int, ...]     # every precision attempted, in order, refused rungs too
     residuals: Tuple[float, ...]         # per-row |G c - target|
     max_residual: float
 
@@ -231,15 +236,66 @@ def _attempt(system: MomentSystem) -> SynthesisReport:
                            tuple(residuals), max(residuals, default=0.0))
 
 
+def _log2_pivot_bound(system: MomentSystem):
+    """An upper bound on min_j log2(p_j / top_j) of the system's Cholesky, read
+    from the kernel rates alone in float64; inf where the rows do not fit.
+
+    p_j, the squared L2(0, T) distance of kernel j from the earlier ones, is at
+    most that distance in L2(0, oo) from the earlier exponential rows alone,
+    which has a closed form (Fattorini & Russell, ARMA 43, 1971).  With B_S(mu)
+    = prod_(nu in S) (mu - nu) / (mu + conj nu) over their rates S, conjugates
+    and repeats included, it is |B_S(mu)|^2 / (2|Re mu|) for an exp row and
+    |B_S(mu)|^2 / (8|Re mu|^3) for a polyexp row after its exp partner (S
+    without it).  An expcos/expsin pair's two pivots multiply to |B_S(lam)|^4
+    (Im lam)^2 / (16 (Re lam)^2 |lam|^2); their geometric mean is checked.
+    top_j >= G_00 = T, the const row being first.  A factor of float64 rates
+    closer than _COLLISION of their size is dropped: each factor is at most 1.
+    """
+    kernels, T = system.kernels, system.config.horizon
+    if not kernels or kernels[0].kind != "const":
+        return math.inf
+    points, worst = [], math.inf     # the rates S spanned so far
+    for j, kernel in enumerate(kernels[1:], 1):
+        z, kind = complex(kernel.real_form(T)[0]), kernel.kind
+        if kind == "linear" or kind == "expsin" and kernels[j - 1].kind == "expcos":
+            continue                    # a pair is checked at its expcos row
+        if z.real >= 0:                 # a const row past the first, or a growing rate
+            return math.inf
+        a, S = -z.real, points
+        if kind == "exp":
+            rest = -math.log2(2 * a)
+        elif kind == "polyexp" and kernels[j - 1] == replace(kernel, kind="exp"):
+            S, rest = points[:-1], -math.log2(8 * a ** 3)
+        elif kind == "expcos" and z.imag and kernels[j + 1:j + 2] == (replace(kernel, kind="expsin"),):
+            rest = math.log2(abs(z.imag) / (4 * a * abs(z)))
+        else:
+            return math.inf
+        size, log_b = _COLLISION * abs(z), 0.0
+        for nu in S:
+            gap = abs(z - nu)
+            if gap >= size and gap >= _COLLISION * abs(nu):
+                log_b += math.log2(gap / abs(z + nu.conjugate()))
+        worst = min(worst, 2 * log_b + rest)
+        points += [z, z.conjugate()] if kind == "expcos" else [z]
+    return worst - (math.log2(T.numerator) - math.log2(T.denominator))
+
+
 def solve_min_norm(system: MomentSystem) -> SynthesisReport:
     """Minimum-norm control for the moment system, with exact moment targets.
 
     The Gram system is factored by Cholesky at the system's precision.  On
     rank collapse the system is reassembled at doubled precision, as long as
-    that stays within PRECISION_CEILING.  When the ladder is exhausted
-    NumericalRankDeficiency propagates, carrying every precision attempted.
+    that stays within PRECISION_CEILING.  A rung below the ceiling that the
+    spectral bound (_log2_pivot_bound) proves too coarse is tried without
+    factoring: it joins the trace, and no Gram is built at it.  When the
+    ladder is exhausted NumericalRankDeficiency propagates, carrying every
+    precision attempted.
     """
-    trace, current = [], system
+    trace, bits, bound = [], system.config.precision_bits, _log2_pivot_bound(system)
+    while bits * 2 <= PRECISION_CEILING and bound < -(bits // 2) - _REFUSAL_MARGIN_BITS:
+        trace.append(bits)
+        bits *= 2
+    current = system.with_precision(bits)
     while True:
         bits = current.config.precision_bits
         trace.append(bits)

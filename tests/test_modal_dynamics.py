@@ -195,6 +195,24 @@ def test_sobolev_and_pair_norms():
     assert abs(state_pair_norm(st4, 4) - 0.5) < 1e-13      # unit weight on mode 0
 
 
+@pytest.mark.parametrize("value", ["1.7e300", "3e-300", "2.2250738585072014e-308",
+                                   "2.2250738585072e-308", "2.880353e-318", "1e-330"])
+def test_pair_norm_keeps_its_digits_below_the_normal_range(value):
+    """A norm in float64's normal range keeps its float repr; one below it,
+    where the float holds a few bits or none, reports 17 digits of the mpf."""
+    st = ModalState.dirichlet(values=(value, 0), velocities=(0, "0"))
+    norm = state_pair_norm(st, 3)                   # mode 1 has weight 1
+    exact = mp.sqrt(mp.mpf(st.values[0]) ** 2)
+    assert float(norm) == float(exact)
+    if exact >= np.finfo(np.float64).tiny:
+        assert type(norm) is float
+        return
+    mantissa = repr(norm).split("e")[0].replace(".", "").lstrip("0")
+    assert len(mantissa) >= 15
+    with mp.workprec(200):
+        assert abs(mp.mpf(repr(norm)) - exact) <= mp.mpf(10) ** -15 * exact
+
+
 def test_oracle_free_flow_matches_closed_form():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0, -0.4), velocities=(0, 0.3, 0))

@@ -1,5 +1,8 @@
 """Gram solve: Cholesky, autoscale ladder, biorthogonals."""
 import json
+import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -288,6 +291,127 @@ def test_precision_ceiling_ends_the_ladder(monkeypatch):
     with pytest.raises(NumericalRankDeficiency) as info:
         solve_min_norm(system)
     assert info.value.attempted_bits == (64,)
+
+
+def gaussian_data(modes, seed):
+    """Value and velocity N(0, 1)/n^2 on every mode, as 7-digit strings: the
+    benchmark's synthesis data."""
+    rng = random.Random(seed)
+    values = [f"{rng.gauss(0.0, 1.0) / n ** 2:.6e}" for n in range(1, modes + 1)]
+    velocities = [f"{rng.gauss(0.0, 1.0) / n ** 2:.6e}" for n in range(1, modes + 1)]
+    return ModalState.dirichlet(values, velocities)
+
+
+def doubling_ladder(system):
+    """Reference solve: every rung assembled and factored, doubling from the
+    system's precision while that stays within PRECISION_CEILING."""
+    trace = []
+    while True:
+        bits = system.config.precision_bits
+        trace.append(bits)
+        try:
+            return replace(synthesis._attempt(system), precision_trace=tuple(trace))
+        except NumericalRankDeficiency as err:
+            if bits * 2 > synthesis.PRECISION_CEILING:
+                raise NumericalRankDeficiency(err.pivot_index, err.pivot_ratio, err.precision_bits,
+                                              attempted_bits=tuple(trace)) from None
+        system = system.with_precision(2 * bits)
+
+
+def worst_log2_pivot_ratio(system):
+    """min over rows j > 0 of log2(p_j / max_(i<j) p_i), p the unscaled pivots
+    of a plain mpf LDL^T of the Gram, at twice the precision the ladder
+    settles on."""
+    bits = 2 * solve_min_norm(system).precision_bits_used
+    G = gram_matrix(system.with_precision(bits))
+    n = G.rows
+    with mp.workprec(bits + GUARD_BITS):
+        A = [[G[i, j] for j in range(n)] for i in range(n)]
+        pivots = []
+        for j in range(n):
+            pivots.append(A[j][j])
+            for i in range(j + 1, n):
+                factor = A[i][j] / A[j][j]
+                for k in range(j + 1, i + 1):
+                    A[i][k] -= factor * A[k][j]
+        logs = [float(mp.log(p, 2)) for p in pivots]
+    return min(p - max(logs[:j]) for j, p in enumerate(logs) if j)
+
+
+NEAR_COLLISION = Fraction(5, 2) + Fraction(1, 10 ** 12)     # branch ratio near 2
+
+
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+@pytest.mark.parametrize("rho", [Fraction(1, 10), Fraction(1), Fraction(2), Fraction(3),
+                                 NEAR_COLLISION], ids=["rho1/10", "rho1", "rho2", "rho3", "rho5/2+eps"])
+def test_pivot_bound_is_above_the_worst_pivot_ratio(boundary, rho):
+    """The spectral bound never reads below the worst pivot ratio of a
+    reference LDL^T of the Gram, on both sides of T = 1, at every damping
+    and at a near-collision of rates."""
+    grid = [(3, T) for T in (Fraction(1, 100000), Fraction(1, 1000), Fraction(1, 10), 1,
+                             Fraction(7, 2))]
+    grid += [(12, T) for T in (Fraction(1, 10), 1, Fraction(7, 2))] + [(24, 1)]
+    for modes, horizon in grid:
+        system = assemble(BeamConfig(boundary, rho, modes, horizon, 64),
+                          decaying_data(boundary, modes))
+        bound = synthesis._log2_pivot_bound(system)
+        assert bound < math.inf
+        assert bound >= worst_log2_pivot_ratio(system), (modes, horizon)
+
+
+def test_pivot_bound_refuses_nothing_on_rows_out_of_order():
+    system = solve_min_norm(small_system()).system
+    assert synthesis._log2_pivot_bound(replace(system, kernels=system.kernels[::-1])) == math.inf
+    assert synthesis._log2_pivot_bound(replace(system, kernels=system.kernels[:3])) == math.inf
+
+
+@pytest.mark.parametrize("rho, modes, bits, horizon", [
+    (Fraction(1), 28, 96, 1),                   # the benchmark's ladder cases
+    (Fraction(2), 32, 256, 1),
+    (Fraction(3), 40, 256, 1),
+    (Fraction(3), 24, 53, 1),                   # three rungs refused, 424 bits hold
+    (Fraction(2), 16, 64, 1),
+    (Fraction(1), 8, 64, Fraction(1, 1000)),    # the bound too loose to refuse
+    (Fraction(3), 6, 53, Fraction(1, 1000)),
+], ids=["rho1-28", "rho2-32", "rho3-40", "rho3-24-53bits", "rho2-16-64bits",
+        "rho1-8-T1/1000", "rho3-6-53bits-T1/1000"])
+def test_solve_matches_the_plain_doubling_ladder(rho, modes, bits, horizon):
+    system = assemble(BeamConfig(Boundary.DIRICHLET, rho, modes, horizon, bits),
+                      gaussian_data(modes, 1))
+    report, reference = solve_min_norm(system), doubling_ladder(system)
+    assert report.precision_trace == reference.precision_trace
+    assert len(report.precision_trace) > 1
+    assert list(map(repr, report.coefficients)) == list(map(repr, reference.coefficients))
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+def test_refused_rungs_build_no_gram(monkeypatch):
+    calls = {"gram_matrix": 0, "cholesky_factor": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(synthesis, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    system = assemble(BeamConfig(Boundary.DIRICHLET, Fraction(3), 40, Fraction(1), 256),
+                      gaussian_data(40, 1))
+    assert solve_min_norm(system).precision_trace == (256, 512)
+    assert calls == {"gram_matrix": 1, "cholesky_factor": 1}
+
+
+def test_ceiling_rung_is_factored_for_its_pivot(monkeypatch):
+    monkeypatch.setattr(synthesis, "PRECISION_CEILING", 256)
+    system = assemble(BeamConfig(Boundary.DIRICHLET, Fraction(3), 40, Fraction(1), 128),
+                      gaussian_data(40, 1))
+    assert synthesis._log2_pivot_bound(system) < -(256 // 2) - synthesis._REFUSAL_MARGIN_BITS
+    errors = []
+    for solve in (solve_min_norm, doubling_ladder):
+        with pytest.raises(NumericalRankDeficiency) as info:
+            solve(system)
+        errors.append(info.value)
+    got, want = errors
+    assert got.attempted_bits == want.attempted_bits == (128, 256)
+    assert (got.precision_bits, got.pivot_index, got.pivot_ratio) \
+        == (want.precision_bits, want.pivot_index, want.pivot_ratio)
 
 
 def test_biorthogonal_family_identity():
