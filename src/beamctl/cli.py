@@ -29,7 +29,6 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .condensation import condensation_estimate, ratio_from_quotients, ratio_from_sqrt
@@ -214,6 +213,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
         values[1 - first] = Fraction(1)
         triples = None
     elif descriptor == "random":
+        import numpy as np
         rng = np.random.default_rng(seed)
         with mp.workprec(config.precision_bits + GUARD_BITS):
             vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
@@ -270,6 +270,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 def write_control_csv(control: ControlSignal, path) -> None:
     """Uniform samples of the boundary signal as CSV: t, f, f_prime, f_second."""
+    import numpy as np
     header = ["t", "f", "f_prime", "f_second"]
     data = control.sample(np.linspace(0.0, float(control.horizon), CONTROL_SAMPLES))
     _write_csv(path, header, zip(*(map(repr, map(float, data[c])) for c in header)))

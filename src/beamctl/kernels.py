@@ -31,17 +31,19 @@ per signal, built from extended-precision values at Chebyshev-Lobatto nodes
 (ControlSignal.proxy).  ControlSignal._sample_extended sums those from the
 explicit antiderivatives in ControlSignal.term_table, with no M_d: parts
 merged by rate, on integers with F fraction bits (F = 32 past the bits the
-term bound asks for), one fixed-point exponential per rate and node.
+term bound asks for), one fixed-point exponential per rate and node.  Only
+these oracle-route functions import numpy, each when it is called, so the
+closed-form route never loads it.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
@@ -58,7 +60,7 @@ _FIRST_NODES = 16           # Lobatto intervals of the first round
 _MAX_NODES = 4096           # no plateau by here: SamplingError
 _HELDOUT_RTOL = 1e-12       # held-out gap against the series' largest value
 _EPS = 2.0 ** -52
-_TINY = np.finfo(np.float64).tiny
+_TINY = sys.float_info.min
 
 SIGNALS = ("f", "f_prime", "f_second")    # ControlSignal.sample's keys, in proxy row order
 
@@ -274,6 +276,7 @@ class ControlSignal:
         names the subset of SIGNALS to evaluate; each comes out the same
         whatever else is asked for.
         """
+        import numpy as np
         t = np.asarray(times, dtype=np.float64)
         if t.size == 0:
             return {"t": t, **{name: t.copy() for name in signals}}
@@ -296,6 +299,7 @@ class ControlSignal:
         held-out gap above _HELDOUT_RTOL of the series' largest node value,
         raises SamplingError.
         """
+        import numpy as np
         T = float(self.horizon)
         n = _FIRST_NODES
         values = self._sample_extended(self._lobatto_nodes(np.arange(n + 1), n))
@@ -375,6 +379,7 @@ class ControlSignal:
         integers by mpmath's fixed-point sine, within a few 2^-F of exact, so
         each node value belongs to its Lobatto point (f'' turns at a rate
         near max |lam| next to t = T, where a float64 time misplaces it)."""
+        import numpy as np
         F, T, *_, half_pi = self.term_table
         angles = (half_pi * k // denom for k in (denom - numer).tolist())
         sines = (cos_sin_fixed(x, F, half_pi)[1] for x in angles)
@@ -388,6 +393,7 @@ class ControlSignal:
         bound * ulp.  One e^(Re lam u) and cos, sin(Im lam u) per rate by
         mpmath's fixed-point kernels (mpz under gmpy2, untested: made int last).
         """
+        import numpy as np
         F, T, cubic, rates, ln2, half_pi = self.term_table
         out = np.empty((3, t.size))
         xs = t.tolist() if t.dtype == object else [to_fixed(tj, F) for tj in t.tolist()]
@@ -429,11 +435,13 @@ class ChebyshevProxy:
 
 def _lobatto_times(T: float, numer: np.ndarray, denom: int) -> np.ndarray:
     """Times T (1 + cos(pi numer / denom)) / 2, written so t = 0 and t = T come out exact."""
+    import numpy as np
     return T * np.sin(np.pi * (denom - numer) / (2 * denom)) ** 2
 
 
 def _clenshaw(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_k table[k] T_k(x) at every x, one output row per column of table."""
+    import numpy as np
     x2 = 2.0 * x
     b1 = b2 = np.zeros((table.shape[1], x.size))
     for c in table[:0:-1]:
@@ -444,6 +452,7 @@ def _clenshaw(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """T_k coefficients, k = 0..n, of the interpolant through values at the
     Lobatto points x_j = cos(pi j / n), j = 0..n (along the last axis)."""
+    import numpy as np
     n = values.shape[-1] - 1
     even = np.concatenate([values, values[..., -2:0:-1]], axis=-1)
     c = np.fft.rfft(even, axis=-1).real / n
@@ -460,6 +469,7 @@ def _standard_chop(coeffs: np.ndarray) -> int:
     the last point before it on the envelope tilted by tol^(1/3).  Returns
     len(coeffs) when there is no plateau: the series is unresolved.
     """
+    import numpy as np
     n = coeffs.size
     if n < 17:
         return n

@@ -39,7 +39,6 @@ from sys import float_info
 from typing import Optional, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import StepSizeError
@@ -256,6 +255,7 @@ def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
     from a coarse sample of the control.  cap=None returns the uncapped
     count.
     """
+    import numpy as np
     T = float(to_mpf(config.horizon))
     coarse = control.sample(np.linspace(0.0, T, 257), ("f_second",))
     f_inf = max(1.0, float(np.max(np.abs(coarse["f_second"]))))
@@ -289,6 +289,7 @@ def _rk4_step_map(h, damp, stiff, x):
     once to each of the five unit inputs gives every coefficient; P is
     block-diagonal, one 2x2 block per mode.
     """
+    import numpy as np
     unit = np.eye(5)[:, :, None]
     an, vn = _rk4_stages(*unit, h, damp, stiff, x)      # (5, modes) each
     m = len(x)
@@ -324,6 +325,7 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     so a count with |R| > 1 at a root of config.spectrum raises StepSizeError
     before any sampling; a non-finite recorded row raises it too.
     """
+    import numpy as np
     state0.check_fits(config)
     if steps is None:
         steps = default_steps(config)

@@ -172,30 +172,6 @@ class MomentSystem:
             ],
         }
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "MomentSystem":
-        """Rebuild an equivalent system from its serialized form.
-
-        The rows are reassembled from config and data rather than trusted
-        verbatim, which keeps deserialization honest; a corrupted document
-        that no longer matches its own rows is detectable by comparing
-        against the stored row targets.
-        """
-        c = doc["config"]
-        config = BeamConfig(
-            boundary=Boundary(c["boundary"]),
-            rho=Fraction(c["rho"]),
-            n_modes=int(c["n_modes"]),
-            horizon=Fraction(c["horizon"]),
-            precision_bits=int(c["precision_bits"]),
-        )
-        with mp.workprec(config.precision_bits + GUARD_BITS):
-            s = doc["state0"]
-            state0 = ModalState(config.boundary,
-                                tuple(mp.mpf(v) for v in s["values"]),
-                                tuple(mp.mpf(v) for v in s["velocities"]))
-        return assemble(config, state0)
-
 
 def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
     """Build the moment system for the given beam and initial data.

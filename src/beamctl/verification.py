@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ._numutil import as_fraction
 from .kernels import ControlSignal
 from .modal_dynamics import (
@@ -217,6 +215,7 @@ def cost_sweep(config: BeamConfig, state0: ModalState, horizons: Sequence) -> Co
     slope = intercept = r2 = None
     positive = [(float(T), c) for T, c in zip(uniq, costs) if c > 0]
     if len(positive) >= 3:
+        import numpy as np
         x = np.array([1.0 / T for T, _ in positive])
         y = np.log(np.array([c for _, c in positive]))
         coeffs = np.polyfit(x, y, 1)

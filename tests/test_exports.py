@@ -1,8 +1,12 @@
 """Every exported name resolves, at the package and in each module; only
-the CLI touches files."""
+the CLI touches files; the exact route runs without numpy."""
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import beamctl
@@ -22,3 +26,46 @@ def test_only_the_cli_opens_files():
         if path.name != "cli.py":
             found = re.findall(r"import csv|from csv |open\(", path.read_text())
             assert not found, f"{path.name} does file I/O: {found}"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# spectrum, assembly, Gram, Cholesky, solve and closed form: integers and mpf only
+EXACT_ROUTE = textwrap.dedent("""
+    from fractions import Fraction
+    import beamctl
+    config = beamctl.BeamConfig(beamctl.Boundary.DIRICHLET, Fraction(3), 3, Fraction(1), 256)
+    state0 = beamctl.ModalState.dirichlet((1, 0, Fraction(3, 10)), (0, Fraction(1, 5), 0))
+    system = beamctl.assemble(config, state0)
+    report = beamctl.solve_min_norm(system)
+    final = beamctl.closed_form_state(config, state0, report.control)
+    assert beamctl.state_pair_norm(final, 2) < 1e-50
+    beamctl.biorthogonal_family(system)
+""")
+
+
+def _numpy_loaded_after(steps: str, cwd: Path) -> bool:
+    """Whether numpy is in sys.modules after steps, run in a fresh
+    interpreter: this one already holds numpy."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = steps + "\nimport sys; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+def test_exact_route_runs_without_numpy(tmp_path):
+    assert not _numpy_loaded_after(EXACT_ROUTE, tmp_path)
+    # the oracle route loads it with the control's first sample
+    assert _numpy_loaded_after(EXACT_ROUTE + "report.control.sample([0.0])", tmp_path)
+
+
+def test_spectrum_and_condensation_start_without_numpy(tmp_path):
+    steps = textwrap.dedent("""
+        from beamctl import cli
+        assert cli.main(["spectrum", "--out", "spectrum"]) == 0
+        assert cli.main(["condensation", "--rho", "3", "--out", "condensation"]) == 0
+    """)
+    assert not _numpy_loaded_after(steps, tmp_path)

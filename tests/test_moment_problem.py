@@ -7,7 +7,6 @@ import pytest
 from beamctl.errors import ResonanceDefect, UncontrollableMode
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import (
-    MomentSystem,
     assemble,
     data_l2_norm,
     neumann_admissibility,
@@ -119,19 +118,6 @@ def test_neumann_odd_data_assembles():
     # even mode is invisible to the boundary trace and must be dropped
     assert 2 in system.dropped_modes
     assert all(2 not in modes for modes in system.row_modes)
-
-
-def test_json_round_trip_preserves_targets():
-    cfg = dirichlet_config(1, 2)
-    st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0.5))
-    system = assemble(cfg, st)
-    doc = system.to_json_dict()
-    back = MomentSystem.from_json_dict(doc)
-    assert back.labels == system.labels
-    assert back.n_rows == system.n_rows
-    with mp.workprec(300):
-        for a, b in zip(back.targets, system.targets):
-            assert abs(a - b) <= abs(b) * mp.mpf(2) ** -250 + mp.mpf(2) ** -250
 
 
 def test_with_precision_rebuilds_consistently():
