@@ -2,8 +2,9 @@
 
 The library synthesizes a boundary input driving any admissible initial
 state of u_tt + u_xxxx - rho u_txx = 0 to rest at a chosen time, verifies
-the result with an independent integrator, and analyzes the spectral
-condensation that obstructs control in the strongly damped regime.
+the result with an independent spectral integration of each mode, and
+analyzes the spectral condensation that obstructs control in the strongly
+damped regime.
 
 The public surface re-exported here is the stable API; module paths are
 implementation detail.
@@ -15,7 +16,6 @@ from .errors import (
     RationalResonance,
     ResonanceDefect,
     SamplingError,
-    StepSizeError,
     UncontrollableMode,
 )
 from .spectrum import (
@@ -81,7 +81,6 @@ __all__ = [
     "RationalResonance",
     "ResonanceDefect",
     "SamplingError",
-    "StepSizeError",
     "UncontrollableMode",
     "BeamConfig",
     "Boundary",

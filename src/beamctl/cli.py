@@ -2,7 +2,8 @@
 
 Five subcommands wrap the library: `spectrum` (eigenvalue tables and
 collision detection), `synthesize` (moment solve, control emission),
-`verify` (the full null-control experiment with the independent integrator),
+`verify` (the full null-control experiment with the independent spectral
+oracle, whose trajectory.csv holds 201 uniform times on [0, T]),
 `condensation` (Diophantine tail analysis of the overdamped rate families)
 and `cost-sweep` (minimum cost across horizons with a blow-up fit).  A
 `verify` verdict depends on the config, the data and --tolerance alone.
@@ -38,7 +39,6 @@ from .errors import (
     RationalResonance,
     ResonanceDefect,
     SamplingError,
-    StepSizeError,
     UncontrollableMode,
 )
 from .kernels import ControlSignal
@@ -63,8 +63,7 @@ EXIT_UNCONTROLLABLE = 3
 EXIT_NUMERICAL = 4
 
 UNCONTROLLABLE_ERRORS = (UncontrollableMode, ResonanceDefect, RationalResonance)
-NUMERICAL_ERRORS = (NumericalRankDeficiency, StepSizeError, SamplingError,
-                    ImaginaryResidue)
+NUMERICAL_ERRORS = (NumericalRankDeficiency, SamplingError, ImaginaryResidue)
 
 # subcommand -> its JSON report, which carries the error document on exit 3 or 4
 REPORT_FILES = {"spectrum": "spectrum.json", "synthesize": "synthesis.json",

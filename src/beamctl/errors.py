@@ -102,12 +102,14 @@ class ImaginaryResidue(BeamControlError, ArithmeticError):
 
 
 class SamplingError(BeamControlError):
-    """The Chebyshev proxy of a control did not reach float64 accuracy.
+    """A Chebyshev series did not reach float64 accuracy: a control's
+    sampling proxy, or a modal series of the spectral oracle.
 
     `degree` is the number of Chebyshev-Lobatto intervals the proxy was
-    built on; `observed_error` is the coefficient tail (when the series did
-    not decay under the node cap) or the worst held-out gap (when it did),
-    both relative to the series' own scale, against `tolerance`.
+    built on, or the oracle's degree; `observed_error` is the coefficient
+    tail (when the series did not decay under the node cap) or the proxy's
+    worst held-out gap (when it did), both relative to the series' own
+    scale, against `tolerance`.
     """
 
     def __init__(self, degree: int, observed_error: float, tolerance: float, what: str):
@@ -115,20 +117,6 @@ class SamplingError(BeamControlError):
         self.observed_error = observed_error
         self.tolerance = tolerance
         super().__init__(
-            f"control sampling proxy failed at degree {degree}: {what} "
+            f"Chebyshev series failed at degree {degree}: {what} "
             f"{observed_error:.3e} against tolerance {tolerance:.3e}"
-        )
-
-
-class StepSizeError(BeamControlError):
-    """RK4 is unstable at the requested step count: growth, the amplification
-    over the run, is the largest |R(h lambda)| on the spectrum (R being RK4's
-    stability function) to the power steps; inf on overflow or a non-finite state."""
-
-    def __init__(self, steps: int, growth: float):
-        self.steps = steps
-        self.growth = growth
-        super().__init__(
-            f"RK4 amplifies the state {growth:.3e}x over {steps} steps; "
-            "raise the step count (every root needs |R(h lambda)| <= 1)"
         )

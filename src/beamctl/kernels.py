@@ -26,14 +26,17 @@ f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give f(T),
 f'(T) and the modal Duhamel responses at T, are sums of M_d, one moment
 pair per rate pair.
 
-The oracle route reads float64 samples of f, f', f'' off one Chebyshev proxy
-per signal, built from extended-precision values at Chebyshev-Lobatto nodes
-(ControlSignal.proxy).  ControlSignal._sample_extended sums those from the
-explicit antiderivatives in ControlSignal.term_table, with no M_d: parts
-merged by rate, on integers with F fraction bits (F = 32 past the bits the
-term bound asks for), one fixed-point exponential per rate and node.  Only
-these oracle-route functions import numpy, each when it is called, so the
-closed-form route never loads it.
+The oracle route reads f'' as a Chebyshev series, and f, f' at its sample
+times, off one Chebyshev proxy per signal, built from extended-precision
+values at Chebyshev-Lobatto nodes (ControlSignal.proxy).
+ControlSignal._sample_extended sums those from the explicit antiderivatives
+in ControlSignal.term_table, with no M_d: parts merged by rate, on integers
+with F fraction bits (F = 32 past the bits the term bound asks for), one
+fixed-point exponential per rate and node.  The spectral oracle
+(modal_dynamics.simulate_oracle) evaluates and resolves its own modal series
+with this module's _clenshaw and _standard_chop, under the same _MAX_NODES.
+Only these oracle-route functions import numpy, each when it is called, so
+the closed-form route never loads it.
 """
 from __future__ import annotations
 
@@ -180,7 +183,8 @@ class ControlSignal:
     f(0) = f'(0) = 0 holds by construction; f(T) = f'(T) = 0 holds when the
     constant and linear moments of f'' vanish (the first two rows of every
     assembled moment system).  `moments` gives the closed-form route its
-    values at T, `sample` gives the oracle route float64 samples on [0, T].
+    values at T, `proxy` gives the oracle route its Chebyshev series, and
+    `sample` reads float64 samples on [0, T] off that proxy.
     """
 
     kernels: Tuple[Kernel, ...]
@@ -266,7 +270,8 @@ class ControlSignal:
             return bound * max(1, T, T * T / 2)
 
     def sample(self, times, signals=SIGNALS) -> dict:
-        """Float64 samples {t, f, f_prime, f_second} at times in [0, T].
+        """Float64 samples {t, f, f_prime, f_second} at times in [0, T], such as
+        the uniform samples of control.csv.
 
         Synthesized controls are small numbers written as differences of huge
         terms, so no float64 sum of the terms can be trusted.  Every sample is
@@ -312,7 +317,7 @@ class ControlSignal:
                 tail = np.abs(coeffs[:, -(n // 8):]).max(axis=1)
                 top = np.maximum(np.abs(coeffs).max(axis=1), _TINY)
                 raise SamplingError(n, float((tail / top).max()), _EPS,
-                                    "coefficient tail")
+                                    "control proxy coefficient tail")
             fresh = self._sample_extended(self._lobatto_nodes(2 * np.arange(n) + 1, 2 * n))
             merged = np.empty((3, 2 * n + 1))
             merged[:, ::2] = values
@@ -329,7 +334,7 @@ class ControlSignal:
         scale = np.maximum(np.abs(values).max(axis=1), _TINY)
         worst = float((gap.max(axis=1) / scale).max())
         if not worst <= _HELDOUT_RTOL:
-            raise SamplingError(n, worst, _HELDOUT_RTOL, "held-out error")
+            raise SamplingError(n, worst, _HELDOUT_RTOL, "control proxy held-out error")
         return ChebyshevProxy(T, table, n, tuple(cut - 1 for cut in cuts), worst)
 
     @cached_property

@@ -1,5 +1,5 @@
 """Modal evolution of the damped beam: free flow, forced response, and an
-independent explicit integrator.
+independent spectral oracle.
 
 States live in the eigenbasis of the Laplacian on (0, pi): sine modes for
 Dirichlet boundary control, cosine modes (plus the constant mode) for
@@ -20,29 +20,24 @@ the zero mode's double root 0 makes it drift, u0 + u1 T.
 
 Two response paths are deliberately kept independent: closed-form evaluation
 at T from the control's moments (ControlSignal.moments, summed on integers
-at extended precision), and a classical fixed-step 4th-order explicit
-integrator in float64 that knows nothing about the closed forms.  Agreement of the two is a verification gate, not an
-implementation convenience.
-
-On a linear system one RK4 step is an affine map of the state and the three
-forcing samples it reads.  The integrator takes that map's coefficients from
-the RK4 stage formulas themselves, then runs the recurrence in blocks of
-about sqrt(steps) steps, all blocks at once: zero-start responses first,
-block starts chained with the B-step map, then every block again from its
-true start (Blelloch, Prefix sums and their applications, CMU-CS-90-190).
+at extended precision), and simulate_oracle, a float64 spectral integration
+of each modal equation on Chebyshev coefficients that reads no root and no
+moment: only rho n^2, n^4, the trace x_n and the Chebyshev series of the
+control's proxy.  It has no step size, so no truncation error to size.
+Agreement of the two is a verification gate, not an implementation
+convenience.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from sys import float_info
 from typing import Optional, Tuple
 
 import mpmath as mp
 
 from ._numutil import GUARD_BITS, strip_imag, to_mpf
-from .errors import StepSizeError
-from .kernels import ControlSignal
+from .errors import SamplingError
+from .kernels import _EPS, _MAX_NODES, _TINY, ControlSignal, _clenshaw, _standard_chop
 from .spectrum import BeamConfig, Boundary
 
 __all__ = [
@@ -50,12 +45,8 @@ __all__ = [
     "Trajectory",
     "closed_form_state",
     "state_pair_norm",
-    "default_steps",
-    "ORACLE_STEP_CAP",
     "simulate_oracle",
 ]
-
-ORACLE_STEP_CAP = 200000    # largest RK4 step count a verification sizes itself
 
 
 @dataclass(frozen=True)
@@ -213,12 +204,13 @@ def state_pair_norm(state: ModalState, p) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled physical-state history from the explicit integrator."""
+    """Physical-state history from the spectral oracle at uniform times on [0, T]."""
 
     boundary: Boundary
     times: Tuple[float, ...]
     values: Tuple[Tuple[float, ...], ...]      # one tuple per sample time
     velocities: Tuple[Tuple[float, ...], ...]
+    degree: int                                # Chebyshev degree of every modal series
 
     def state_at(self, i: int) -> ModalState:
         return ModalState(self.boundary, self.values[i], self.velocities[i])
@@ -227,176 +219,87 @@ class Trajectory:
         return self.state_at(len(self.times) - 1)
 
 
-def _stiffest_rate(config: BeamConfig) -> float:
-    """Largest root modulus in config.spectrum: |lambda-| of the last mode,
-    r N^2 overdamped and N^2 otherwise (|Re lambda_N| is only rho N^2 / 2)."""
-    return float(abs(config.spectrum.eigenvalues[-1].lambda_minus))
+def _integration_matrix(m: int, T: float):
+    """J: the Chebyshev coefficients 0..m of a series on [0, T], in s = 2t/T - 1,
+    to those of its integral from t = 0, truncated at degree m.
 
-
-def default_steps(config: BeamConfig) -> int:
-    """Baseline step count from the stiffest eigenvalue alone.
-
-    Adequate for free flow and for forcing of moderate size; verification
-    against synthesized controls, whose curvature can reach 1e8, should
-    raise this through forcing_resolution_steps.
-    """
-    return max(4000, ceil(60 * _stiffest_rate(config) * float(to_mpf(config.horizon))))
-
-
-def forcing_resolution_steps(config: BeamConfig, control: ControlSignal,
-                             target_abs: float,
-                             cap: Optional[int] = ORACLE_STEP_CAP) -> int:
-    """Step count sized so RK4 truncation stays under target_abs, at most cap.
-
-    The dominant local error of the forced system scales like
-    h^4 |lambda|_max^2 sup|f''|; the constant 30 is calibrated against
-    measured final-state deviations near the critical damping ratio and
-    overshoots milder regimes, which only adds margin.  sup|f''| comes
-    from a coarse sample of the control.  cap=None returns the uncapped
-    count.
+    int T_k ds = T_(k+1) / (2(k+1)) - T_(k-1) / (2(k-1)) (T_0 -> T_1,
+    T_1 -> T_2 / 4), dt = T ds / 2, and row 0 is the constant that makes the
+    integral vanish at s = -1.
     """
     import numpy as np
-    T = float(to_mpf(config.horizon))
-    coarse = control.sample(np.linspace(0.0, T, 257), ("f_second",))
-    f_inf = max(1.0, float(np.max(np.abs(coarse["f_second"]))))
-    lam_max = _stiffest_rate(config)
-    target = max(float(target_abs), 1e-300)
-    need = T * (30.0 * lam_max ** 2 * f_inf / target) ** 0.25
-    steps = max(default_steps(config), ceil(need))
-    return steps if cap is None else min(cap, steps)
-
-
-def _rk4_stages(a, v, f0, f1, f2, h, damp, stiff, x):
-    """One classical RK4 step of a'' + damp a' + stiff a = -f x, stage by stage.
-
-    f0, f1, f2 are the forcing at the step's start, midpoint and end.
-    """
-    def deriv(ai, vi, fj):
-        return vi, -damp * vi - stiff * ai - fj * x
-
-    k1a, k1v = deriv(a, v, f0)
-    k2a, k2v = deriv(a + 0.5 * h * k1a, v + 0.5 * h * k1v, f1)
-    k3a, k3v = deriv(a + 0.5 * h * k2a, v + 0.5 * h * k2v, f1)
-    k4a, k4v = deriv(a + h * k3a, v + h * k3v, f2)
-    return (a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
-            v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def _rk4_step_map(h, damp, stiff, x):
-    """(P, G) such that one RK4 step maps the row y = [a, v] to y P + [f0, f1, f2] G.
-
-    The stage formulas are linear in (a, v, f0, f1, f2), so applying them
-    once to each of the five unit inputs gives every coefficient; P is
-    block-diagonal, one 2x2 block per mode.
-    """
-    import numpy as np
-    unit = np.eye(5)[:, :, None]
-    an, vn = _rk4_stages(*unit, h, damp, stiff, x)      # (5, modes) each
-    m = len(x)
-    diag = np.arange(m)
-    P = np.zeros((2 * m, 2 * m))
-    P[diag, diag] = an[0]
-    P[diag, m + diag] = vn[0]
-    P[m + diag, diag] = an[1]
-    P[m + diag, m + diag] = vn[1]
-    return P, np.hstack([an[2:], vn[2:]])
+    J = np.zeros((m + 1, m + 1))
+    k = np.arange(1, m + 1)
+    J[k, k - 1] = T / (4 * k)
+    J[1, 0] = T / 2
+    J[k[:-1], k[:-1] + 1] = -T / (4 * k[:-1])
+    J[0] = -((-1.0) ** k) @ J[1:]
+    return J
 
 
 def simulate_oracle(config: BeamConfig, state0: ModalState,
-                    control: Optional[ControlSignal], steps: Optional[int] = None,
-                    samples: int = 201) -> Trajectory:
-    """Classical fixed-step RK4 on the modal system, in float64.
+                    control: Optional[ControlSignal], samples: int = 201) -> Trajectory:
+    """Spectral integration of the modal system in float64 (Greengard, SIAM
+    J. Numer. Anal. 28, 1991).
 
-    Integrates v = u - U from the initial data with forcing -f''(t) x_n,
-    then reports the physical state u = v + (lifting) at steps
-    round(r steps / (samples - 1)), r = 0..samples-1, halves rounded up:
-    min(samples, steps + 1) distinct rows, the last at t = T.  Passing
-    control=None integrates the free flow.
+    Mode n of v = u - U, with d = rho n^2, k = n^4 and trace x_n, takes
+    w = v'' as a Chebyshev series on [0, T].  With J the integration operator
+    from t = 0 (_integration_matrix), v' = v0' + J w and v = v0 + J v', so
+    the modal equation is one dense solve per mode:
 
-    RK4 on this linear system is one affine map per step,
-    y_{k+1} = y_k P + f_2k g0 + f_2k+1 g1 + f_2k+2 g2 with f_j = f''(j h/2),
-    whose coefficients come from the stage formulas (_rk4_step_map).  The
-    steps are cut into blocks of B = ceil(sqrt(steps)): a first pass runs
-    every block's zero-start response at once, the block starts are chained
-    with P^B, and a second pass reruns every block from its start, again all
-    at once, recording rows.  So the Python loop runs about 3 sqrt(steps)
-    times.  One step scales the state's part along each root lambda by
-    R(h lambda) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer & Wanner II, IV.2),
-    so a count with |R| > 1 at a root of config.spectrum raises StepSizeError
-    before any sampling; a non-finite recorded row raises it too.
+        (I + d J + k J^2) w = -x_n f'' - d v0' - k (v0 + v0' t),
+
+    f'' being the f'' series of the control's proxy.  The degree starts at
+    max(2 len(f''), 64) and doubles until the standard chop finds every
+    mode's w tail flat; a series still unresolved at _MAX_NODES raises
+    SamplingError.  The oracle reads no root of the spectrum and no moment.
+    It reports the physical state u = v + x_n f, u' = v' + x_n f' at
+    `samples` uniform times, the last at T, with f and f' off the proxy's
+    rows.  control=None integrates the free flow.
     """
     import numpy as np
     state0.check_fits(config)
-    if steps is None:
-        steps = default_steps(config)
-    if steps < 1:
-        raise ValueError("steps must be positive")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 
     T = float(to_mpf(config.horizon))
-    h = T / steps
-    ns_arr = np.asarray(state0.modes, dtype=np.float64)
-    x_arr = np.asarray([float(x) for x in config.spectrum.traces], dtype=np.float64)
-    rho = float(to_mpf(config.rho))
-    P, G = _rk4_step_map(h, rho * ns_arr ** 2, ns_arr ** 4, x_arr)
-    m = len(x_arr)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = h * np.array([complex(lam) for n in state0.modes for lam in config.spectrum.roots(n)])
-        worst = np.max(np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24))
-        if not worst <= 1:
-            raise StepSizeError(steps, float(worst ** steps))
-
-    a = np.asarray([float(v) for v in state0.values], dtype=np.float64)
-    v = np.asarray([float(v) for v in state0.velocities], dtype=np.float64)
-
-    # recorded steps; the last is steps itself
-    n = samples - 1
-    ks = np.unique((2 * np.arange(samples) * steps + n) // (2 * n))
-
-    # forcing on the half grid t_j = j h/2, lifting only at the recorded steps
-    half_times = np.linspace(0.0, T, 2 * steps + 1)
-    row_times = half_times[2 * ks]
-    if control is not None:
-        F = control.sample(half_times, ("f_second",))["f_second"]
-        lift = control.sample(row_times, ("f", "f_prime"))
-        lift_f, lift_fp = lift["f"], lift["f_prime"]
+    ns = np.asarray(state0.modes, dtype=np.float64)
+    damp, stiff = float(to_mpf(config.rho)) * ns ** 2, ns ** 4
+    x = np.asarray([float(v) for v in config.spectrum.traces])
+    v0 = np.asarray([float(v) for v in state0.values])
+    dv0 = np.asarray([float(v) for v in state0.velocities])
+    times = np.linspace(0.0, T, samples)
+    if control is None:
+        f2, lift = np.zeros(1), np.zeros((2, samples))
     else:
-        F = np.zeros_like(half_times)
-        lift_f = lift_fp = np.zeros_like(row_times)
+        proxy = control.proxy
+        f2, lift = proxy.coefficients[:proxy.degrees[2] + 1, 2], proxy(times, (0, 1))
 
-    # step k = b B + j is offset j of block b; the last block runs `last` steps
-    B = ceil(steps ** 0.5)
-    blocks = -(-steps // B)
-    last = steps - (blocks - 1) * B
-    padded = np.pad(F, (0, 2 * (blocks * B - steps)))
-    forcing = np.stack([padded[0:-1:2], padded[1::2], padded[2::2]],
-                       axis=-1).reshape(blocks, B, 3)
+    m = min(max(2 * len(f2), 64), _MAX_NODES)
+    while True:
+        J = _integration_matrix(m, T)
+        J2 = J @ J
+        rhs = np.zeros((m + 1, len(x)))
+        rhs[:len(f2)] = -np.outer(f2, x)
+        rhs[0] -= damp * dv0 + stiff * (v0 + dv0 * T / 2)     # t = T/2 (T_0 + T_1)
+        rhs[1] -= stiff * dv0 * T / 2
+        w = np.column_stack([np.linalg.solve(np.eye(m + 1) + d * J + k * J2, r)
+                             for d, k, r in zip(damp, stiff, rhs.T)])
+        if all(_standard_chop(col) <= m for col in w.T):
+            break
+        if m == _MAX_NODES:
+            tail = np.abs(w[-(m // 8):]).max(axis=0)
+            top = np.maximum(np.abs(w).max(axis=0), _TINY)
+            raise SamplingError(m, float((tail / top).max()), _EPS,
+                                "oracle modal series coefficient tail")
+        m = min(2 * m, _MAX_NODES)
 
-    rows = np.empty((len(ks), 2 * m))
-    owner, offset = np.divmod(ks[:-1], B)      # block and offset of every row but the last
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        zero_start = np.zeros((blocks - 1, 2 * m))
-        for j in range(B):
-            zero_start = zero_start @ P + forcing[:-1, j] @ G
-        y = np.empty((blocks, 2 * m))
-        y[0, :m], y[0, m:] = a, v
-        PB = np.linalg.matrix_power(P, B)
-        for b in range(blocks - 1):
-            y[b + 1] = y[b] @ PB + zero_start[b]
-
-        for j in range(B):
-            at = offset == j
-            rows[:-1][at] = y[owner[at]]
-            act = blocks if j < last else blocks - 1
-            y[:act] = y[:act] @ P + forcing[:act, j] @ G
-        rows[-1] = y[-1]
-    if not np.isfinite(rows).all():
-        raise StepSizeError(steps, float("inf"))
-
-    u = rows[:, :m] + x_arr * lift_f[:, None]
-    du = rows[:, m:] + x_arr * lift_fp[:, None]
-    return Trajectory(config.boundary, tuple(row_times.tolist()),
-                      tuple(map(tuple, u.tolist())), tuple(map(tuple, du.tolist())))
+    dv = J @ w
+    dv[0] += dv0
+    v = J @ dv
+    v[0] += v0
+    rows = _clenshaw(2.0 * times / T - 1.0, np.hstack([v, dv]))
+    u = rows[:len(x)] + x[:, None] * lift[0]
+    du = rows[len(x):] + x[:, None] * lift[1]
+    return Trajectory(config.boundary, tuple(times.tolist()), tuple(map(tuple, u.T.tolist())),
+                      tuple(map(tuple, du.T.tolist())), m)

@@ -4,12 +4,12 @@ A synthesis is only trusted after two independent evaluations agree that the
 state actually reaches rest.  The closed-form route evaluates the state at
 the horizon from the control's moments K(p, lam) (ControlSignal.moments),
 summed on integers at extended precision; the oracle route integrates the
-same modal system with a classical fixed-step scheme in float64, forced by
-samples from the control's own antiderivatives (ControlSignal.sample),
-sharing no moment calculus with the closed forms.  Both final states are
-measured in the pair norm natural to the boundary condition: displacement
-at scale 3 with velocity at scale 1 for Dirichlet control, scales 4 and 2
-for Neumann.
+same modal system spectrally in float64 (modal_dynamics.simulate_oracle),
+forced by the Chebyshev series of the control's own antiderivatives
+(ControlSignal.proxy), sharing no moment calculus with the closed forms.
+Both final states are measured in the pair norm natural to the boundary
+condition: displacement at scale 3 with velocity at scale 1 for Dirichlet
+control, scales 4 and 2 for Neumann.
 
 The cost sweep quantifies the price of haste: shrinking the horizon can only
 grow the minimum curvature norm (a control on [0, T1] extends by zero to any
@@ -27,11 +27,9 @@ from typing import Optional, Sequence, Tuple
 from ._numutil import as_fraction
 from .kernels import ControlSignal
 from .modal_dynamics import (
-    ORACLE_STEP_CAP,
     ModalState,
     Trajectory,
     closed_form_state,
-    forcing_resolution_steps,
     simulate_oracle,
     state_pair_norm,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "CostSweep",
     "pair_norm_scale",
     "closed_form_final_state",
-    "oracle_steps",
     "null_control_experiment",
     "cost_sweep",
 ]
@@ -87,10 +84,9 @@ class VerificationReport:
     norm_scale: int
     initial_norm: float
     final_norm: float                   # closed-form route
-    oracle_final_norm: float            # independent integrator route
+    oracle_final_norm: float            # independent spectral oracle route
     oracle_deviation: float             # max componentwise gap between routes
-    oracle_steps_requested: int         # RK4 steps the verdict margin asks for
-    oracle_steps_used: int              # RK4 steps run, at most ORACLE_STEP_CAP
+    oracle_degree: int                  # Chebyshev degree of the oracle's modal series
     verdict: Verdict
     trajectory: Trajectory
 
@@ -103,22 +99,9 @@ class VerificationReport:
             "final_norm": repr(self.final_norm),
             "oracle_final_norm": repr(self.oracle_final_norm),
             "oracle_deviation": repr(self.oracle_deviation),
-            "oracle_steps_requested": self.oracle_steps_requested,
-            "oracle_steps_used": self.oracle_steps_used,
+            "oracle_degree": self.oracle_degree,
             "synthesis": self.synthesis.to_json_dict(),
         }
-
-
-def oracle_steps(config: BeamConfig, control: ControlSignal, tolerance: float,
-                 initial_norm: float) -> Tuple[int, int]:
-    """(requested, used) RK4 step counts for a verdict at `tolerance`.
-
-    Requested keeps the oracle's truncation within a twentieth of the
-    verdict margin; used is the same count capped at ORACLE_STEP_CAP.
-    """
-    target = tolerance * max(initial_norm, 1e-300) / 20.0
-    requested = forcing_resolution_steps(config, control, target, cap=None)
-    return requested, min(requested, ORACLE_STEP_CAP)
 
 
 def null_control_experiment(config: BeamConfig, state0: ModalState,
@@ -127,7 +110,8 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
 
     The verdict is CONTROLLED only if both the closed-form and the oracle
     final states are small: pair norm at most `tolerance` times the initial
-    pair norm, with the oracle sized for that tolerance by oracle_steps.
+    pair norm.  The oracle does not depend on `tolerance`: it sizes its
+    degree from the control's own series.
     Data the control cannot act on raises before any synthesis happens (see
     the moment assembly), so a returned report always carries an actual
     control.
@@ -142,8 +126,7 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
     final = closed_form_final_state(solved_config, state0, control)
     p = pair_norm_scale(config.boundary)
     initial_norm = state_pair_norm(state0, p)
-    requested, steps = oracle_steps(solved_config, control, tolerance, initial_norm)
-    trajectory = simulate_oracle(solved_config, state0, control, steps=steps)
+    trajectory = simulate_oracle(solved_config, state0, control)
     oracle_final = trajectory.final_state()
 
     final_norm = state_pair_norm(final, p)
@@ -164,8 +147,7 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
         final_norm=final_norm,
         oracle_final_norm=oracle_final_norm,
         oracle_deviation=deviation,
-        oracle_steps_requested=requested,
-        oracle_steps_used=steps,
+        oracle_degree=trajectory.degree,
         verdict=verdict,
         trajectory=trajectory,
     )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from beamctl import errors, synthesis, verification
+from beamctl import errors, synthesis
 from beamctl.cli import _error_doc, main
 
 FAST = ["--precision-bits", "128"]
@@ -171,15 +171,25 @@ def test_verify_small_system(tmp_path):
     assert lines[0] == "t,n,value,velocity"
 
 
-def test_verify_failed_tolerance_exits_three(tmp_path, monkeypatch):
-    # 1e-30 sizes the oracle far past any cap; a low one keeps the test short
-    monkeypatch.setattr(verification, "ORACLE_STEP_CAP", 4000)
+def test_verify_failed_tolerance_exits_three(tmp_path):
+    # the float64 oracle floors far above 1e-30 of the initial norm
     code, out = run(tmp_path, "verify", "--modes", "2", "--data", "1:1:0",
                     "--tolerance", "1e-30", *FAST)
     assert code == 3
     doc = load(out, "verification.json")
     assert doc["verdict"] == "residual-too-large"
-    assert doc["oracle_steps_used"] == 4000 < doc["oracle_steps_requested"]
+    floor = 1e-30 * float(doc["initial_norm"])
+    assert float(doc["final_norm"]) <= floor < float(doc["oracle_final_norm"])
+
+
+def test_verify_controls_24_modes_of_random_data(tmp_path):
+    code, out = run(tmp_path, "verify", "--modes", "24", "--data", "random", "--seed", "1")
+    assert code == 0
+    doc = load(out, "verification.json")
+    assert doc["verdict"] == "controlled"
+    floor = 1e-6 * float(doc["initial_norm"])
+    assert float(doc["final_norm"]) <= floor
+    assert float(doc["oracle_final_norm"]) <= floor
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
@@ -390,7 +400,6 @@ TYPED_ERRORS = [
     (errors.ImaginaryResidue(1e-3, 1.0, 128), ["precision_bits", "residue", "scale"]),
     (errors.SamplingError(16, 0.1, 1e-14, "coefficient tail"),
      ["degree", "observed_error", "tolerance"]),
-    (errors.StepSizeError(4000, 1e12), ["steps", "growth"]),
 ]
 
 

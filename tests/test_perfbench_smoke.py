@@ -23,8 +23,11 @@ def test_perfbench_verify_regimes_passes_its_checks():
 
 # names the span recorders look up that beamctl no longer has, so their
 # metrics read 0 on purpose: spectrum.boundary_trace_coefficients went with
-# the one-spectrum-per-config change, kernels.gram_entry is a test reference
-ABSENT = {("spectrum", "boundary_trace_coefficients"), ("kernels", "gram_entry")}
+# the one-spectrum-per-config change, kernels.gram_entry is a test reference,
+# and modal_dynamics.forcing_resolution_steps sized the RK4 oracle that the
+# spectral oracle replaced
+ABSENT = {("spectrum", "boundary_trace_coefficients"), ("kernels", "gram_entry"),
+          ("modal_dynamics", "forcing_resolution_steps")}
 
 
 def test_every_traced_name_resolves():
@@ -46,10 +49,6 @@ def test_every_traced_name_resolves():
     assert wanted - found == ABSENT
     signal = importlib.import_module("beamctl.kernels").ControlSignal
     assert hasattr(signal, "sample") and hasattr(signal, "_sample_extended")
-    # spans.py also binds parameters: steps used and requested read 0 if
-    # these are renamed, and sample point counts read the times positionally
-    dynamics = importlib.import_module("beamctl.modal_dynamics")
-    assert "steps" in inspect.signature(dynamics.simulate_oracle).parameters
-    assert "cap" in inspect.signature(dynamics.forcing_resolution_steps).parameters
+    # spans.py reads the sample point counts off the times positionally
     assert list(inspect.signature(signal.sample).parameters)[:2] == ["self", "times"]
     assert list(inspect.signature(signal._sample_extended).parameters)[:2] == ["self", "t"]
