@@ -255,7 +255,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     SamplingError.  The oracle reads no root of the spectrum and no moment.
     It reports the physical state u = v + x_n f, u' = v' + x_n f' at
     `samples` uniform times, the last at T, with f and f' off the proxy's
-    rows.  control=None integrates the free flow.
+    rows, read only once every series is resolved.  control=None integrates
+    the free flow.
     """
     import numpy as np
     state0.check_fits(config)
@@ -268,12 +269,11 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     x = np.asarray([float(v) for v in config.spectrum.traces])
     v0 = np.asarray([float(v) for v in state0.values])
     dv0 = np.asarray([float(v) for v in state0.velocities])
-    times = np.linspace(0.0, T, samples)
     if control is None:
-        f2, lift = np.zeros(1), np.zeros((2, samples))
+        f2 = np.zeros(1)
     else:
         proxy = control.proxy
-        f2, lift = proxy.coefficients[:proxy.degrees[2] + 1, 2], proxy(times, (0, 1))
+        f2 = proxy.coefficients[:proxy.degrees[2] + 1, 2]
 
     m = min(max(2 * len(f2), 64), _MAX_NODES)
     while True:
@@ -298,6 +298,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     dv[0] += dv0
     v = J @ dv
     v[0] += v0
+    times = np.linspace(0.0, T, samples)
+    lift = np.zeros((2, samples)) if control is None else proxy(times, (0, 1))
     rows = _clenshaw(2.0 * times / T - 1.0, np.hstack([v, dv]))
     u = rows[:len(x)] + x[:, None] * lift[0]
     du = rows[len(x):] + x[:, None] * lift[1]

@@ -279,15 +279,44 @@ def curved_control(horizon=Fraction(1)):
                          horizon=horizon, precision_bits=128)
 
 
-def test_trajectory_has_exactly_the_requested_rows():
+@pytest.mark.parametrize("samples", [4000, 4094, 4199])
+def test_trajectory_has_exactly_the_requested_rows(samples):
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    for samples in (2, 11, 201):
-        traj = simulate_oracle(cfg, st, None, samples=samples)
-        assert traj.times == tuple(np.linspace(0.0, 1.0, samples).tolist())
-        assert len(traj.values) == len(traj.velocities) == samples
+    assert len(simulate_oracle(cfg, st, None).times) == 201
+    for count in (2, 11, 201, samples):
+        traj = simulate_oracle(cfg, st, None, samples=count)
+        assert traj.times == tuple(np.linspace(0.0, 1.0, count).tolist())
+        assert traj.times[-1] == 1.0
+        assert len(traj.values) == len(traj.velocities) == count
     with pytest.raises(ValueError):
         simulate_oracle(cfg, st, None, samples=1)
+
+
+def test_oracle_refuses_before_it_samples_the_control(monkeypatch):
+    # the f and f' rows at the trajectory times are read only once every
+    # modal series is resolved; a refusal at the node cap reads none
+    calls = []
+    proxy_type = type(curved_control().proxy)
+    evaluate = proxy_type.__call__
+
+    def spy(self, times, *args, **kwargs):
+        calls.append(len(times))
+        return evaluate(self, times, *args, **kwargs)
+
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 24, Fraction(1))
+    st = ModalState.dirichlet(values=(0,) * 23 + (1,), velocities=(0,) * 24)
+    control = curved_control()
+    control.proxy                      # built here, outside the spy
+    monkeypatch.setattr(proxy_type, "__call__", spy)
+    monkeypatch.setattr(modal_dynamics, "_MAX_NODES", 128)
+    with pytest.raises(SamplingError):
+        simulate_oracle(cfg, st, control)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(proxy_type, "__call__", spy)
+    simulate_oracle(cfg, st, control, samples=11)
+    assert calls == [11]      # the spy sees the samples of a resolved run
 
 
 def test_final_state_does_not_depend_on_samples():
