@@ -118,15 +118,17 @@ def _moment_set(d: int, one, other, t: int, scale: int) -> tuple:
     real mu both are the same list.  |nu T| < 1/2, decided on integers, sums
     the series (_series_moments, covering nu = 0 exactly); otherwise M_j =
     (T^j e^(nu T) - j M_(j-1)) / nu from M_0 = (e^(nu T) - 1) / nu, dividing
-    through |nu|^2.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|) bits,
-    a few for the damped rates (Re nu < 0) of this problem."""
+    through |nu|^2, or by nu alone where nu and e^(nu T) are real (two real
+    rates, or a rate and its own conjugate), which floors to the same
+    integers.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|) bits, a few
+    for the damped rates (Re nu < 0) of this problem."""
     (a1, b1, x1, y1), (a2, b2, x2, y2) = one, other
     sets = []
     for sign in (1, -1) if b2 else (1,):
         a, b = a1 + a2, b1 + sign * b2
         x, y = (x1 * x2 - sign * y1 * y2) >> scale, (sign * x1 * y2 + y1 * x2) >> scale
-        n2 = a * a + b * b
-        if 4 * n2 * t * t < 1 << 4 * scale:
+        n2, real = a * a + b * b, b == y == 0
+        if abs(a * t) < 1 << 2 * scale - 1 if real else 4 * n2 * t * t < 1 << 4 * scale:
             sets.append(_series_moments(d, a, b, t, scale))
             continue
         out, p, q, tp = [], x - (1 << scale), y, 1 << scale
@@ -134,7 +136,8 @@ def _moment_set(d: int, one, other, t: int, scale: int) -> tuple:
             if j:
                 tp = tp * t >> scale
                 p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
-            out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+            out.append(((p << scale) // a, 0) if real else
+                       (((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
         sets.append(out)
     return sets[0], sets[-1]
 

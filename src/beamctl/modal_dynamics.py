@@ -250,13 +250,13 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
         (I + d J + k J^2) w = -x_n f'' - d v0' - k (v0 + v0' t),
 
     f'' being the f'' series of the control's proxy.  The degree starts at
-    max(2 len(f''), 64) and doubles until the standard chop finds every
-    mode's w tail flat; a series still unresolved at _MAX_NODES raises
-    SamplingError.  The oracle reads no root of the spectrum and no moment.
-    It reports the physical state u = v + x_n f, u' = v' + x_n f' at
-    `samples` uniform times, the last at T, with f and f' off the proxy's
-    rows, read only once every series is resolved.  control=None integrates
-    the free flow.
+    max(ceil(1.25 len(f'')) + 16, 64), a quarter past the f'' series, and
+    doubles until the standard chop finds every mode's w tail flat; a series
+    still unresolved at _MAX_NODES raises SamplingError.  The oracle reads
+    no root of the spectrum and no moment.  It reports the physical state
+    u = v + x_n f, u' = v' + x_n f' at `samples` uniform times, the last at
+    T, with f and f' off the proxy's rows, read only once every series is
+    resolved.  control=None integrates the free flow.
     """
     import numpy as np
     state0.check_fits(config)
@@ -275,7 +275,7 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
         proxy = control.proxy
         f2 = proxy.coefficients[:proxy.degrees[2] + 1, 2]
 
-    m = min(max(2 * len(f2), 64), _MAX_NODES)
+    m = min(max((5 * len(f2) + 3) // 4 + 16, 64), _MAX_NODES)
     while True:
         J = _integration_matrix(m, T)
         J2 = J @ J

@@ -8,15 +8,18 @@ characteristic root.  A mode's pair of complex rows is realified in the
 underdamped regime and replaced by the confluent exp/polyexp pair at the
 critical damping value.
 
-Writing gamma1 = -(free value at T) and gamma2 = -(free velocity at T), the
-row targets for a mode with simple roots are
+Each row's target is the free evolution of the data at T projected on that
+row's root.  A mode with roots l+, l-, trace coefficient x_n and data
+(u0, u1) evolves freely as A e^(l+ t) + B e^(l- t), and
+u' - l- u = (u1 - l- u0) e^(l+ t) holds along the flow, so
 
-    <f'', e^(l+ (T-s))> = (l- gamma1 - gamma2) / x_n,
-    <f'', e^(l- (T-s))> = (l+ gamma1 - gamma2) / x_n,
+    <f'', e^(l+- (T-s))> = (u1 - l-+ u0) e^(l+- T) / x_n,
 
-where x_n is the mode's boundary trace coefficient; the confluent limit
-l+- -> -n^2 sends the pair to exp and polyexp targets
--(n^2 gamma1 + gamma2)/x_n and -gamma1/x_n.
+read straight from the data: no free flow is evaluated, and a fast root's
+target keeps its relative precision however far e^(l- T) lies below the
+slow root's.  At the confluent limit l+- -> -n^2 the pair becomes the exp
+target (u1 + n^2 u0) e^(-n^2 T)/x_n and the polyexp target
+(u0 + (u1 + n^2 u0) T) e^(-n^2 T)/x_n, the free value at T over x_n.
 
 Overdamped beams with a rational branch ratio r = p/q collide: the slow root
 of mode pk equals the fast root of mode qk for every k.  Colliding rows are
@@ -40,7 +43,7 @@ import mpmath as mp
 from ._numutil import GUARD_BITS, decimal_str, to_mpf
 from .errors import ResonanceDefect, UncontrollableMode
 from .kernels import Kernel
-from .modal_dynamics import ModalState, closed_form_state
+from .modal_dynamics import ModalState
 from .spectrum import BeamConfig, Boundary, DampingRegime, ModeEigenvalues
 
 __all__ = [
@@ -82,32 +85,34 @@ def neumann_admissibility(state0: ModalState, precision_bits: int = 256) -> Tupl
                 float(root_pi * to_mpf(state0.velocities[0])))
 
 
-def moment_rhs(eig: ModeEigenvalues, trace_coeff, gamma1, gamma2):
+def moment_rhs(eig: ModeEigenvalues, trace_coeff, u0, u1, horizon):
     """Kernel/target pairs for one mode, realified and ready for assembly.
 
-    Returns a tuple of (suffix, Kernel, target) triples; targets are real
-    mpf values at the current working precision.
+    Returns a tuple of (suffix, Kernel, target) triples; a root's target is
+    (u1 - l-+ u0) e^(l+- T) / x_n (module docstring), as real mpf values at
+    the current working precision.
     """
     x = to_mpf(trace_coeff)
     if x == 0:
         raise ValueError(f"mode {eig.n} has zero trace coefficient; no row exists")
-    g1 = to_mpf(gamma1)
-    g2 = to_mpf(gamma2)
+    u0, u1, T = to_mpf(u0), to_mpf(u1), to_mpf(horizon)
     if eig.regime is DampingRegime.UNDERDAMPED:
-        zeta_plus = (eig.lambda_minus * g1 - g2) / x
+        zeta_plus = (u1 - eig.lambda_minus * u0) * mp.exp(eig.lambda_plus * T) / x
         return (
             ("cos", Kernel("expcos", decay=eig.beta, freq=eig.alpha), zeta_plus.real),
             ("sin", Kernel("expsin", decay=eig.beta, freq=eig.alpha), zeta_plus.imag),
         )
     if eig.regime is DampingRegime.CRITICAL:
         n2 = mp.mpf(eig.n) ** 2
+        slope, decay = u1 + n2 * u0, mp.exp(-n2 * T) / x
         return (
-            ("decay", Kernel("exp", rate=-n2), -(n2 * g1 + g2) / x),
-            ("drift", Kernel("polyexp", rate=-n2), -g1 / x),
+            ("decay", Kernel("exp", rate=-n2), slope * decay),
+            ("drift", Kernel("polyexp", rate=-n2), (u0 + slope * T) * decay),
         )
+    lp, lm = eig.lambda_plus, eig.lambda_minus
     return (
-        ("slow", Kernel("exp", rate=eig.lambda_plus), (eig.lambda_minus * g1 - g2) / x),
-        ("fast", Kernel("exp", rate=eig.lambda_minus), (eig.lambda_plus * g1 - g2) / x),
+        ("slow", Kernel("exp", rate=lp), (u1 - lm * u0) * mp.exp(lp * T) / x),
+        ("fast", Kernel("exp", rate=lm), (u1 - lp * u0) * mp.exp(lm * T) / x),
     )
 
 
@@ -208,7 +213,6 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
             else:
                 active.append((i, n, x))
 
-        at_T = closed_form_state(config, state0)
         r_exact = spectrum.ratio_exact
 
         kernels = [Kernel("const"), Kernel("linear")]
@@ -220,9 +224,8 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
         collisions = []
 
         for i, n, x in active:
-            g1 = -to_mpf(at_T.values[i])
-            g2 = -to_mpf(at_T.velocities[i])
-            rows = moment_rhs(spectrum.eigenvalues[n - 1], x, g1, g2)
+            rows = moment_rhs(spectrum.eigenvalues[n - 1], x, state0.values[i],
+                              state0.velocities[i], config.horizon)
 
             rate_keys = (None, None)
             if r_exact is not None:

@@ -85,6 +85,16 @@ def _gram_scale(system: MomentSystem) -> int:
     return _fixed_point_bits(system.config.precision_bits, math.ceil(max(0.0, -floor)), T)
 
 
+def _term_pair_sums(P, Q, m, w: int) -> list:
+    """[Re, Im] of sum c e M_(p+q) over the parts (c, p) of P and (e, q) of Q,
+    each floored after division by w: one product for single monomials."""
+    if len(P) == len(Q) == 1:
+        ((c, p),), ((e, q),) = P, Q
+        ce, (re, im) = c * e, m[p + q]
+        return [ce * re // w, ce * im // w]
+    return [sum(c * e * m[p + q][k] for c, p in P for e, q in Q) // w for k in (0, 1)]
+
+
 def gram_matrix(system: MomentSystem) -> FixedMatrix:
     """Symmetric Gram matrix of the system's kernels over [0, horizon].
 
@@ -118,8 +128,9 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
                     (r, P), (s, Q) = terms[u], terms[v]
                     if (r, s) not in moments:
                         moments[r, s] = _moment_set(top[r] + top[s], fixed[r], fixed[s], t, F)
-                    sp, sm = ([sum(c * e * m[p + q][k] for c, p in P for e, q in Q)
-                               // (2 * den * den) for k in (0, 1)] for m in moments[r, s])
+                    plus, minus = moments[r, s]
+                    sp = _term_pair_sums(P, Q, plus, 2 * den * den)
+                    sm = sp if minus is plus else _term_pair_sums(P, Q, minus, 2 * den * den)
                     table[u, v] = (sp[0] + sm[0], sp[1] - sm[1], sp[1] + sm[1], sm[0] - sp[0])
                 G[i][j] = G[j][i] = table[u, v][2 * a + b]
     return FixedMatrix(tuple(map(tuple, G)), F)

@@ -6,15 +6,21 @@ convolutions only at the horizon (ControlSignal.moments).  The functions
 here are the per-entry, any-time mpf forms that calculus replaced, written
 from each kernel kind's own formula (exponential_parts, kernel_value) and not
 from Kernel.real_form: the tests hold the Gram matrix, the closed-form state
-and the sampler to them.  ulp_close is the tests' comparison in units of the
+and the sampler to them.  complex_division_moment_set is the integer
+recursion through |nu|^2 that _moment_set keeps for complex nu only, and
+gamma_route_targets the moment targets by the free flow at T, which assembly
+no longer evaluates.  ulp_close is the tests' comparison in units of the
 last place.
 """
+import math
 from math import comb
 
 import mpmath as mp
 
+from beamctl import kernels
 from beamctl._numutil import GUARD_BITS, strip_imag, to_mpf
 from beamctl.modal_dynamics import ModalState
+from beamctl.spectrum import DampingRegime
 
 
 def ulp_close(a, b, ulps=10):
@@ -167,3 +173,73 @@ def closed_form_state(config, state0, control, t):
             vals.append(mp.re(v))
             vels.append(mp.re(w))
         return ModalState(config.boundary, tuple(vals), tuple(vels))
+
+
+def complex_division_moment_set(d, one, other, t, scale):
+    """kernels._moment_set with every recursion step divided through |nu|^2,
+    real nu included: the integers that its division by nu alone must match."""
+    (a1, b1, x1, y1), (a2, b2, x2, y2) = one, other
+    sets = []
+    for sign in (1, -1) if b2 else (1,):
+        a, b = a1 + a2, b1 + sign * b2
+        x, y = (x1 * x2 - sign * y1 * y2) >> scale, (sign * x1 * y2 + y1 * x2) >> scale
+        n2 = a * a + b * b
+        if 4 * n2 * t * t < 1 << 4 * scale:
+            sets.append(kernels._series_moments(d, a, b, t, scale))
+            continue
+        out, p, q, tp = [], x - (1 << scale), y, 1 << scale
+        for j in range(d + 1):
+            if j:
+                tp = tp * t >> scale
+                p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
+            out.append((((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
+        sets.append(out)
+    return sets[0], sets[-1]
+
+
+def gamma_route_targets(config, state0, precision_bits):
+    """{row label: (target, row scale)} of every mode row, by the route
+    assembly took before it read targets from the data: gamma1, gamma2 =
+    -(free value, free velocity) at T from the fundamental solutions, then
+    (l-+ gamma1 - gamma2) / x_n per root, realified, and -(n^2 gamma1 +
+    gamma2) / x_n, -gamma1 / x_n at critical damping.
+
+    The roots and traces are config.spectrum's, as the rows' kernels carry
+    them, so that the reference checks the arithmetic, not their rounding.
+    That route cancels the slow root's part of the flow to leave a fast
+    root's target, so it runs at precision_bits plus the bits the cancellation
+    costs, log2 e^((Re l+ - Re l-) T) at most.  The row scale is
+    (|u1| + |l-+| |u0|) |e^(l+- T) / x_n|; the drift row's is
+    (|u0| + (|u1| + n^2 |u0|) T) e^(-n^2 T) / |x_n|.
+    """
+    spectrum, last = config.spectrum, config.spectrum.eigenvalues[-1]
+    gap = float(mp.re(last.lambda_plus - last.lambda_minus) * config.horizon) / math.log(2)
+    out = {}
+    with mp.workprec(precision_bits + math.ceil(gap) + GUARD_BITS):
+        T = to_mpf(config.horizon)
+        for n, u0, u1, x in zip(state0.modes, state0.values, state0.velocities,
+                                spectrum.traces):
+            if n == 0 or x == 0:
+                continue
+            eig = spectrum.eigenvalues[n - 1]
+            lp, lm, u0, u1 = eig.lambda_plus, eig.lambda_minus, to_mpf(u0), to_mpf(u1)
+            g, h, dg, dh = (sum(c * T ** p * mp.exp(lam * T) for c, p, lam in parts)
+                            for parts in fundamental_solutions(lp, lm))
+            g1, g2 = -(u0 * g + u1 * h), -(u0 * dg + u1 * dh)
+
+            def scale(root, other):
+                return (abs(u1) + abs(other) * abs(u0)) * abs(mp.exp(root * T) / x)
+
+            if eig.regime is DampingRegime.UNDERDAMPED:
+                zeta, size = (lm * g1 - g2) / x, scale(lp, lm)
+                rows = {"cos": (zeta.real, size), "sin": (zeta.imag, size)}
+            elif eig.regime is DampingRegime.CRITICAL:
+                n2 = mp.mpf(n) ** 2
+                drift = (abs(u0) + (abs(u1) + n2 * abs(u0)) * T) * mp.exp(-n2 * T) / abs(x)
+                rows = {"decay": (-(n2 * g1 + g2) / x, scale(lp, lm)),
+                        "drift": (-g1 / x, drift)}
+            else:
+                rows = {"slow": ((lm * g1 - g2) / x, scale(lp, lm)),
+                        "fast": ((lp * g1 - g2) / x, scale(lm, lp))}
+            out.update({f"mode{n}-{suffix}": row for suffix, row in rows.items()})
+    return out

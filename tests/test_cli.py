@@ -190,6 +190,7 @@ def test_verify_controls_24_modes_of_random_data(tmp_path):
     floor = 1e-6 * float(doc["initial_norm"])
     assert float(doc["final_norm"]) <= floor
     assert float(doc["oracle_final_norm"]) <= floor
+    assert doc["oracle_degree"] < 452       # below twice the f'' series' 226 coefficients
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])

@@ -9,6 +9,7 @@ import beamctl.kernels as kernels
 from beamctl._numutil import to_fixed, to_mpf
 from beamctl.kernels import ControlSignal, Kernel
 from reference_calculus import (
+    complex_division_moment_set,
     convolve,
     curvature,
     exponential_parts,
@@ -150,6 +151,37 @@ def test_series_moments_match_the_mpf_series(monkeypatch):
                         assert gap <= 1, (T, F, nu, j, gap)
                         points, exact = points + 1, exact + (gap == 0)
     print(f"integer series: {exact} of {points} points equal to_fixed of the mpf series")
+
+
+def test_real_nu_divides_by_nu_alone_to_the_same_integers(monkeypatch):
+    """Where nu is real (two real rates, or a complex rate and its own
+    conjugate) _moment_set divides by nu alone: exactly the integers of the
+    recursion through |nu|^2 (reference_calculus.complex_division_moment_set),
+    on the series and the recursion branch, d <= 2, T in {1/1000, 1, 4}."""
+    calls = []
+    series = kernels._series_moments
+    monkeypatch.setattr(kernels, "_series_moments",
+                        lambda *args: calls.append(args) or series(*args))
+    F = 200
+    for T in (Fraction(1, 1000), Fraction(1), Fraction(4)):
+        with mp.workprec(F + 16):
+            Tm = to_mpf(T)
+            t = to_fixed(Tm, F)
+            reals = [kernels._fixed_rate(r / Tm, Tm, F)
+                     for r in (0, mp.mpf("-0.1"), mp.mpf("0.15"), mp.mpf("-0.3"), mp.mpf(-2),
+                               mp.mpf("-37.5"))]
+            pairs = [(one, other) for one in reals for other in reals]
+            pairs += [(z, z) for z in (kernels._fixed_rate(mp.mpc(r, 7) / Tm, Tm, F)
+                                       for r in (mp.mpf("-0.05"), -5))]
+        branches = set()
+        for one, other in pairs:
+            for d in range(3):
+                calls.clear()
+                got = kernels._moment_set(d, one, other, t, F)
+                branches.add(bool(calls))
+                assert got == complex_division_moment_set(d, one, other, t, F), (T, d)
+                assert all(im == 0 for _, im in got[-1])
+        assert branches == {True, False}, T
 
 
 class _NoMpmath:

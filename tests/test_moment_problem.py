@@ -4,6 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from beamctl import modal_dynamics, moment_problem
+from beamctl.cli import build_initial_state
 from beamctl.errors import ResonanceDefect, UncontrollableMode
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import (
@@ -13,7 +15,7 @@ from beamctl.moment_problem import (
 )
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl.synthesis import solve_min_norm
-from reference_calculus import kernel_value
+from reference_calculus import gamma_route_targets, kernel_value
 
 
 def dirichlet_config(rho, n_modes, bits=256, horizon=Fraction(1)):
@@ -135,3 +137,57 @@ def test_with_precision_rebuilds_consistently():
 def test_data_l2_norm():
     st = ModalState.dirichlet(values=(3, 0), velocities=(0, 4))
     assert abs(data_l2_norm(st) - 5.0) < 1e-13
+
+
+# (boundary, rho, modes, horizon, data for build_initial_state at seed 1)
+TARGET_CASES = {
+    "rho1-24modes": (Boundary.DIRICHLET, Fraction(1), 24, Fraction(1), "random"),
+    "rho2-24modes": (Boundary.DIRICHLET, Fraction(2), 24, Fraction(1), "random"),
+    "rho3-24modes": (Boundary.DIRICHLET, Fraction(3), 24, Fraction(1), "random"),
+    "rho-2-plus-2^-200": (Boundary.DIRICHLET, 2 + Fraction(1, 2 ** 200), 8, Fraction(1),
+                          "random"),
+    "rho5/2-merged": (Boundary.DIRICHLET, Fraction(5, 2), 4, Fraction(1),
+                      "1:1e-12:0,3:1:0.5,4:0:2e-12"),
+    "neumann-rho1": (Boundary.NEUMANN, Fraction(1), 7, Fraction(1), "random"),
+    "horizon-1/1000": (Boundary.DIRICHLET, Fraction(1), 8, Fraction(1, 1000), "random"),
+}
+
+
+def target_case(name, bits=256):
+    boundary, rho, modes, horizon, data = TARGET_CASES[name]
+    config = BeamConfig(boundary, rho, modes, horizon, bits)
+    return config, build_initial_state(data, config, seed=1)
+
+
+@pytest.mark.parametrize("name", TARGET_CASES)
+def test_targets_hold_working_precision_against_the_free_flow(name):
+    """Each target is within 2^-(bits - 8) of its row scale of the targets by
+    the free flow at T (reference_calculus.gamma_route_targets), at 4x the
+    precision: ρ=3's fast rows, which that route gets by cancelling the slow
+    root's part, and ρ = 2 + 2^-200, whose fundamental solutions divide by
+    l+ - l- ~ n^2 2^-99, included.  A merged row holds the mean of its modes."""
+    bits = 256
+    config, state0 = target_case(name, bits)
+    system = assemble(config, state0)
+    reference = gamma_route_targets(config, state0, 4 * bits)
+    assert system.collisions if name == "rho5/2-merged" else not system.collisions
+    with mp.workprec(4 * bits):
+        for label, target in zip(system.labels[2:], system.targets[2:]):
+            rows = [reference[part] for part in label.split("+")]
+            expect = sum(t for t, _ in rows) / len(rows)
+            size = max(scale for _, scale in rows)
+            assert abs(target - expect) <= size * mp.mpf(2) ** (8 - bits), label
+
+
+@pytest.mark.parametrize("name", TARGET_CASES)
+def test_assembly_never_evaluates_the_free_flow(monkeypatch, name):
+    """Targets come from the data alone, so the closed-form route's final state
+    shares nothing with them: assembly runs with closed_form_state unavailable."""
+    config, state0 = target_case(name)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("assembly evaluated the free flow")
+
+    monkeypatch.setattr(modal_dynamics, "closed_form_state", unavailable)
+    monkeypatch.setattr(moment_problem, "closed_form_state", unavailable, raising=False)
+    assert assemble(config, state0).n_rows > 2
