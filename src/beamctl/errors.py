@@ -108,8 +108,8 @@ class SamplingError(BeamControlError):
     `degree` is the number of Chebyshev-Lobatto intervals the proxy was
     built on, or the oracle's degree; `observed_error` is the coefficient
     tail (when the series did not decay under the node cap) or the proxy's
-    worst held-out gap (when it did), both relative to the series' own
-    scale, against `tolerance`.
+    worst held-out gap of f'' (when it did), both relative to the series'
+    own scale, against `tolerance`; inf for an f'' node value past float64.
     """
 
     def __init__(self, degree: int, observed_error: float, tolerance: float, what: str):

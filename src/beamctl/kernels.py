@@ -26,17 +26,17 @@ f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give f(T),
 f'(T) and the modal Duhamel responses at T, are sums of M_d, one moment
 pair per rate pair.
 
-The oracle route reads f'' as a Chebyshev series, and f, f' at its sample
-times, off one Chebyshev proxy per signal, built from extended-precision
-values at Chebyshev-Lobatto nodes (ControlSignal.proxy).
-ControlSignal._sample_extended sums those from the explicit antiderivatives
-in ControlSignal.term_table, with no M_d: parts merged by rate, on integers
-with F fraction bits (F = 32 past the bits the term bound asks for), one
-fixed-point exponential per rate and node.  The spectral oracle
-(modal_dynamics.simulate_oracle) evaluates and resolves its own modal series
-with this module's _clenshaw and _standard_chop, under the same _MAX_NODES.
-Only these oracle-route functions import numpy, each when it is called, so
-the closed-form route never loads it.
+The oracle route reads f'' alone, as a Chebyshev series built from
+extended-precision values at Chebyshev-Lobatto nodes (ControlSignal.proxy);
+f' and f are that series integrated once and twice from t = 0
+(_integration_matrix), since f(0) = f'(0) = 0.  ControlSignal._sample_extended
+sums f'' from ControlSignal.term_table, with no M_d and no antiderivative:
+parts merged by rate, on integers with F fraction bits (F = 32 past the bits
+the term bound asks for), one fixed-point exponential per rate and node.  The
+spectral oracle (modal_dynamics.simulate_oracle) integrates and resolves its
+own modal series with this module's _integration_matrix, _clenshaw and
+_standard_chop, under the same _MAX_NODES.  Only these oracle-route functions
+import numpy, each when it is called, so the closed-form route never loads it.
 """
 from __future__ import annotations
 
@@ -272,89 +272,87 @@ class ControlSignal:
                     bound += abs(c * a) * T ** p * grow
             return bound * max(1, T, T * T / 2)
 
-    def sample(self, times, signals=SIGNALS) -> dict:
+    def sample(self, times) -> dict:
         """Float64 samples {t, f, f_prime, f_second} at times in [0, T], such as
         the uniform samples of control.csv.
 
         Synthesized controls are small numbers written as differences of huge
         terms, so no float64 sum of the terms can be trusted.  Every sample is
         read off the control's Chebyshev proxy (`proxy`) by Clenshaw
-        recurrence, within _HELDOUT_RTOL of its series' largest value; a
-        control the proxy cannot capture raises SamplingError.  `signals`
-        names the subset of SIGNALS to evaluate; each comes out the same
-        whatever else is asked for.
+        recurrence: f'' within _HELDOUT_RTOL of its series' largest value, f'
+        and f from that series integrated.  A control the proxy cannot capture
+        raises SamplingError.
         """
         import numpy as np
         t = np.asarray(times, dtype=np.float64)
         if t.size == 0:
-            return {"t": t, **{name: t.copy() for name in signals}}
-        rows = self.proxy(t, [SIGNALS.index(name) for name in signals])
-        return {"t": t, **dict(zip(signals, rows))}
+            return {"t": t, **{name: t.copy() for name in SIGNALS}}
+        return {"t": t, **dict(zip(SIGNALS, self.proxy(t)))}
 
     @cached_property
     def proxy(self) -> "ChebyshevProxy":
         """Chebyshev series of f, f' and f'' good to float64, built once.
 
-        f, f', f'' are summed on fixed-point integers (`_sample_extended` on
+        f'' is summed on fixed-point integers (`_sample_extended` on
         `term_table`) at the Chebyshev-Lobatto nodes of [0, T], their times
         exact to the fixed point (`_lobatto_nodes`), doubling them from
         _FIRST_NODES (each round evaluates only the new half) until the
-        standard chop of Aurentz & Trefethen (ACM TOMS 2017) finds all three
-        coefficient tails flat at float64 roundoff.  The chopped series are
-        then checked at held-out times: the angular midpoints of the node
-        intervals next to both ends (the fast kernels peak next to t = T)
-        and of a spread across the interior.  No plateau by _MAX_NODES, or a
-        held-out gap above _HELDOUT_RTOL of the series' largest node value,
-        raises SamplingError.
+        standard chop of Aurentz & Trefethen (ACM TOMS 2017) finds its
+        coefficient tail flat at float64 roundoff.  The chopped series is then
+        checked at held-out times: the angular midpoints of the node intervals
+        next to both ends (the fast kernels peak next to t = T) and of a spread
+        across the interior.  A node value past float64's range, no plateau by
+        _MAX_NODES, or a held-out gap above _HELDOUT_RTOL of the largest node
+        value raises SamplingError.  f' and f are the chopped series
+        integrated from t = 0 (_integration_matrix).
         """
         import numpy as np
         T = float(self.horizon)
         n = _FIRST_NODES
         values = self._sample_extended(self._lobatto_nodes(np.arange(n + 1), n))
         while True:
+            if not np.isfinite(values).all():
+                raise SamplingError(n, math.inf, _EPS, "control proxy node value")
             coeffs = _chebyshev_coefficients(values)
-            cuts = [_standard_chop(row) for row in coeffs]
-            if max(cuts) <= n:
+            cut = _standard_chop(coeffs)
+            if cut <= n:
                 break
             if 2 * n > _MAX_NODES:
-                tail = np.abs(coeffs[:, -(n // 8):]).max(axis=1)
-                top = np.maximum(np.abs(coeffs).max(axis=1), _TINY)
-                raise SamplingError(n, float((tail / top).max()), _EPS,
-                                    "control proxy coefficient tail")
+                tail = np.abs(coeffs[-(n // 8):]).max() / max(np.abs(coeffs).max(), _TINY)
+                raise SamplingError(n, float(tail), _EPS, "control proxy coefficient tail")
             fresh = self._sample_extended(self._lobatto_nodes(2 * np.arange(n) + 1, 2 * n))
-            merged = np.empty((3, 2 * n + 1))
-            merged[:, ::2] = values
-            merged[:, 1::2] = fresh
+            merged = np.empty(2 * n + 1)
+            merged[::2], merged[1::2] = values, fresh
             values, n = merged, 2 * n
 
-        table = np.zeros((max(cuts), 3))
-        for i, cut in enumerate(cuts):
-            table[:cut, i] = coeffs[i, :cut]
+        f2 = np.append(coeffs[:cut], [0.0, 0.0])      # room for two integrations
         ends = np.concatenate([np.arange(min(8, n)), np.arange(n - 4, n),
                                np.arange(0, n, max(1, n // 16))])
         held = _lobatto_times(T, 2 * np.unique(ends) + 1, 2 * n)
-        gap = np.abs(_clenshaw(2.0 * held / T - 1.0, table) - self._sample_extended(held))
-        scale = np.maximum(np.abs(values).max(axis=1), _TINY)
-        worst = float((gap.max(axis=1) / scale).max())
+        gap = np.abs(_clenshaw(2.0 * held / T - 1.0, f2[:, None])[0] - self._sample_extended(held))
+        worst = float(gap.max() / max(np.abs(values).max(), _TINY))
         if not worst <= _HELDOUT_RTOL:
             raise SamplingError(n, worst, _HELDOUT_RTOL, "control proxy held-out error")
-        return ChebyshevProxy(T, table, n, tuple(cut - 1 for cut in cuts), worst)
+        J = _integration_matrix(cut + 1, T)
+        f1 = J @ f2
+        return ChebyshevProxy(T, np.column_stack([J @ f1, f1, f2]), n, cut - 1, worst)
 
     @cached_property
     def term_table(self) -> tuple:
         """The oracle route's own calculus, independent of `moments`, built
-        once: (F, T, cubic, rates, ln 2, pi / 2) on integers with F fraction
+        once: (F, T, line, rates, ln 2, pi / 2) on integers with F fraction
         bits, 32 past what the term bound asks for and past a bound's negative
-        exponent (2^-F <= bound 2^-(bits + 32) for data of any size).  f^(i)(t)
-        = cubic[i](t) + sum over rates of Re((A_i + B_i u) e^(lam u)), u = T - t,
-        parts merged by rate, each (Re lam, Im lam, ((Re, Im of A_i, B_i) per i)).
+        exponent (2^-F <= bound 2^-(bits + 32) for data of any size).  f''(t)
+        = line[0] + line[1] t + sum over rates of Re((A + B u) e^(lam u)),
+        u = T - t, parts merged by rate, each (Re lam, Im lam, Re A, Im A,
+        Re B, Im B).
         """
         e = mp.frexp(self.term_scale_bound())[1]      # floor(log2 bound) is e - 1
         F = 32 + max(128, e - 1 + 80) + max(0, 1 - e)
         with mp.workprec(F):
             T = to_mpf(self.horizon)
-            lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t
-            rates = {}                      # lam -> [A_0, A_1, A_2, B_0, B_1, B_2]
+            line = [mp.mpf(0), mp.mpf(0)]   # the rate-0 parts
+            rates = {}                      # lam -> [A, B]
             for c, k in zip(self.coefficients, self.kernels):
                 c = to_mpf(c)
                 if c == 0:
@@ -363,23 +361,13 @@ class ControlSignal:
                 for a, p in poly:           # Im z = Re(-i z)
                     ca = c * a * (mp.mpc(0, -1) if imag else 1)
                     if lam == 0:            # ca (T - t)^p
-                        lin[0] += ca * T ** p
-                        lin[1] -= ca * p
-                        continue
-                    AB = rates.setdefault(lam, [0] * 6)
-                    g = (ca / lam ** 2, -ca / lam, ca)  # G, G', G'' of G'' = ca e^(lam u)
-                    for i, x in enumerate((-2 * g[0] / lam, g[0], 0) + g if p else g):
-                        AB[i] += x
-            # the cubic cancels the exponential terms' f and f' at t = 0
-            h = [sum(mp.re((AB[i] + AB[i + 3] * T) * mp.exp(lam * T)) for lam, AB in rates.items())
-                 for i in (0, 1)]
-            cubic = [(-h[0], -h[1], lin[0] / 2, lin[1] / 6), (-h[1], lin[0], lin[1] / 2, 0),
-                     (lin[0], lin[1], 0, 0)]
-            ints = [[to_fixed(part(z), F) for z in (lam, *AB) for part in (mp.re, mp.im)]
-                    for lam, AB in rates.items()]
-            return (F, to_fixed(T, F), [[to_fixed(x, F) for x in q] for q in cubic],
-                    [(lr, li, [AB[2 * i:2 * i + 2] + AB[2 * i + 6:2 * i + 8] for i in range(3)])
-                     for lr, li, *AB in ints], ln2_fixed(F), pi_fixed(F - 1))
+                        line[0] += ca * T ** p
+                        line[1] -= ca * p
+                    else:
+                        rates.setdefault(lam, [0, 0])[p] += ca
+            return (F, to_fixed(T, F), [to_fixed(x, F) for x in line],
+                    [tuple(to_fixed(part(z), F) for z in (lam, *AB) for part in (mp.re, mp.im))
+                     for lam, AB in rates.items()], ln2_fixed(F), pi_fixed(F - 1))
 
     def _lobatto_nodes(self, numer: np.ndarray, denom: int) -> np.ndarray:
         """The times of `_lobatto_times` as integers t 2^F (`term_table`'s F),
@@ -394,57 +382,73 @@ class ControlSignal:
         return np.array([T * s * s >> 2 * F for s in sines], dtype=object)
 
     def _sample_extended(self, t: np.ndarray) -> np.ndarray:
-        """Rows f, f', f'' at times t by `term_table`, summed on integers from
-        t_j 2^F and rounded to float64 once: float64 times exactly, or an
-        object array of those integers (`_lobatto_nodes`).  All terms see the
-        same u = T - t_j: one ulp between them would smear the cancellation by
-        bound * ulp.  One e^(Re lam u) and cos, sin(Im lam u) per rate by
-        mpmath's fixed-point kernels (mpz under gmpy2, untested: made int last).
+        """f'' at times t by `term_table`, summed on integers from t_j 2^F and
+        rounded to float64 once: float64 times exactly, or an object array of
+        those integers (`_lobatto_nodes`).  All terms see the same u = T - t_j:
+        one ulp between them would smear the cancellation by bound * ulp.  One
+        e^(Re lam u) and cos, sin(Im lam u) per rate by mpmath's fixed-point
+        kernels (mpz under gmpy2, untested: made int last).
         """
         import numpy as np
-        F, T, cubic, rates, ln2, half_pi = self.term_table
-        out = np.empty((3, t.size))
+        F, T, (l0, l1), rates, ln2, half_pi = self.term_table
         xs = t.tolist() if t.dtype == object else [to_fixed(tj, F) for tj in t.tolist()]
+        out = np.empty(len(xs))
         for j, x in enumerate(xs):
-            u, x2 = T - x, x * x >> F
-            acc = [(q0 << F) + q1 * x + q2 * x2 + q3 * (x2 * x >> F) for q0, q1, q2, q3 in cubic]
-            for lr, li, rows in rates:
+            u, acc = T - x, (l0 << F) + l1 * x
+            for lr, li, ar, ai, br, bi in rates:
                 zr, zi = exp_fixed(lr * u >> F, F, ln2), 0
                 if li:
                     cos, sin = cos_sin_fixed(li * u >> F, F, half_pi)
                     zr, zi = zr * cos >> F, zr * sin >> F
-                for i, (ar, ai, br, bi) in enumerate(rows):
-                    acc[i] += (ar + (br * u >> F)) * zr - (ai + (bi * u >> F)) * zi
-            out[:, j] = [quotient(int(v), 1 << 2 * F) for v in acc]
+                acc += (ar + (br * u >> F)) * zr - (ai + (bi * u >> F)) * zi
+            out[j] = quotient(int(acc), 1 << 2 * F)
         return out
 
 
 @dataclass(frozen=True)
 class ChebyshevProxy:
-    """Chopped Chebyshev series of f, f' and f'' on [0, T], in float64.
+    """Chebyshev series of f, f' and f'' on [0, T], in float64.
 
     Row k of `coefficients` holds the T_k coefficients of (f, f', f'') in
-    x = 2t/T - 1, each series zero-padded past its own chopped degree.
+    x = 2t/T - 1: f'' chopped at `degree` and zero-padded, f' and f that
+    series integrated once and twice from t = 0.
     """
 
     horizon: float
-    coefficients: np.ndarray          # shape (max degree + 1, 3)
+    coefficients: np.ndarray          # shape (degree + 3, 3)
     nodes: int                        # Lobatto intervals sampled in extended precision
-    degrees: Tuple[int, int, int]     # chopped degree of f, f', f''
-    heldout_error: float              # worst held-out gap relative to its series' scale
+    degree: int                       # chopped degree of f''
+    heldout_error: float              # worst held-out gap of f'', relative to its scale
 
-    def __call__(self, t: np.ndarray, rows=(0, 1, 2)):
-        """(f, f', f'') at times t in [0, T], by Clenshaw recurrence; only the
-        given rows of that triple."""
+    def __call__(self, t: np.ndarray):
+        """(f, f', f'') at times t in [0, T], by Clenshaw recurrence."""
         if not (t.min() >= 0.0 and t.max() <= self.horizon):
             raise ValueError(f"sample times must lie in [0, {self.horizon!r}]")
-        return tuple(_clenshaw(2.0 * t / self.horizon - 1.0, self.coefficients[:, list(rows)]))
+        return tuple(_clenshaw(2.0 * t / self.horizon - 1.0, self.coefficients))
 
 
 def _lobatto_times(T: float, numer: np.ndarray, denom: int) -> np.ndarray:
     """Times T (1 + cos(pi numer / denom)) / 2, written so t = 0 and t = T come out exact."""
     import numpy as np
     return T * np.sin(np.pi * (denom - numer) / (2 * denom)) ** 2
+
+
+def _integration_matrix(m: int, T: float) -> np.ndarray:
+    """J: the Chebyshev coefficients 0..m of a series on [0, T], in s = 2t/T - 1,
+    to those of its integral from t = 0, truncated at degree m.
+
+    int T_k ds = T_(k+1) / (2(k+1)) - T_(k-1) / (2(k-1)) (T_0 -> T_1,
+    T_1 -> T_2 / 4), dt = T ds / 2, and row 0 is the constant that makes the
+    integral vanish at s = -1.
+    """
+    import numpy as np
+    J = np.zeros((m + 1, m + 1))
+    k = np.arange(1, m + 1)
+    J[k, k - 1] = T / (4 * k)
+    J[1, 0] = T / 2
+    J[k[:-1], k[:-1] + 1] = -T / (4 * k[:-1])
+    J[0] = -((-1.0) ** k) @ J[1:]
+    return J
 
 
 def _clenshaw(x: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -22,8 +22,10 @@ Two response paths are deliberately kept independent: closed-form evaluation
 at T from the control's moments (ControlSignal.moments, summed on integers
 at extended precision), and simulate_oracle, a float64 spectral integration
 of each modal equation on Chebyshev coefficients that reads no root and no
-moment: only rho n^2, n^4, the trace x_n and the Chebyshev series of the
-control's proxy.  It has no step size, so no truncation error to size.
+moment: only rho n^2, n^4, the trace x_n and the control's f'' series
+(ControlSignal.proxy).  It adds x_n f'' to each v_n'' and integrates u_n
+itself, so it never evaluates f or f'.  It has no step size, so no truncation
+error to size.
 Agreement of the two is a verification gate, not an implementation
 convenience.
 """
@@ -37,7 +39,8 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, strip_imag, to_mpf
 from .errors import SamplingError
-from .kernels import _EPS, _MAX_NODES, _TINY, ControlSignal, _clenshaw, _standard_chop
+from .kernels import (_EPS, _MAX_NODES, _TINY, ControlSignal, _clenshaw, _integration_matrix,
+                      _standard_chop)
 from .spectrum import BeamConfig, Boundary
 
 __all__ = [
@@ -219,24 +222,6 @@ class Trajectory:
         return self.state_at(len(self.times) - 1)
 
 
-def _integration_matrix(m: int, T: float):
-    """J: the Chebyshev coefficients 0..m of a series on [0, T], in s = 2t/T - 1,
-    to those of its integral from t = 0, truncated at degree m.
-
-    int T_k ds = T_(k+1) / (2(k+1)) - T_(k-1) / (2(k-1)) (T_0 -> T_1,
-    T_1 -> T_2 / 4), dt = T ds / 2, and row 0 is the constant that makes the
-    integral vanish at s = -1.
-    """
-    import numpy as np
-    J = np.zeros((m + 1, m + 1))
-    k = np.arange(1, m + 1)
-    J[k, k - 1] = T / (4 * k)
-    J[1, 0] = T / 2
-    J[k[:-1], k[:-1] + 1] = -T / (4 * k[:-1])
-    J[0] = -((-1.0) ** k) @ J[1:]
-    return J
-
-
 def simulate_oracle(config: BeamConfig, state0: ModalState,
                     control: Optional[ControlSignal], samples: int = 201) -> Trajectory:
     """Spectral integration of the modal system in float64 (Greengard, SIAM
@@ -244,19 +229,20 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
 
     Mode n of v = u - U, with d = rho n^2, k = n^4 and trace x_n, takes
     w = v'' as a Chebyshev series on [0, T].  With J the integration operator
-    from t = 0 (_integration_matrix), v' = v0' + J w and v = v0 + J v', so
-    the modal equation is one dense solve per mode:
+    from t = 0 (kernels._integration_matrix), v' = v0' + J w and v = v0 + J v',
+    so the modal equation is one dense solve per mode:
 
         (I + d J + k J^2) w = -x_n f'' - d v0' - k (v0 + v0' t),
 
-    f'' being the f'' series of the control's proxy.  The degree starts at
-    max(ceil(1.25 len(f'')) + 16, 64), a quarter past the f'' series, and
-    doubles until the standard chop finds every mode's w tail flat; a series
-    still unresolved at _MAX_NODES raises SamplingError.  The oracle reads
-    no root of the spectrum and no moment.  It reports the physical state
-    u = v + x_n f, u' = v' + x_n f' at `samples` uniform times, the last at
-    T, with f and f' off the proxy's rows, read only once every series is
-    resolved.  control=None integrates the free flow.
+    f'' being the series of the control's proxy, the only signal the oracle
+    reads.  The degree starts at max(ceil(1.25 len(f'')) + 16, 64), a quarter
+    past the f'' series, and doubles until the standard chop finds every
+    mode's w tail flat; a series still unresolved at _MAX_NODES raises
+    SamplingError.  The oracle reads no root of the spectrum and no moment.
+    The physical state has u'' = w + x_n f'' and the same initial data, since
+    f(0) = f'(0) = 0, so u' and u are that series integrated from t = 0.  It
+    reports them at `samples` uniform times, the last at T.  control=None
+    integrates the free flow.
     """
     import numpy as np
     state0.check_fits(config)
@@ -273,7 +259,7 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
         f2 = np.zeros(1)
     else:
         proxy = control.proxy
-        f2 = proxy.coefficients[:proxy.degrees[2] + 1, 2]
+        f2 = proxy.coefficients[:proxy.degree + 1, 2]
 
     m = min(max((5 * len(f2) + 3) // 4 + 16, 64), _MAX_NODES)
     while True:
@@ -294,14 +280,12 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
                                 "oracle modal series coefficient tail")
         m = min(2 * m, _MAX_NODES)
 
-    dv = J @ w
-    dv[0] += dv0
-    v = J @ dv
-    v[0] += v0
+    w[:len(f2)] += np.outer(f2, x)     # u'' = v'' + x_n f''
+    du = J @ w
+    du[0] += dv0
+    u = J @ du
+    u[0] += v0
     times = np.linspace(0.0, T, samples)
-    lift = np.zeros((2, samples)) if control is None else proxy(times, (0, 1))
-    rows = _clenshaw(2.0 * times / T - 1.0, np.hstack([v, dv]))
-    u = rows[:len(x)] + x[:, None] * lift[0]
-    du = rows[len(x):] + x[:, None] * lift[1]
-    return Trajectory(config.boundary, tuple(times.tolist()), tuple(map(tuple, u.T.tolist())),
-                      tuple(map(tuple, du.T.tolist())), m)
+    values, velocities = np.split(_clenshaw(2.0 * times / T - 1.0, np.hstack([u, du])), 2)
+    return Trajectory(config.boundary, tuple(times.tolist()), tuple(map(tuple, values.T.tolist())),
+                      tuple(map(tuple, velocities.T.tolist())), m)

@@ -80,7 +80,8 @@ def _gram_scale(system: MomentSystem) -> int:
     T = system.config.horizon
     rates = [k.real_form(T)[:2] for k in system.kernels]  # (lam, Im)
     w = min([1.0] + [float(mp.im(lam)) for lam, imag in rates if imag])
-    log_h = min(math.log2(T), -math.log2(2 * max(abs(complex(lam)) for lam, _ in rates) or 1e-300))
+    top = 2 * max(abs(lam) for lam, _ in rates) or 1e-300     # an mpf: it may pass float64
+    log_h = min(math.log2(T), -float(mp.log(top, 2)))
     floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
     return _fixed_point_bits(system.config.precision_bits, math.ceil(max(0.0, -floor)), T)
 

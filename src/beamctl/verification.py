@@ -5,8 +5,9 @@ state actually reaches rest.  The closed-form route evaluates the state at
 the horizon from the control's moments K(p, lam) (ControlSignal.moments),
 summed on integers at extended precision; the oracle route integrates the
 same modal system spectrally in float64 (modal_dynamics.simulate_oracle),
-forced by the Chebyshev series of the control's own antiderivatives
-(ControlSignal.proxy), sharing no moment calculus with the closed forms.
+forced by one Chebyshev series of the control's curvature f''
+(ControlSignal.proxy), summed term by term at its nodes and sharing no
+moment calculus with the closed forms.
 Both final states are measured in the pair norm natural to the boundary
 condition: displacement at scale 3 with velocity at scale 1 for Dirichlet
 control, scales 4 and 2 for Neumann.

@@ -374,6 +374,27 @@ def test_synthesize_sampling_failure_exits_four(tmp_path, monkeypatch):
     assert not (out / "control.csv").exists()
 
 
+def test_synthesize_refuses_data_past_float64_in_the_first_round(tmp_path):
+    # node values that overflow float64 are refused before any Chebyshev
+    # coefficient is formed (no FFT of infinities), at the first 16 nodes
+    code, out = run(tmp_path, "synthesize", "--modes", "2", "--data", "1:1e400:0")
+    assert code == 4
+    err = load(out, "synthesis.json")["error"]
+    assert err["type"] == "SamplingError"
+    assert err["degree"] == 16
+    assert err["observed_error"] == "inf"
+    assert not (out / "control.csv").exists()
+
+
+def test_synthesize_with_a_damping_past_float64_exits_four(tmp_path):
+    # rates near -rho n^2 = -1e400 size the Gram's fixed point without
+    # overflowing; the moment problem is then numerically rank deficient
+    code, out = run(tmp_path, "synthesize", "--rho", "1e400", "--modes", "1")
+    assert code == 4
+    err = load(out, "synthesis.json")["error"]
+    assert err["type"] == "NumericalRankDeficiency"
+
+
 def test_imaginary_residue_exits_four(tmp_path, monkeypatch):
     import beamctl.cli
     from beamctl.errors import ImaginaryResidue

@@ -21,17 +21,15 @@ from reference_calculus import (
 
 
 def elementwise_sample_extended(sig, t):
-    """Reference for ControlSignal._sample_extended: every part's term summed
-    in mpf at the precision the term bound asks for, one mp.exp per part and
-    node, no merging by rate; rows f, f', f'' rounded to float64 once.  Also
+    """Reference for ControlSignal._sample_extended: every part's term of f''
+    summed in mpf at the precision the term bound asks for, one mp.exp per
+    part and node, no merging by rate, rounded to float64 once.  Also
     returns that precision."""
     bits = max(128, int(mp.log(max(sig.term_scale_bound(), 1), 2)) + 80)
-    out = np.empty((3, t.size))
+    out = np.empty(t.size)
     with mp.workprec(bits):
         T = to_mpf(sig.horizon)
-        lin = [mp.mpf(0), mp.mpf(0)]    # f'' of the rate-0 parts: lin[0] + lin[1] t
-        fT = gT = mp.mpf(0)             # sum of Re(ca F(T)), Re(ca G(T)) over the rest
-        terms = []      # (lam, A, B): f^(i) += Re((A_i + B_i u) e^(lam u)), u = T - t
+        terms = []      # (ca, p, lam): f'' += Re(ca u^p e^(lam u)), u = T - t
         for c, k in zip(sig.coefficients, sig.kernels):
             c = to_mpf(c)
             if c == 0:
@@ -39,34 +37,10 @@ def elementwise_sample_extended(sig, t):
             for (a, p, lam) in exponential_parts(k, T):
                 if mp.im(lam) < 0:
                     continue            # conjugate twin carries it
-                ca = c * a * (2 if mp.im(lam) > 0 else 1)
-                if lam == 0:            # ca (T - t)^p
-                    lin[0] += ca * T ** p
-                    lin[1] -= ca * p
-                    continue
-                eT = mp.exp(lam * T)
-                if p == 0:
-                    FT, GT = eT / lam, eT / lam ** 2
-                    terms.append((lam, (ca / lam ** 2, -ca / lam, ca), None))
-                else:
-                    FT = eT * (T / lam - 1 / lam ** 2)
-                    GT = eT * (T / lam ** 2 - 2 / lam ** 3)
-                    terms.append((lam, (-2 * ca / lam ** 3, ca / lam ** 2, 0),
-                                  (ca / lam ** 2, -ca / lam, ca)))
-                fT += mp.re(ca * FT)
-                gT += mp.re(ca * GT)
-        # f, f', f'' less their exponential terms, as cubics in t
-        poly = [(-gT, fT, lin[0] / 2, lin[1] / 6), (fT, lin[0], lin[1] / 2, 0),
-                (lin[0], lin[1], 0, 0)]
+                terms.append((c * a * (2 if mp.im(lam) > 0 else 1), p, lam))
         for j in range(t.size):
-            tj = mp.mpf(float(t[j]))
-            u = T - tj
-            f = [((q[3] * tj + q[2]) * tj + q[1]) * tj + q[0] for q in poly]
-            for lam, A, B in terms:
-                z = mp.exp(lam * u)
-                for i in range(3):
-                    f[i] += mp.re((A[i] if B is None else A[i] + B[i] * u) * z)
-            out[:, j] = [float(v) for v in f]
+            u = T - mp.mpf(float(t[j]))
+            out[j] = float(sum(mp.re(ca * u ** p * mp.exp(lam * u)) for ca, p, lam in terms))
     return out, bits
 
 
@@ -423,7 +397,7 @@ def test_sample_reuses_one_proxy_per_control():
     assert sig.proxy is sig.proxy
     assert sig.proxy.heldout_error <= 1e-12
     assert 16 <= sig.proxy.nodes <= 4096
-    assert max(sig.proxy.degrees) < sig.proxy.nodes
+    assert sig.proxy.degree < sig.proxy.nodes
 
 
 def scaled(sig, factor):
@@ -450,7 +424,7 @@ def reference_case(case, factor="1"):
     reference_case("exp", "1e-60"), reference_case("expcos", "1e-300"),
     reference_case("expcos", "1e400")])
 def test_sample_extended_matches_elementwise_reference(case, factor):
-    """The fixed-point evaluator against the mpf loop, at the proxy's nodes
+    """The fixed-point evaluator of f'' against the mpf loop, at the proxy's nodes
     and at 64 random times: within the floor bound * 2^-(bits - 8) everywhere,
     and float64-equal where a half ulp of the value exceeds that floor (below
     it, equality would ask more than the reference's own rounding gives).

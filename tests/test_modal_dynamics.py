@@ -76,9 +76,9 @@ def test_free_flow_neumann_zero_mode_drifts():
     assert out.velocities[0] == mp.mpf("0.5")
 
 
-def test_neumann_zero_mode_drifts_exactly_under_a_control():
-    # the lifting must cancel the zero mode's Duhamel response J_h = f exactly,
-    # complex kernel parts included
+def curved_neumann_case():
+    """Neumann, 3 modes, T = 3/2, zero mode (0.25, 0.5), under a control with
+    real and complex kernel parts."""
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 3, Fraction(3, 2))
     sig = ControlSignal(
         kernels=(Kernel("const"), Kernel("linear"), Kernel("exp", rate=mp.mpf(-3)),
@@ -87,9 +87,29 @@ def test_neumann_zero_mode_drifts_exactly_under_a_control():
         coefficients=(mp.mpf("0.7"), mp.mpf(-2), mp.mpf("1.3"), mp.mpf(40), mp.mpf(-9)),
         horizon=Fraction(3, 2))
     st = ModalState.neumann(values=(0.25, 1, 0, 0.5), velocities=(0.5, 0, 0.3, 0))
+    return cfg, sig, st
+
+
+def test_neumann_zero_mode_drifts_exactly_under_a_control():
+    # the lifting must cancel the zero mode's Duhamel response J_h = f exactly,
+    # complex kernel parts included
+    cfg, sig, st = curved_neumann_case()
     out = closed_form_state(cfg, st, sig)
     assert out.values[0] == 1 and out.velocities[0] == mp.mpf("0.5")
     assert abs(mp.re(convolve(sig, 1, 0, mp.mpf("1.5")))) > 0.1   # the lifting is not trivially 0
+
+
+def test_oracle_neumann_zero_mode_drifts_exactly_under_a_control():
+    # with no damping and no stiffness the zero mode's u'' = v'' + x_0 f'' is
+    # 0 exactly, so the oracle's zero mode follows u0 + u1 t to roundoff
+    # however curved the control
+    cfg, sig, st = curved_neumann_case()
+    u0, u1 = float(st.values[0]), float(st.velocities[0])
+    traj = simulate_oracle(cfg, st, sig)
+    bound = 4 * np.finfo(float).eps * max(abs(u0), abs(u1) * float(cfg.horizon))
+    for t, values, velocities in zip(traj.times, traj.values, traj.velocities):
+        assert abs(values[0] - (u0 + u1 * t)) <= bound, t
+        assert abs(velocities[0] - u1) <= bound, t
 
 
 def duhamel_part(cfg, control, n):
@@ -293,9 +313,10 @@ def test_trajectory_has_exactly_the_requested_rows(samples):
         simulate_oracle(cfg, st, None, samples=1)
 
 
-def test_oracle_refuses_before_it_samples_the_control(monkeypatch):
-    # the f and f' rows at the trajectory times are read only once every
-    # modal series is resolved; a refusal at the node cap reads none
+def test_oracle_never_evaluates_the_proxy(monkeypatch):
+    # the oracle reads only the proxy's f'' coefficients and integrates the
+    # physical state itself: neither a refusal at the node cap nor a
+    # resolved run evaluates f or f'
     calls = []
     proxy_type = type(curved_control().proxy)
     evaluate = proxy_type.__call__
@@ -316,7 +337,7 @@ def test_oracle_refuses_before_it_samples_the_control(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(proxy_type, "__call__", spy)
     simulate_oracle(cfg, st, control, samples=11)
-    assert calls == [11]      # the spy sees the samples of a resolved run
+    assert calls == []
 
 
 def test_final_state_does_not_depend_on_samples():
