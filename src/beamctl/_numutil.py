@@ -34,6 +34,12 @@ def as_fraction(x: RealLike, what: str = "value") -> Fraction:
     raise TypeError(f"{what} must be int, float, str or Fraction, got {type(x).__name__}")
 
 
+def check_positive_int(value, what: str) -> None:
+    """Refuse anything but a positive integer, naming it `what`."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value}")
+
+
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:

@@ -8,12 +8,13 @@ oracle, whose trajectory.csv holds 201 uniform times on [0, T]),
 and `cost-sweep` (minimum cost across horizons with a blow-up fit).  A
 `verify` verdict depends on the config, the data and --tolerance alone.
 
+Each subcommand accepts exactly the flags it reads (build_parser).
 Everything a run produces lands in --out as CSV (plot-ready: '.' decimal,
 ',' separator, LF newlines, header row) and JSON (decimal-string numbers,
 fixed field order, so identical configs reproduce byte-identical files).
 A config file named by --config overrides command-line flags; its schema is
 INI-style sections with the exact keys documented in CONFIG_SCHEMA, and
-unknown sections or keys are rejected rather than ignored.
+unknown keys, or keys whose flag the subcommand lacks, are rejected.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 uncontrollable
 data or failed verification verdict, 4 numerical infeasibility at the
@@ -46,7 +47,6 @@ from .modal_dynamics import ModalState, Trajectory
 from .moment_problem import assemble
 from .spectrum import (
     BeamConfig,
-    Boundary,
     DampingRegime,
     branch_ratio,
     branch_ratio_exact,
@@ -91,61 +91,66 @@ CONFIG_SCHEMA = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--rho", default="1",
-                        help="damping coefficient, exact decimal or fraction (default 1)")
-    shared.add_argument("--modes", type=int, default=6,
-                        help="number of controlled modes (default 6)")
-    shared.add_argument("--horizon", default="1",
-                        help="control horizon T, exact decimal or fraction (default 1)")
-    shared.add_argument("--boundary", choices=["dirichlet", "neumann"],
-                        default="dirichlet")
-    shared.add_argument("--precision-bits", dest="precision_bits", type=int, default=256)
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for the 'random' data fixture")
-    shared.add_argument("--data", default="mode1",
-                        help="initial data: 'mode1', 'random' (drawn with --seed), "
-                             "or triples 'mode:value:velocity,...'")
-    shared.add_argument("--out", default=".", help="output directory (default .)")
-    shared.add_argument("--config", default=None,
-                        help="INI config file; its values override flags")
+# flags more than one subcommand reads, with their argparse keywords
+SHARED_FLAGS = {
+    "--rho": dict(default="1", help="damping coefficient, exact decimal or fraction (default 1)"),
+    "--modes": dict(type=int, default=6, help="number of controlled modes (default 6)"),
+    "--horizon": dict(default="1", help="control horizon T, decimal or fraction (default 1)"),
+    "--boundary": dict(choices=["dirichlet", "neumann"], default="dirichlet"),
+    "--precision-bits": dict(type=int, default=256),
+    "--seed": dict(type=int, default=0, help="seed for the 'random' data fixture"),
+    "--data": dict(default="mode1", help="initial data: 'mode1' (1:1:0), 'random' (with --seed) "
+                                         "or triples 'mode:value:velocity,...'"),
+    "--out": dict(default=".", help="output directory (default .)"),
+    "--config": dict(help="INI config file; its values override flags"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, each with exactly the flags it reads."""
+    def flags(parser, *names):
+        for name in names:
+            parser.add_argument(name, **SHARED_FLAGS[name])
+        return parser
+
+    # each subparser copies these groups' actions once; neither has a parent
+    common = flags(argparse.ArgumentParser(add_help=False),
+                   "--precision-bits", "--out", "--config")
+    solve = flags(argparse.ArgumentParser(add_help=False),
+                  "--rho", "--modes", "--boundary", "--seed", "--data")
     parser = argparse.ArgumentParser(
         prog="beamctl",
         description="Boundary null control of a structurally damped beam: "
                     "synthesis, verification and spectral diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[shared],
-                       help="eigenvalue table, gaps and collision pairs")
-    p.set_defaults(func=cmd_spectrum)
+    def command(name, func, help, parents, *names):
+        # no abbreviations, so a flag a subcommand lacks is never read as a
+        # prefix of one it has (cost-sweep --horizon as --horizons)
+        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return flags(p, *names)
 
-    p = sub.add_parser("synthesize", parents=[shared],
-                       help="solve the moment system and emit the control")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("verify", parents=[shared],
-                       help="synthesize, then verify along both evaluation routes")
+    command("spectrum", cmd_spectrum, "eigenvalue table, gaps and collision pairs",
+            [common], "--rho", "--modes")
+    command("synthesize", cmd_synthesize, "solve the moment system and emit the control",
+            [solve, common], "--horizon")
+    p = command("verify", cmd_verify, "synthesize, then verify along both evaluation routes",
+                [solve, common], "--horizon")
     p.add_argument("--tolerance", type=float, default=1e-6,
                    help="relative final-norm threshold for the verdict (default 1e-6)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("condensation", parents=[shared],
-                       help="Diophantine condensation estimate of the rate families")
+    p = command("condensation", cmd_condensation,
+                "Diophantine condensation estimate of the rate families", [common])
+    # exactly one of the three ratio sources, checked after the config overlay
+    p.add_argument("--rho", help="damping coefficient rho > 2, exact decimal or fraction")
+    p.add_argument("--ratio-sqrt", type=int, help="branch ratio sqrt(D) for a positive integer D")
+    p.add_argument("--ratio-cf", help="branch ratio from continued-fraction quotients 'a0,a1,...'")
     p.add_argument("--nmax", type=int, default=200)
-    p.add_argument("--tail-start", dest="tail_start", type=int, default=10)
-    p.add_argument("--ratio-sqrt", dest="ratio_sqrt", type=int, default=None,
-                   help="branch ratio sqrt(D) for a positive integer D")
-    p.add_argument("--ratio-cf", dest="ratio_cf", default=None,
-                   help="branch ratio from continued-fraction quotients 'a0,a1,...'")
-    p.set_defaults(func=cmd_condensation)
-
-    p = sub.add_parser("cost-sweep", parents=[shared],
-                       help="minimum control cost across horizons, with blow-up fit")
+    p.add_argument("--tail-start", type=int, default=10)
+    p = command("cost-sweep", cmd_cost_sweep,
+                "minimum control cost across horizons, with blow-up fit", [solve, common])
     p.add_argument("--horizons", default="0.25,0.5,1,2",
                    help="comma-separated horizons (default 0.25,0.5,1,2)")
-    p.set_defaults(func=cmd_cost_sweep)
     return parser
 
 
@@ -183,45 +188,35 @@ def apply_config_file(args: argparse.Namespace) -> None:
 
 
 def beam_config(args: argparse.Namespace) -> BeamConfig:
-    return BeamConfig(
-        boundary=Boundary(args.boundary),
-        rho=args.rho,
-        n_modes=args.modes,
-        horizon=args.horizon,
-        precision_bits=args.precision_bits,
-    )
+    # spectrum has no --boundary or --horizon and cost-sweep no --horizon:
+    # their reports read neither, so fixed values fill the BeamConfig
+    return BeamConfig(getattr(args, "boundary", "dirichlet"), args.rho, args.modes,
+                      getattr(args, "horizon", "1"), args.precision_bits)
 
 
 def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> ModalState:
     """Initial data from a fixture name or explicit mode:value:velocity triples.
 
-    'mode1' puts unit displacement on the first oscillatory mode.  'random'
-    draws Gaussian data from `seed` with a 1/n^2 amplitude decay on every
+    Every descriptor becomes exact Fraction triples.  'mode1' is 1:1:0, unit
+    displacement on the first oscillatory mode.  'random' draws Gaussian
+    float64 data from `seed` with a 1/n^2 amplitude decay on every
     oscillatory mode whose trace in config.spectrum is nonzero (under
     Neumann the odd cosine modes), which keeps Neumann fixtures admissible
-    by construction.  Triples may name mode 0 under Neumann, e.g. to probe the
-    admissibility screening on purpose.
+    by construction.  Triples may name mode 0 under Neumann, e.g. to probe
+    the admissibility screening on purpose.
     """
     descriptor = descriptor.strip()
     first = config.boundary.first_mode
-    size = config.n_modes + 1 - first
-    values = [Fraction(0)] * size
-    velocities = [Fraction(0)] * size
-
     if descriptor == "mode1":
-        values[1 - first] = Fraction(1)
-        triples = None
-    elif descriptor == "random":
+        descriptor = "1:1:0"
+    if descriptor == "random":
         import numpy as np
         rng = np.random.default_rng(seed)
-        with mp.workprec(config.precision_bits + GUARD_BITS):
-            vals, vels = [mp.mpf(0)] * size, [mp.mpf(0)] * size
-            for n in range(1, config.n_modes + 1):
-                if config.spectrum.traces[n - first] == 0:
-                    continue    # a mode the control cannot see
-                vals[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
-                vels[n - first] = mp.mpf(float(rng.standard_normal())) / n ** 2
-            return ModalState(config.boundary, tuple(vals), tuple(vels))
+        # no draw for a mode the control cannot see
+        triples = [(n, Fraction(float(rng.standard_normal())) / n ** 2,
+                    Fraction(float(rng.standard_normal())) / n ** 2)
+                   for n in range(1, config.n_modes + 1)
+                   if config.spectrum.traces[n - first] != 0]
     else:
         triples = []
         for chunk in descriptor.split(","):
@@ -236,17 +231,21 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad data triple {chunk!r}")
             triples.append((mode, val, vel))
-        seen = set()
-        for mode, val, vel in triples:
-            if mode in seen:
-                raise ValueError(f"mode {mode} appears twice in the data descriptor")
-            seen.add(mode)
-            if mode == 0 and first == 1:
-                raise ValueError("mode 0 only exists under Neumann control")
-            if not first <= mode <= config.n_modes:
-                raise ValueError(
-                    f"mode {mode} outside the configured range {first}..{config.n_modes}")
-            values[mode - first], velocities[mode - first] = val, vel
+
+    size = config.n_modes + 1 - first
+    values = [Fraction(0)] * size
+    velocities = [Fraction(0)] * size
+    seen = set()
+    for mode, val, vel in triples:
+        if mode in seen:
+            raise ValueError(f"mode {mode} appears twice in the data descriptor")
+        seen.add(mode)
+        if mode == 0 and first == 1:
+            raise ValueError("mode 0 only exists under Neumann control")
+        if not first <= mode <= config.n_modes:
+            raise ValueError(
+                f"mode {mode} outside the configured range {first}..{config.n_modes}")
+        values[mode - first], velocities[mode - first] = val, vel
 
     with mp.workprec(config.precision_bits + GUARD_BITS):
         return ModalState(config.boundary,
@@ -367,6 +366,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_condensation(args: argparse.Namespace) -> int:
+    given = [flag for flag, value in (("--rho", args.rho), ("--ratio-sqrt", args.ratio_sqrt),
+                                      ("--ratio-cf", args.ratio_cf)) if value is not None]
+    if len(given) != 1:
+        raise ValueError("condensation takes exactly one of --rho, --ratio-sqrt and --ratio-cf, "
+                         f"as flags or config keys; got {', '.join(given) or 'none'}")
     bits = args.precision_bits
     if args.ratio_cf is not None:
         try:
@@ -381,9 +385,7 @@ def cmd_condensation(args: argparse.Namespace) -> int:
     else:
         rho = Fraction(args.rho)
         if rho <= 2:
-            raise ValueError(
-                "condensation analysis needs rho > 2 (or an explicit "
-                "--ratio-sqrt / --ratio-cf branch ratio)")
+            raise ValueError("condensation analysis needs rho > 2")
         exact = branch_ratio_exact(rho)
         r = exact if exact is not None else branch_ratio(rho, bits)
         source = f"rho:{rho}"

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, strip_imag, to_mpf
+from ._numutil import GUARD_BITS, check_positive_int, strip_imag, to_mpf
 from .errors import RationalResonance
 
 __all__ = [
@@ -60,6 +60,14 @@ def _is_exact_rational(r) -> bool:
     return isinstance(r, (int, Fraction)) and not isinstance(r, bool)
 
 
+def _ratio_mpf(r):
+    """r at the working precision, refused below 1."""
+    r_mp = to_mpf(r)
+    if r_mp < 1:
+        raise ValueError(f"branch ratio must be >= 1, got {r}")
+    return r_mp
+
+
 def merged_frequencies(r, n_max: int, precision_bits: int = 256) -> Tuple:
     """The union of both decay-rate families up to mode n_max, sorted.
 
@@ -67,12 +75,9 @@ def merged_frequencies(r, n_max: int, precision_bits: int = 256) -> Tuple:
     "fast" for r n^2, ascending by value.  Exact collisions (rational r)
     appear as consecutive equal values on opposite branches.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_positive_int(n_max, "n_max")
     with mp.workprec(precision_bits + GUARD_BITS):
-        r_mp = to_mpf(r)
-        if r_mp < 1:
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
+        r_mp = _ratio_mpf(r)
         rows = []
         for n in range(1, n_max + 1):
             n2 = mp.mpf(n) ** 2
@@ -90,9 +95,7 @@ def weierstrass_E(z, r, precision_bits: int = 256):
     is an even function of its square root.  E(0) = 1 by the normalization.
     """
     with mp.workprec(precision_bits + GUARD_BITS):
-        r_mp = to_mpf(r)
-        if r_mp < 1:
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
+        r_mp = _ratio_mpf(r)
         was_real = not isinstance(z, (complex, mp.mpc))
         z_mp = mp.mpf(z) if was_real else mp.mpc(z)
         if z_mp == 0:
@@ -124,14 +127,11 @@ def eprime_magnitudes(r, n_max: int, precision_bits: int = 256) -> Tuple:
     reports -inf: the derivative is zero there and no biorthogonal element
     exists.  That happens only for rational r.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_positive_int(n_max, "n_max")
     exact = _is_exact_rational(r)
     frac = Fraction(r) if exact else None
     with mp.workprec(precision_bits + GUARD_BITS):
-        r_mp = to_mpf(Fraction(r)) if exact else to_mpf(r)
-        if r_mp < 1:
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
+        r_mp = _ratio_mpf(r)
         log_r = mp.log(r_mp)
         base = -mp.log(2 * mp.pi ** 3)
         rows = []
@@ -209,19 +209,14 @@ def condensation_estimate(r, n_max: int, tail_start: int = 10,
     """
     if _is_exact_rational(r):
         raise RationalResonance(float(Fraction(r)))
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    if not isinstance(tail_start, int) or tail_start < 1:
-        raise ValueError(f"tail_start must be a positive integer, got {tail_start}")
+    check_positive_int(n_max, "n_max")
+    check_positive_int(tail_start, "tail_start")
     if tail_start > n_max:
         raise ValueError(f"tail_start {tail_start} exceeds n_max {n_max}")
     with mp.workprec(precision_bits + GUARD_BITS):
-        r_mp = to_mpf(r)
-        if r_mp <= 1:
-            # r = 1 is the critical point rho = 2, rational by definition
-            if r_mp == 1:
-                raise RationalResonance(1.0)
-            raise ValueError(f"branch ratio must be >= 1, got {r}")
+        r_mp = _ratio_mpf(r)
+        if r_mp == 1:   # the critical point rho = 2, rational by definition
+            raise RationalResonance(1.0)
         rows = []
         sup_slow = -inf
         sup_fast = -inf
@@ -286,11 +281,6 @@ def ratio_from_sqrt(d: int, precision_bits: int = 256) -> Union[Fraction, mp.mpf
         raise ValueError(f"square-root argument must be a positive integer, got {d!r}")
     root = isqrt(d)
     if root * root == d:
-        if root < 1:
-            raise ValueError(f"branch ratio must be >= 1, got sqrt({d})")
         return Fraction(root)
     with mp.workprec(precision_bits + GUARD_BITS):
-        value = mp.sqrt(d)
-        if value < 1:
-            raise ValueError(f"branch ratio must be >= 1, got sqrt({d})")
-        return value
+        return mp.sqrt(d)

@@ -27,7 +27,7 @@ from typing import Optional, Tuple, Union
 
 import mpmath as mp
 
-from ._numutil import RealLike, as_fraction, rational_sqrt, to_mpf
+from ._numutil import RealLike, as_fraction, check_positive_int, rational_sqrt, to_mpf
 
 __all__ = [
     "Boundary",
@@ -90,8 +90,7 @@ class BeamConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not isinstance(self.n_modes, int) or self.n_modes < 1:
-            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
+        check_positive_int(self.n_modes, "n_modes")
         if not isinstance(self.precision_bits, int) or self.precision_bits < 53:
             raise ValueError(f"precision_bits must be an integer >= 53, got {self.precision_bits}")
 
@@ -206,8 +205,6 @@ def branch_ratio(rho: RealLike, precision_bits: int = 256) -> mp.mpf:
     lambda_n^+ = -n^2/r and lambda_n^- = -r n^2.
     """
     rho = as_fraction(rho, "rho")
-    if rho < 2:
-        raise ValueError(f"branch ratio needs rho >= 2, got {rho}")
     exact = branch_ratio_exact(rho)
     with mp.workprec(precision_bits):
         if exact is not None:
@@ -223,8 +220,7 @@ def mode_eigenvalues(rho: RealLike, n: int, precision_bits: int = 256) -> ModeEi
     Neumann coupling, undamped and unstiffened: Spectrum.roots gives it).
     """
     rho = as_fraction(rho, "rho")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"mode index must be a positive integer, got {n}")
+    check_positive_int(n, "mode index")
     regime = classify_damping(rho)
     with mp.workprec(precision_bits):
         n2 = mp.mpf(n) ** 2
@@ -254,8 +250,7 @@ def detect_collisions(r, n_max: int) -> list:
     and a rounded one cannot tell a near miss from a hit, so an inexact r
     raises TypeError.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    check_positive_int(n_max, "n_max")
     if not isinstance(r, (Fraction, int)):
         raise TypeError(f"branch ratio must be an exact Fraction, got {type(r).__name__}")
     r = Fraction(r)

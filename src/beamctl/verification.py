@@ -62,6 +62,9 @@ def pair_norm_scale(boundary) -> int:
 def closed_form_final_state(config: BeamConfig, state0: ModalState,
                             control: ControlSignal) -> ModalState:
     """Physical state at the horizon: free flow plus forced response."""
+    # not inlined: perfbench/spans.py times the closed-form layer by wrapping
+    # this name, so calling closed_form_state directly would read
+    # modal_dynamics.closed_form_s as 0 (tests/test_perfbench_smoke.py pins it)
     return closed_form_state(config, state0, control)
 
 

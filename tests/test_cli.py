@@ -4,7 +4,7 @@ import json
 import pytest
 
 from beamctl import errors, synthesis
-from beamctl.cli import _error_doc, main
+from beamctl.cli import _error_doc, build_parser, main
 
 FAST = ["--precision-bits", "128"]
 
@@ -276,6 +276,109 @@ def test_config_file_rejects_key_for_other_subcommand(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", "--config", str(cfg))
     assert code == 2
     assert "does not apply" in capsys.readouterr().err
+
+
+SOLVE_DESTS = {"rho", "modes", "boundary", "precision_bits", "seed", "data", "out", "config"}
+# subcommand -> every flag it accepts, as argparse dests; each is one it reads
+ACCEPTED_DESTS = {
+    "spectrum": {"rho", "modes", "precision_bits", "out", "config"},
+    "synthesize": SOLVE_DESTS | {"horizon"},
+    "verify": SOLVE_DESTS | {"horizon", "tolerance"},
+    "condensation": {"rho", "ratio_sqrt", "ratio_cf", "nmax", "tail_start",
+                     "precision_bits", "out", "config"},
+    "cost-sweep": SOLVE_DESTS | {"horizons"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    parser = build_parser()
+    for command, dests in ACCEPTED_DESTS.items():
+        assert set(vars(parser.parse_args([command]))) - {"command", "func"} == dests
+    assert sum(map(len, ACCEPTED_DESTS.values())) == 41
+
+
+# (subcommand, flag, value, config section, config key) a subcommand does not read
+UNREAD = [
+    ("spectrum", "--horizon", "5", "beam", "horizon"),
+    ("spectrum", "--boundary", "neumann", "beam", "boundary"),
+    ("spectrum", "--data", "random", "data", "initial"),
+    ("spectrum", "--seed", "3", "data", "seed"),
+    ("condensation", "--modes", "5", "beam", "modes"),
+    ("condensation", "--horizon", "5", "beam", "horizon"),
+    ("condensation", "--boundary", "neumann", "beam", "boundary"),
+    ("condensation", "--data", "random", "data", "initial"),
+    ("condensation", "--seed", "3", "data", "seed"),
+    ("cost-sweep", "--horizon", "0.5", "beam", "horizon"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,section,key", UNREAD,
+                         ids=[f"{c}{f}" for c, f, *_ in UNREAD])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, command, flag,
+                                                     value, section, key):
+    ratio = ["--ratio-sqrt", "2"] if command == "condensation" else []
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path / "flag", command, *ratio, flag, value)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "beam.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, out = run(tmp_path / "config", command, *ratio, "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config key [{section}] {key} does not apply to '{command}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--rho", "3", "--ratio-sqrt", "2"], None),
+    (["--ratio-sqrt", "2", "--ratio-cf", "1,2,2"], None),
+    (["--rho", "3", "--ratio-sqrt", "2", "--ratio-cf", "1,2,2"], None),
+    ([], None),
+    (["--ratio-sqrt", "2"], "[beam]\nrho = 3\n"),
+    (["--rho", "3"], "[condensation]\nratio_cf = 1,2,2\n"),
+], ids=["rho-sqrt", "sqrt-cf", "all-three", "none", "config-rho-flag-sqrt",
+        "flag-rho-config-cf"])
+def test_condensation_takes_exactly_one_ratio_source(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "beam.ini"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out = run(tmp_path, "condensation", "--nmax", "40", *argv)
+    assert code == 2
+    assert "exactly one of --rho, --ratio-sqrt and --ratio-cf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode1_is_the_triple_1_1_0(tmp_path):
+    code1, out1 = run(tmp_path / "a", "synthesize", "--modes", "2", "--data", "mode1", *FAST)
+    code2, out2 = run(tmp_path / "b", "synthesize", "--modes", "2", "--data", "1:1:0", *FAST)
+    assert code1 == code2 == 0
+    for name in ("synthesis.json", "control.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+def test_random_data_keeps_each_float64_draw_exactly(boundary):
+    # each slot is the draw over n^2, rounded once at the working precision
+    import mpmath as mp
+    import numpy as np
+
+    from beamctl import BeamConfig
+    from beamctl._numutil import GUARD_BITS
+    from beamctl.cli import build_initial_state
+
+    config = BeamConfig(boundary, 1, 5, 1, 128)
+    state = build_initial_state("random", config, seed=3)
+    rng = np.random.default_rng(3)
+    first = config.boundary.first_mode
+    with mp.workprec(128 + GUARD_BITS):
+        for n in state.modes:
+            if n == 0 or config.spectrum.traces[n - first] == 0:
+                assert state.values[n - first] == state.velocities[n - first] == 0
+                continue
+            assert state.values[n - first] == mp.mpf(float(rng.standard_normal())) / n ** 2
+            assert state.velocities[n - first] == mp.mpf(float(rng.standard_normal())) / n ** 2
 
 
 def test_condensation_rational_ratio_exits_three(tmp_path):

@@ -41,6 +41,16 @@ def test_merged_frequencies_validation():
         merged_frequencies(0.5, 4)
 
 
+@pytest.mark.parametrize("scan", [merged_frequencies, eprime_magnitudes, condensation_estimate])
+def test_each_scan_refuses_an_input_with_one_message(scan):
+    with pytest.raises(ValueError, match="^n_max must be a positive integer, got 0$"):
+        scan(ratio_from_sqrt(2), 0)
+    with pytest.raises(ValueError, match=r"^branch ratio must be >= 1, got 0\.5$"):
+        scan(0.5, 40)
+    with pytest.raises(ValueError, match=r"^branch ratio must be >= 1, got 0\.5$"):
+        weierstrass_E(1, 0.5)
+
+
 def test_E_normalization_and_zeros():
     r = ratio_from_sqrt(2)
     assert weierstrass_E(0, r) == 1
