@@ -36,10 +36,10 @@ from .kernels import ControlSignal, Kernel
 from .modal_dynamics import (
     ModalState,
     Trajectory,
-    closed_form_state,
     simulate_oracle,
     state_pair_norm,
 )
+from .closed_form import closed_form_state
 from .moment_problem import (
     MomentSystem,
     assemble,
@@ -49,7 +49,6 @@ from .moment_problem import (
 )
 from .synthesis import (
     SynthesisReport,
-    biorthogonal_family,
     gram_matrix,
     solve_min_norm,
 )
@@ -57,7 +56,6 @@ from .condensation import (
     CondensationEstimate,
     condensation_estimate,
     eprime_magnitudes,
-    merged_frequencies,
     ratio_from_quotients,
     ratio_from_sqrt,
     weierstrass_E,
@@ -107,13 +105,11 @@ __all__ = [
     "moment_rhs",
     "neumann_admissibility",
     "SynthesisReport",
-    "biorthogonal_family",
     "gram_matrix",
     "solve_min_norm",
     "CondensationEstimate",
     "condensation_estimate",
     "eprime_magnitudes",
-    "merged_frequencies",
     "ratio_from_quotients",
     "ratio_from_sqrt",
     "weierstrass_E",

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, decimal_str, to_mpf
+from ._numutil import GUARD_BITS, as_fraction, decimal_str, to_mpf
 from .condensation import condensation_estimate, ratio_from_quotients, ratio_from_sqrt
 from .errors import (
     ImaginaryResidue,
@@ -383,7 +383,7 @@ def cmd_condensation(args: argparse.Namespace) -> int:
         r = ratio_from_sqrt(args.ratio_sqrt, bits)
         source = f"sqrt:{args.ratio_sqrt}"
     else:
-        rho = Fraction(args.rho)
+        rho = as_fraction(args.rho, "rho")
         if rho <= 2:
             raise ValueError("condensation analysis needs rho > 2")
         exact = branch_ratio_exact(rho)

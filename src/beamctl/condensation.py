@@ -42,7 +42,6 @@ from .errors import RationalResonance
 __all__ = [
     "CondensationRow",
     "CondensationEstimate",
-    "merged_frequencies",
     "weierstrass_E",
     "eprime_magnitudes",
     "condensation_estimate",
@@ -66,25 +65,6 @@ def _ratio_mpf(r):
     if r_mp < 1:
         raise ValueError(f"branch ratio must be >= 1, got {r}")
     return r_mp
-
-
-def merged_frequencies(r, n_max: int, precision_bits: int = 256) -> Tuple:
-    """The union of both decay-rate families up to mode n_max, sorted.
-
-    Returns (value, branch, n) triples with branch "slow" for n^2/r and
-    "fast" for r n^2, ascending by value.  Exact collisions (rational r)
-    appear as consecutive equal values on opposite branches.
-    """
-    check_positive_int(n_max, "n_max")
-    with mp.workprec(precision_bits + GUARD_BITS):
-        r_mp = _ratio_mpf(r)
-        rows = []
-        for n in range(1, n_max + 1):
-            n2 = mp.mpf(n) ** 2
-            rows.append((float(n2 / r_mp), "slow", n))
-            rows.append((float(r_mp * n2), "fast", n))
-        rows.sort()
-        return tuple(rows)
 
 
 def weierstrass_E(z, r, precision_bits: int = 256):

@@ -12,25 +12,15 @@ p in {0, 1}:
     expsin       e^(beta (T-s)) sin(alpha (T-s))   (conjugate-pair imag part)
 
 Kernel.real_form writes a kernel as Re, or Im, of one rate's term; that
-form is all the two verification routes share.  The closed-form route
-needs one primitive, the truncated moment
-
-    M_d(nu, T) = int_0^T w^d e^(nu w) dw,
-
-computed for d = 0..D at once by _moment_set, on integers only, at nu =
-lam + mu and lam + conj mu from two rates encoded by _fixed_rate (each
-rate's e^(lam T) at a fixed binary point): one series pass for all orders
-when |nu T| < 1/2, the usual recursion in d otherwise.  Gram entries
-(synthesis.gram_matrix) and the control's moments K(p, lam) = int_0^T
-f''(s) (T-s)^p e^(lam (T-s)) ds (ControlSignal.moments), which give f(T),
-f'(T) and the modal Duhamel responses at T, are sums of M_d, one moment
-pair per rate pair.
+form and ControlSignal.term_scale_bound are all the two verification
+routes share.  The closed-form route's moment calculus lives in
+closed_form; this module holds the oracle route's.
 
 The oracle route reads f'' alone, as a Chebyshev series built from
 extended-precision values at Chebyshev-Lobatto nodes (ControlSignal.proxy);
 f' and f are that series integrated once and twice from t = 0
 (_integration_matrix), since f(0) = f'(0) = 0.  ControlSignal._sample_extended
-sums f'' from ControlSignal.term_table, with no M_d and no antiderivative:
+sums f'' from ControlSignal.term_table, with no moment and no antiderivative:
 parts merged by rate, on integers with F fraction bits (F = 32 past the bits
 the term bound asks for), one fixed-point exponential per rate and node.  The
 spectral oracle (modal_dynamics.simulate_oracle) integrates and resolves its
@@ -49,7 +39,7 @@ from typing import Optional, Tuple
 import mpmath as mp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
-from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
+from ._numutil import decimal_str, quotient, to_fixed, to_mpf
 from .errors import SamplingError
 
 __all__ = [
@@ -70,76 +60,6 @@ SIGNALS = ("f", "f_prime", "f_second")    # ControlSignal.sample's keys, in prox
 # kernel kind -> the parameters it takes, in descriptor order
 _PARAMETERS = {"const": (), "linear": (), "exp": ("rate",), "polyexp": ("rate",),
                "expcos": ("decay", "freq"), "expsin": ("decay", "freq")}
-
-
-def _fixed_point_bits(precision_bits: int, magnitude_bits: int, horizon) -> int:
-    """Fraction bits F of a fixed-point moment sum (the Gram's, or a control's
-    moments): precision_bits + GUARD_BITS + 16, the caller's magnitude_bits
-    (how far below 1 its sums must reach), and 3 log2(2T) for divisions by nu."""
-    return (precision_bits + GUARD_BITS + 16 + magnitude_bits
-            + 3 * max(0, math.ceil(math.log2(horizon) + 1)))
-
-
-def _fixed_rate(lam, T, F: int) -> tuple:
-    """A rate as _moment_set takes it: (Re lam, Im lam, Re e^(lam T),
-    Im e^(lam T)) times 2^F, the exponential taken at F + 16 bits."""
-    with mp.workprec(F + 16):
-        z, e = mp.mpc(lam), mp.exp(lam * T)
-        return tuple(to_fixed(x, F) for x in (z.real, z.imag, e.real, e.imag))
-
-
-def _series_moments(d: int, a: int, b: int, t: int, scale: int) -> list:
-    """[M_0, ..., M_d](nu, T), nu = a + i b, for |nu T| < 1/2, as pairs (re, im),
-    all times 2^scale: M_j = T^j sum_k tau_k / (k + j + 1) over the shared
-    terms tau_k = nu^k T^(k+1) / k!, summed with 20 guard bits (and those
-    T^j takes) and truncated toward zero."""
-    G = 20 + d * (t >> scale).bit_length()
-    S, t = scale + G, t << G
-    wr, wi = a * t >> scale, b * t >> scale         # nu T times 2^S
-    sums = [[0, 0] for _ in range(d + 1)]
-    tr, ti, k = t, 0, 0
-    while abs(tr) + abs(ti) > 16:   # the tail is below 2 |tau_k| (|nu T| < 1/2)
-        for j, s in enumerate(sums, k + 1):
-            s[0] += tr // j
-            s[1] += ti // j
-        k += 1
-        tr, ti = (tr * wr - ti * wi >> S) // k, (tr * wi + ti * wr >> S) // k
-    out, tp = [], 1 << S
-    for s in sums:
-        out.append(tuple(v >> G if v >= 0 else -(-v >> G) for v in (tp * x >> S for x in s)))
-        tp = tp * t >> S
-    return out
-
-
-def _moment_set(d: int, one, other, t: int, scale: int) -> tuple:
-    """([M_0, ..., M_d](lam + mu, T), the same at lam + conj mu) as pairs
-    (re, im), from rates one (lam) and other (mu) encoded by _fixed_rate and
-    t = T, all times 2^scale: the one M_d calculus, on integers only.  For a
-    real mu both are the same list.  |nu T| < 1/2, decided on integers, sums
-    the series (_series_moments, covering nu = 0 exactly); otherwise M_j =
-    (T^j e^(nu T) - j M_(j-1)) / nu from M_0 = (e^(nu T) - 1) / nu, dividing
-    through |nu|^2, or by nu alone where nu and e^(nu T) are real (two real
-    rates, or a rate and its own conjugate), which floors to the same
-    integers.  That seed loses log2(|e^(nu T)| / |e^(nu T) - 1|) bits, a few
-    for the damped rates (Re nu < 0) of this problem."""
-    (a1, b1, x1, y1), (a2, b2, x2, y2) = one, other
-    sets = []
-    for sign in (1, -1) if b2 else (1,):
-        a, b = a1 + a2, b1 + sign * b2
-        x, y = (x1 * x2 - sign * y1 * y2) >> scale, (sign * x1 * y2 + y1 * x2) >> scale
-        n2, real = a * a + b * b, b == y == 0
-        if abs(a * t) < 1 << 2 * scale - 1 if real else 4 * n2 * t * t < 1 << 4 * scale:
-            sets.append(_series_moments(d, a, b, t, scale))
-            continue
-        out, p, q, tp = [], x - (1 << scale), y, 1 << scale
-        for j in range(d + 1):
-            if j:
-                tp = tp * t >> scale
-                p, q = (tp * x >> scale) - j * out[-1][0], (tp * y >> scale) - j * out[-1][1]
-            out.append(((p << scale) // a, 0) if real else
-                       (((p * a + q * b) << scale) // n2, ((q * a - p * b) << scale) // n2))
-        sets.append(out)
-    return sets[0], sets[-1]
 
 
 @dataclass(frozen=True)
@@ -185,9 +105,10 @@ class ControlSignal:
     The signal itself and its slope are f'' integrated twice from zero, so
     f(0) = f'(0) = 0 holds by construction; f(T) = f'(T) = 0 holds when the
     constant and linear moments of f'' vanish (the first two rows of every
-    assembled moment system).  `moments` gives the closed-form route its
-    values at T, `proxy` gives the oracle route its Chebyshev series, and
-    `sample` reads float64 samples on [0, T] off that proxy.
+    assembled moment system).  closed_form.control_moments gives the
+    closed-form route its values at T, `proxy` gives the oracle route its
+    Chebyshev series, and `sample` reads float64 samples on [0, T] off that
+    proxy.
     """
 
     kernels: Tuple[Kernel, ...]
@@ -198,58 +119,6 @@ class ControlSignal:
     def __post_init__(self):
         if len(self.kernels) != len(self.coefficients):
             raise ValueError("one coefficient per kernel required")
-
-    def moments(self, keys) -> dict:
-        """{(p, lam): K(p, lam)} for (power, rate) keys, K(p, lam) =
-        int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds: the closed-form route's calculus.
-
-        f(T) = K(1, 0), f'(T) = K(0, 0), and the modal Duhamel responses at T
-        are sums of K.  Kernel parts are merged by rate mu (Kernel.real_form),
-        so K(p, lam) sums C_q M_(p+q)(lam + mu, T) and, for a complex mu,
-        M_(p+q)(lam + conj mu, T): one _moment_set call per pair of
-        lam and mu, a key with Im lam < 0 read off its conjugate (f'' is
-        real).  Each key is summed on integers, the moments and the merged
-        coefficients C_q with F fraction bits, and rounded once, to
-        precision_bits + GUARD_BITS.  F (_fixed_point_bits) takes as magnitude
-        bits log2 of the term bound above 1 and its negative exponent below 1:
-        a sum of terms near the bound cancels down to the data's size.
-        """
-        y, e = mp.frexp(self.term_scale_bound())    # bound = y 2^e, 1/2 <= y < 1
-        # ceil(log2 bound) is e, or e - 1 at a power of two
-        F = _fixed_point_bits(self.precision_bits, max(0, e - (y == 0.5)) + max(0, 1 - e),
-                              self.horizon)
-        with mp.workprec(F + 16):
-            T = to_mpf(self.horizon)
-            merged = {}     # mu -> {q: [C_q of the Re kernels, of the Im kernels]}
-            for c, k in zip(self.coefficients, self.kernels):
-                mu, imag, poly = k.real_form(T)
-                for a, q in poly:
-                    merged.setdefault(mu, {}).setdefault(q, [0, 0])[imag] += to_fixed(c * a, F)
-            rates = [(_fixed_rate(mu, T, F), poly) for mu, poly in merged.items()]
-            powers = {}     # lam, Im lam >= 0 -> the powers asked for
-            for p, lam in keys:
-                powers.setdefault(mp.conj(lam) if mp.im(lam) < 0 else lam, set()).add(p)
-            # (p, lam) -> 2 K(p, lam) as (re, im) times 2^(2F)
-            sums = {(p, lam): [0, 0] for lam, ps in powers.items() for p in ps}
-            t = to_fixed(T, F)
-            for lam, ps in powers.items():
-                one = _fixed_rate(lam, T, F)
-                for mu, poly in rates:
-                    plus, minus = _moment_set(max(ps) + max(poly), one, mu, t, F)
-                    for p in ps:
-                        acc = sums[p, lam]
-                        for q, (A, B) in poly.items():
-                            (pr, pi), (mr, mi) = plus[p + q], minus[p + q]
-                            acc[0] += A * (pr + mr) + B * (pi - mi)
-                            acc[1] += A * (pi + mi) - B * (pr - mr)
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            out = {}
-            for p, lam in keys:
-                twin = mp.im(lam) < 0       # K(p, conj lam) = conj K(p, lam)
-                re, im = sums[p, mp.conj(lam) if twin else lam]
-                z = mp.mpc(mp.ldexp(re, -2 * F - 1), mp.ldexp(im, -2 * F - 1))
-                out[p, lam] = mp.conj(z) if twin else z
-            return out
 
     def term_scale_bound(self) -> mp.mpf:
         """Upper bound on the magnitude of any single coefficient-times-kernel
@@ -285,8 +154,6 @@ class ControlSignal:
         """
         import numpy as np
         t = np.asarray(times, dtype=np.float64)
-        if t.size == 0:
-            return {"t": t, **{name: t.copy() for name in SIGNALS}}
         return {"t": t, **dict(zip(SIGNALS, self.proxy(t)))}
 
     @cached_property
@@ -339,7 +206,7 @@ class ControlSignal:
 
     @cached_property
     def term_table(self) -> tuple:
-        """The oracle route's own calculus, independent of `moments`, built
+        """The oracle route's own calculus, apart from closed_form's, built
         once: (F, T, line, rates, ln 2, pi / 2) on integers with F fraction
         bits, 32 past what the term bound asks for and past a bound's negative
         exponent (2^-F <= bound 2^-(bits + 32) for data of any size).  f''(t)

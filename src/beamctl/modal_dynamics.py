@@ -1,5 +1,4 @@
-"""Modal evolution of the damped beam: free flow, forced response, and an
-independent spectral oracle.
+"""Modal states of the damped beam, their pair norm, and the spectral oracle.
 
 States live in the eigenbasis of the Laplacian on (0, pi): sine modes for
 Dirichlet boundary control, cosine modes (plus the constant mode) for
@@ -11,33 +10,28 @@ physical state u leaves v = u - U whose modal coefficients obey
 on top of the free flow of the initial data; x_n is the boundary trace
 coefficient of the lifting profile (BeamConfig.spectrum holds every x_n and
 every mode's roots).  The physical state is recovered as
-u_n(t) = v_n(t) + x_n f(t).
+u_n(t) = v_n(t) + x_n f(t).  Slot i of a state holds mode
+Boundary.first_mode + i (ModalState.modes), so the Neumann constant mode
+sits in slot 0.
 
-Slot i of a state holds mode Boundary.first_mode + i (ModalState.modes), so
-the Neumann constant mode sits in slot 0.  closed_form_state evolves each
-mode to the horizon T through the two fundamental solutions of its roots;
-the zero mode's double root 0 makes it drift, u0 + u1 T.
-
-Two response paths are deliberately kept independent: closed-form evaluation
-at T from the control's moments (ControlSignal.moments, summed on integers
-at extended precision), and simulate_oracle, a float64 spectral integration
-of each modal equation on Chebyshev coefficients that reads no root and no
-moment: only rho n^2, n^4, the trace x_n and the control's f'' series
-(ControlSignal.proxy).  It adds x_n f'' to each v_n'' and integrates u_n
-itself, so it never evaluates f or f'.  It has no step size, so no truncation
-error to size.
-Agreement of the two is a verification gate, not an implementation
-convenience.
+This module holds the oracle route: simulate_oracle, a float64 spectral
+integration of each modal equation on Chebyshev coefficients that reads no
+root and no moment: only rho n^2, n^4, the trace x_n and the control's f''
+series (ControlSignal.proxy).  It adds x_n f'' to each v_n'' and integrates
+u_n itself, so it never evaluates f or f'.  It has no step size, so no
+truncation error to size.  The closed-form route (closed_form) evaluates
+the state at T from the control's moments; agreement of the two is a
+verification gate, not an implementation convenience.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import float_info
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, strip_imag, to_mpf
+from ._numutil import to_mpf
 from .errors import SamplingError
 from .kernels import (_EPS, _MAX_NODES, _TINY, ControlSignal, _clenshaw, _integration_matrix,
                       _standard_chop)
@@ -46,7 +40,6 @@ from .spectrum import BeamConfig, Boundary
 __all__ = [
     "ModalState",
     "Trajectory",
-    "closed_form_state",
     "state_pair_norm",
     "simulate_oracle",
 ]
@@ -108,73 +101,6 @@ class ModalState:
         return ModalState(Boundary.NEUMANN, tuple(values), tuple(velocities))
 
 
-def _fundamental_parts(lp, lm):
-    """(g, h) for roots l+, l- as (coefficient, power, rate) parts c t^p e^(rate t).
-
-    h answers a unit velocity, g a unit displacement.  Distinct roots give
-    h = (e^(l+ t) - e^(l- t)) / (l+ - l-), g = (l+ e^(l- t) - l- e^(l+ t)) / (l+ - l-);
-    a double root l gives h = t e^(l t), g = (1 - l t) e^(l t).  That one
-    confluent case covers critical damping (l = -n^2) and the Neumann zero
-    mode (no damping, no stiffness, l = 0: h = t, g = 1).
-    """
-    if lp == lm:
-        return ((1, 0, lp), (-lp, 1, lp)), ((1, 1, lp),)
-    den = lp - lm
-    return ((-lm / den, 0, lp), (lp / den, 0, lm)), ((1 / den, 0, lp), (-1 / den, 0, lm))
-
-
-def _derivative(parts):
-    """Parts of d/dt, by (c t^p e^(r t))' = c p t^(p-1) e^(r t) + c r t^p e^(r t)."""
-    return [(c * p, p - 1, r) for c, p, r in parts if p] + [(c * r, p, r) for c, p, r in parts]
-
-
-def closed_form_state(config: BeamConfig, state0: ModalState,
-                      control: Optional[ControlSignal] = None) -> ModalState:
-    """Physical state at the horizon T from initial data state0 under the control.
-
-    With fundamental solutions g, h (_fundamental_parts) of mode n's roots
-    in config.spectrum, mode n from (u0, u1) is
-
-        u_n  = u0 g(T)  + u1 h(T)  + x_n (f(T)  - J_h),
-        u_n' = u0 g'(T) + u1 h'(T) + x_n (f'(T) - J_h'),
-
-    J_p = int_0^T f''(s) p(T-s) ds being the Duhamel response of v = u - U
-    and x_n f the lifting.  Every J is a sum of the control's moments K(p, lam)
-    (ControlSignal.moments), all asked for in one call, and f(T), f'(T) are
-    K(1, 0), K(0, 0): on the Neumann zero mode (h = t) the lifting cancels
-    J_h, leaving u0 + u1 T exactly.  control=None is the free flow.
-    """
-    state0.check_fits(config)
-    bits = config.precision_bits
-    with mp.workprec(bits + GUARD_BITS):
-        T = to_mpf(config.horizon)
-        solutions = []     # g, h, g', h' per mode
-        for n in state0.modes:
-            g, h = _fundamental_parts(*config.spectrum.roots(n))
-            solutions.append((g, h, _derivative(g), _derivative(h)))
-        if control is not None:
-            K = control.moments({(1, 0), (0, 0)} | {(p, lam) for _, h, _, dh in solutions
-                                                    for _, p, lam in (*h, *dh)})
-            f, f_slope = (strip_imag(K[p, 0], control.precision_bits) for p in (1, 0))
-        vals, vels = [], []
-        for (g, h, dg, dh), u0, u1, x in zip(solutions, state0.values, state0.velocities,
-                                             config.spectrum.traces):
-            ex = {lam: mp.exp(lam * T) for _, _, lam in g}
-
-            def at(parts):
-                return sum(c * T ** p * ex[lam] for c, p, lam in parts)
-
-            v = to_mpf(u0) * at(g) + to_mpf(u1) * at(h)
-            w = to_mpf(u0) * at(dg) + to_mpf(u1) * at(dh)
-            if control is not None:
-                v += x * (f - sum(c * K[p, lam] for c, p, lam in h))
-                w += x * (f_slope - sum(c * K[p, lam] for c, p, lam in dh))
-            scale = max(mp.mpf(1), abs(v), abs(w))
-            vals.append(strip_imag(v, bits, scale=scale))
-            vels.append(strip_imag(w, bits, scale=scale))
-        return ModalState(config.boundary, tuple(vals), tuple(vels))
-
-
 class _TinyNorm(float):
     """A norm below float64's normal range, where the float keeps only a few
     bits (or none): it computes as that float, and its repr gives 17
@@ -223,7 +149,7 @@ class Trajectory:
 
 
 def simulate_oracle(config: BeamConfig, state0: ModalState,
-                    control: Optional[ControlSignal], samples: int = 201) -> Trajectory:
+                    control: ControlSignal, samples: int = 201) -> Trajectory:
     """Spectral integration of the modal system in float64 (Greengard, SIAM
     J. Numer. Anal. 28, 1991).
 
@@ -241,8 +167,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     SamplingError.  The oracle reads no root of the spectrum and no moment.
     The physical state has u'' = w + x_n f'' and the same initial data, since
     f(0) = f'(0) = 0, so u' and u are that series integrated from t = 0.  It
-    reports them at `samples` uniform times, the last at T.  control=None
-    integrates the free flow.
+    reports them at `samples` uniform times, the last at T.  A control with
+    zero coefficients gives the free flow.
     """
     import numpy as np
     state0.check_fits(config)
@@ -255,11 +181,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     x = np.asarray([float(v) for v in config.spectrum.traces])
     v0 = np.asarray([float(v) for v in state0.values])
     dv0 = np.asarray([float(v) for v in state0.velocities])
-    if control is None:
-        f2 = np.zeros(1)
-    else:
-        proxy = control.proxy
-        f2 = proxy.coefficients[:proxy.degree + 1, 2]
+    proxy = control.proxy
+    f2 = proxy.coefficients[:proxy.degree + 1, 2]
 
     m = min(max((5 * len(f2) + 3) // 4 + 16, 64), _MAX_NODES)
     while True:

@@ -21,11 +21,12 @@ refuse, and always factors the ceiling.  There is no approximate fallback: a
 returned control meets its moment targets to the working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
-fraction bits in the Gram (_gram_scale, by kernels._fixed_point_bits) and
-precision_bits + GUARD_BITS in its unit-diagonal factor; the Gram's rates
-and moments come from kernels._fixed_rate and kernels._moment_set, the
-moment calculus the closed-form final state uses too.  mpf stays at the
-edges: each rate's e^(lam T) and the returned coefficients.
+fraction bits in the Gram (_gram_scale, by closed_form._fixed_point_bits)
+and precision_bits + GUARD_BITS in its unit-diagonal factor; the Gram's
+rates and moments come from closed_form._fixed_rate and
+closed_form._moment_set, the moment calculus the closed-form final state
+uses too.  mpf stays at the edges: each rate's e^(lam T) and the returned
+coefficients.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
-from .kernels import ControlSignal, _fixed_point_bits, _fixed_rate, _moment_set
+from .closed_form import _fixed_point_bits, _fixed_rate, _moment_set
+from .kernels import ControlSignal
 from .moment_problem import MomentSystem
 
 __all__ = [
@@ -49,7 +51,6 @@ __all__ = [
     "gram_matrix",
     "cholesky_factor",
     "solve_min_norm",
-    "biorthogonal_family",
 ]
 
 PRECISION_CEILING = 4096    # highest rung of the doubling ladder, in bits
@@ -59,21 +60,17 @@ _COLLISION = 2.0 ** -30     # relative gap under which two float64 rates count a
 
 @dataclass(frozen=True)
 class FixedMatrix:
-    """Integer rows with a binary point: M[j, k] is ints[j][k] / 2^scale as an
-    mpf at the working precision, 0 past the end of a factor's row, which
-    stops at the diagonal; M.rows is the order, as for an mp.matrix."""
+    """Integer rows with a binary point: entry (j, k) is ints[j][k] / 2^scale,
+    0 past the end of a factor's row, which stops at the diagonal; rows is
+    the order."""
 
     ints: Tuple[Tuple[int, ...], ...]
     scale: int
     rows = property(lambda self: len(self.ints))
 
-    def __getitem__(self, jk):
-        row, k = self.ints[jk[0]], jk[1]
-        return mp.ldexp(row[k], -self.scale) if k < len(row) else mp.mpf(0)
-
 
 def _gram_scale(system: MomentSystem) -> int:
-    """Fraction bits of a system's Gram (kernels._fixed_point_bits), its
+    """Fraction bits of a system's Gram (closed_form._fixed_point_bits), its
     magnitude bits those below the smallest G_jj >= w^2 min(h, h^3) / 10
     (each kernel keeps a share of its value near u = 0 on [0, h], h = min(T,
     1/(2 max |lam|)), w = min(1, least expsin frequency))."""
@@ -137,15 +134,14 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
     return FixedMatrix(tuple(map(tuple, G)), F)
 
 
-def cholesky_factor(G, precision_bits: int):
+def cholesky_factor(G: FixedMatrix, precision_bits: int):
     """Lower-triangular factor of a symmetric matrix, with pivot monitoring.
 
-    Takes a FixedMatrix or an mp.matrix and returns (L, condition_estimate),
-    L a FixedMatrix, the estimate the ratio of the largest to the smallest
-    squared pivot.  Raises NumericalRankDeficiency, past which digits are
-    noise, at a row whose pivot drops below 2^(-precision_bits/2) of the
-    largest one seen, or with a nonpositive pivot or diagonal entry or a
-    non-finite entry on or below the diagonal.
+    Returns (L, condition_estimate), L a FixedMatrix, the estimate the ratio
+    of the largest to the smallest squared pivot.  Raises
+    NumericalRankDeficiency, past which digits are noise, at a row whose
+    pivot drops below 2^(-precision_bits/2) of the largest one seen, or with
+    a nonpositive pivot or diagonal entry.
 
     Row by row, so a failing rung stops at its pivot, on D^(-1/2) G D^(-1/2),
     D = diag(G), whose factor H is held times 2^P, P = precision_bits +
@@ -153,12 +149,6 @@ def cholesky_factor(G, precision_bits: int):
     division; L = D^(1/2) H.  Pivot tests compare h_j G_jj as integers.
     """
     P = precision_bits + GUARD_BITS
-    if isinstance(G, mp.matrix):    # a row non-finite up to its diagonal reads as zeros
-        A = [r if all(map(mp.isfinite, r[:j + 1])) else [0] * len(r)
-             for j, r in enumerate(G.tolist())]
-        F = P + 16 + max(0, -mp.mag(min((r[j] for j, r in enumerate(A) if r[j] > 0), default=1)))
-        G = FixedMatrix(tuple(tuple(to_fixed(x, F) if mp.isfinite(x) else 0 for x in r)
-                              for r in A), F)
     A, F = G.ints, G.scale
     shift = max(0, 2 * (P + 16) - min((r[j].bit_length() for j, r in enumerate(A)), default=0))
     shift += (shift + F) & 1            # R_j = sqrt(G_jj) 2^((F + shift) / 2), P + 16 bits or more
@@ -319,26 +309,3 @@ def solve_min_norm(system: MomentSystem) -> SynthesisReport:
                     err.pivot_index, err.pivot_ratio, err.precision_bits,
                     attempted_bits=tuple(trace)) from None
         current = current.with_precision(bits * 2)
-
-
-def biorthogonal_family(system: MomentSystem):
-    """Curvature profiles biorthogonal to the kernels, with their norms.
-
-    Column m of the inverse Gram matrix gives the unique minimum-norm
-    profile g_m in the kernel span with <g_m, k_j> = delta_mj; its norm is
-    sqrt((G^-1)_mm).  The norms quantify how expensive each individual
-    constraint is to satisfy in isolation, and their growth with the mode
-    index is the numerical shadow of the cost of controllability.
-    """
-    bits = system.config.precision_bits
-    L = cholesky_factor(gram_matrix(system), bits)[0]
-    n = L.rows
-    controls, norms = [], []
-    with mp.workprec(bits + GUARD_BITS):
-        T = to_mpf(system.config.horizon)
-        for m in range(n):
-            col = _solve(L, [mp.mpf(int(i == m)) for i in range(n)])
-            coefficients = tuple(mp.ldexp(x, -L.scale) for x in col)
-            controls.append(ControlSignal(system.kernels, coefficients, T, bits))
-            norms.append(float(mp.sqrt(max(coefficients[m], mp.mpf(0)))))
-    return tuple(controls), tuple(norms)

@@ -1,13 +1,13 @@
 """End-to-end verification of synthesized controls.
 
 A synthesis is only trusted after two independent evaluations agree that the
-state actually reaches rest.  The closed-form route evaluates the state at
-the horizon from the control's moments K(p, lam) (ControlSignal.moments),
-summed on integers at extended precision; the oracle route integrates the
-same modal system spectrally in float64 (modal_dynamics.simulate_oracle),
-forced by one Chebyshev series of the control's curvature f''
-(ControlSignal.proxy), summed term by term at its nodes and sharing no
-moment calculus with the closed forms.
+state actually reaches rest.  The closed-form route (closed_form) evaluates
+the state at the horizon from the control's moments K(p, lam), summed on
+integers at extended precision; the oracle route integrates the same modal
+system spectrally in float64 (modal_dynamics.simulate_oracle), forced by one
+Chebyshev series of the control's curvature f'' (ControlSignal.proxy),
+summed term by term at its nodes and sharing no moment calculus with the
+closed form.
 Both final states are measured in the pair norm natural to the boundary
 condition: displacement at scale 3 with velocity at scale 1 for Dirichlet
 control, scales 4 and 2 for Neumann.
@@ -26,11 +26,11 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 from ._numutil import as_fraction
+from .closed_form import closed_form_state
 from .kernels import ControlSignal
 from .modal_dynamics import (
     ModalState,
     Trajectory,
-    closed_form_state,
     simulate_oracle,
     state_pair_norm,
 )

@@ -1,15 +1,18 @@
 """mpf references for the closed-form route, kept apart from beamctl.
 
 beamctl computes every truncated moment M_d(nu, T) = int_0^T w^d e^(nu w) dw
-on fixed-point integers (kernels._moment_set), and the control's
-convolutions only at the horizon (ControlSignal.moments).  The functions
-here are the per-entry, any-time mpf forms that calculus replaced, written
-from each kernel kind's own formula (exponential_parts, kernel_value) and not
-from Kernel.real_form: the tests hold the Gram matrix, the closed-form state
-and the sampler to them.  complex_division_moment_set is the integer
-recursion through |nu|^2 that _moment_set keeps for complex nu only, and
-gamma_route_targets the moment targets by the free flow at T, which assembly
-no longer evaluates.  ulp_close is the tests' comparison in units of the
+on fixed-point integers (closed_form._moment_set), and the control's
+convolutions only at the horizon (closed_form.control_moments).  The
+functions here are the per-entry, any-time mpf forms that calculus
+replaced, written from each kernel kind's own formula (exponential_parts,
+kernel_value) and not from Kernel.real_form: the tests hold the Gram
+matrix, the closed-form state and the sampler to them.
+complex_division_moment_set is the integer recursion through |nu|^2 that
+_moment_set keeps for complex nu only, and gamma_route_targets the moment
+targets by the free flow at T, which assembly no longer evaluates.
+entries reads a FixedMatrix as an mp.matrix, fixed_matrix writes an
+mp.matrix as one, and biorthogonal_family solves the Gram's factor for the
+columns of its inverse.  ulp_close is the tests' comparison in units of the
 last place.
 """
 import math
@@ -17,10 +20,12 @@ from math import comb
 
 import mpmath as mp
 
-from beamctl import kernels
-from beamctl._numutil import GUARD_BITS, strip_imag, to_mpf
+from beamctl import closed_form
+from beamctl._numutil import GUARD_BITS, strip_imag, to_fixed, to_mpf
+from beamctl.kernels import ControlSignal
 from beamctl.modal_dynamics import ModalState
 from beamctl.spectrum import DampingRegime
+from beamctl.synthesis import FixedMatrix, _solve, cholesky_factor, gram_matrix
 
 
 def ulp_close(a, b, ulps=10):
@@ -175,8 +180,47 @@ def closed_form_state(config, state0, control, t):
         return ModalState(config.boundary, tuple(vals), tuple(vels))
 
 
+def entries(M):
+    """A FixedMatrix as an mp.matrix of its exact values, 0 past the end of a
+    factor's row."""
+    out = mp.matrix(M.rows, M.rows)
+    for j, row in enumerate(M.ints):
+        for k, x in enumerate(row):
+            out[j, k] = mp.ldexp(x, -M.scale)
+    return out
+
+
+def fixed_matrix(G, precision_bits):
+    """An mp.matrix of finite entries as a FixedMatrix, rounded toward zero
+    with P + 16 fraction bits past the smallest positive diagonal entry's
+    exponent, P = precision_bits + GUARD_BITS."""
+    tiny = min((G[j, j] for j in range(G.rows) if G[j, j] > 0), default=1)
+    F = precision_bits + GUARD_BITS + 16 + max(0, -mp.mag(tiny))
+    return FixedMatrix(tuple(tuple(to_fixed(x, F) for x in row) for row in G.tolist()), F)
+
+
+def biorthogonal_family(system):
+    """Curvature profiles biorthogonal to the kernels, with their norms.
+
+    Column m of the inverse Gram matrix, solved on the solver's own factor,
+    gives the minimum-norm profile g_m in the kernel span with
+    <g_m, k_j> = delta_mj; its norm is sqrt((G^-1)_mm)."""
+    bits = system.config.precision_bits
+    L = cholesky_factor(gram_matrix(system), bits)[0]
+    n = L.rows
+    controls, norms = [], []
+    with mp.workprec(bits + GUARD_BITS):
+        T = to_mpf(system.config.horizon)
+        for m in range(n):
+            col = _solve(L, [mp.mpf(int(i == m)) for i in range(n)])
+            coefficients = tuple(mp.ldexp(x, -L.scale) for x in col)
+            controls.append(ControlSignal(system.kernels, coefficients, T, bits))
+            norms.append(float(mp.sqrt(max(coefficients[m], mp.mpf(0)))))
+    return tuple(controls), tuple(norms)
+
+
 def complex_division_moment_set(d, one, other, t, scale):
-    """kernels._moment_set with every recursion step divided through |nu|^2,
+    """closed_form._moment_set with every recursion step divided through |nu|^2,
     real nu included: the integers that its division by nu alone must match."""
     (a1, b1, x1, y1), (a2, b2, x2, y2) = one, other
     sets = []
@@ -185,7 +229,7 @@ def complex_division_moment_set(d, one, other, t, scale):
         x, y = (x1 * x2 - sign * y1 * y2) >> scale, (sign * x1 * y2 + y1 * x2) >> scale
         n2 = a * a + b * b
         if 4 * n2 * t * t < 1 << 4 * scale:
-            sets.append(kernels._series_moments(d, a, b, t, scale))
+            sets.append(closed_form._series_moments(d, a, b, t, scale))
             continue
         out, p, q, tp = [], x - (1 << scale), y, 1 << scale
         for j in range(d + 1):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from beamctl._numutil import GUARD_BITS
 from beamctl.errors import NumericalRankDeficiency
 from beamctl.synthesis import cholesky_factor
+from reference_calculus import entries, fixed_matrix
 from test_synthesis import elementwise_cholesky
 
 
@@ -43,13 +44,13 @@ def test_cholesky_matches_elementwise_reference(case):
     except NumericalRankDeficiency as err:
         failed_at = err.pivot_index
     try:
-        L, cond = cholesky_factor(G, bits)
+        L, cond = cholesky_factor(fixed_matrix(G, bits), bits)
     except NumericalRankDeficiency as err:
         assert err.pivot_index == failed_at
         return
     assert failed_at is None
     assert cond >= 1
-    n = G.rows
+    L, n = entries(L), G.rows
     with mp.workprec(bits + GUARD_BITS):
         for i in range(n):
             for j in range(n):

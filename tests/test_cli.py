@@ -208,6 +208,8 @@ def test_bad_flag_values_exit_two(tmp_path):
     assert run(tmp_path / "c", "synthesize", "--horizon", "0", *FAST)[0] == 2
     assert run(tmp_path / "d", "synthesize", "--data", "1:1:0,1:2:0", *FAST)[0] == 2
     assert run(tmp_path / "e", "synthesize", "--data", "random-seeded:7", *FAST)[0] == 2
+    assert run(tmp_path / "f", "verify", "--rho", "1/0", *FAST)[0] == 2
+    assert run(tmp_path / "g", "condensation", "--rho", "1/0")[0] == 2
 
 
 def test_config_file_overlay(tmp_path):

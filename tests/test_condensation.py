@@ -1,4 +1,4 @@
-"""Merged rate families, the canonical product E, Diophantine tail sups."""
+"""The canonical product E, its derivative magnitudes, Diophantine tail sups."""
 from fractions import Fraction
 from math import inf, isinf
 
@@ -9,7 +9,6 @@ from beamctl.cli import main
 from beamctl.condensation import (
     condensation_estimate,
     eprime_magnitudes,
-    merged_frequencies,
     ratio_from_quotients,
     ratio_from_sqrt,
     weierstrass_E,
@@ -21,27 +20,7 @@ from beamctl.errors import RationalResonance
 LIOUVILLE_QS = (1, 2, 2, 2, 10 ** 29)
 
 
-def test_merged_frequencies_sorted_and_labeled():
-    rows = merged_frequencies(ratio_from_sqrt(2), 5)
-    assert len(rows) == 10
-    values = [v for v, _, _ in rows]
-    assert values == sorted(values)
-    slow = {n: v for v, b, n in rows if b == "slow"}
-    fast = {n: v for v, b, n in rows if b == "fast"}
-    s2 = 2 ** 0.5
-    for n in range(1, 6):
-        assert slow[n] == pytest.approx(n * n / s2, rel=1e-12)
-        assert fast[n] == pytest.approx(s2 * n * n, rel=1e-12)
-
-
-def test_merged_frequencies_validation():
-    with pytest.raises(ValueError):
-        merged_frequencies(ratio_from_sqrt(2), 0)
-    with pytest.raises(ValueError):
-        merged_frequencies(0.5, 4)
-
-
-@pytest.mark.parametrize("scan", [merged_frequencies, eprime_magnitudes, condensation_estimate])
+@pytest.mark.parametrize("scan", [eprime_magnitudes, condensation_estimate])
 def test_each_scan_refuses_an_input_with_one_message(scan):
     with pytest.raises(ValueError, match="^n_max must be a positive integer, got 0$"):
         scan(ratio_from_sqrt(2), 0)

@@ -1,5 +1,7 @@
 """Every exported name resolves, at the package and in each module; only
-the CLI touches files; the exact route runs without numpy."""
+the CLI touches files; the two verification routes import across one
+boundary; the exact route runs without numpy."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -30,6 +32,39 @@ def test_only_the_cli_opens_files():
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def _imports(module: str) -> list:
+    """(imported module, names) of every import in a beamctl module, names
+    empty for a plain `import x`; relative modules keep only their name."""
+    tree = ast.parse((SRC / "beamctl" / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.module or "", {alias.name for alias in node.names}))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, set()) for alias in node.names]
+    return found
+
+
+def test_routes_import_across_one_boundary():
+    """The oracle route (kernels, modal_dynamics) imports nothing of the closed
+    form; the closed form takes only the control's data from kernels and the
+    state type from modal_dynamics, and touches no sampler or proxy."""
+    for module in ("kernels", "modal_dynamics"):
+        for source, names in _imports(module):
+            assert "closed_form" not in source.split(".") + sorted(names), (module, source)
+    allowed = {"kernels": {"Kernel", "ControlSignal"}, "modal_dynamics": {"ModalState"}}
+    for source, names in _imports("closed_form"):
+        base = source.split(".")[-1]
+        assert not names & set(allowed), source         # no whole-module import
+        if base in allowed:
+            assert names and names <= allowed[base], (source, names)
+    oracle = {"proxy", "term_table", "sample", "_sample_extended", "_lobatto_nodes"}
+    tree = ast.parse((SRC / "beamctl" / "closed_form.py").read_text())
+    touched = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    touched |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not touched & oracle
+
 # spectrum, assembly, Gram, Cholesky, solve and closed form: integers and mpf only
 EXACT_ROUTE = textwrap.dedent("""
     from fractions import Fraction
@@ -40,7 +75,6 @@ EXACT_ROUTE = textwrap.dedent("""
     report = beamctl.solve_min_norm(system)
     final = beamctl.closed_form_state(config, state0, report.control)
     assert beamctl.state_pair_norm(final, 2) < 1e-50
-    beamctl.biorthogonal_family(system)
 """)
 
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import beamctl.kernels as kernels
+import beamctl.closed_form as closed_form
 from beamctl._numutil import to_fixed, to_mpf
 from beamctl.kernels import ControlSignal, Kernel
 from reference_calculus import (
@@ -71,8 +71,8 @@ def test_series_branch_follows_the_abs_rule(monkeypatch):
     """_moment_set decides on integers; on a grid of complex and real nu
     around |nu T| = 1/2 it takes the series exactly when abs(nu) T < 1/2."""
     calls = []
-    series = kernels._series_moments
-    monkeypatch.setattr(kernels, "_series_moments",
+    series = closed_form._series_moments
+    monkeypatch.setattr(closed_form, "_series_moments",
                         lambda *args: calls.append(args) or series(*args))
     F = 128
     zero = (0, 0, 1 << F, 0)            # rate 0: e^(0 T) = 1
@@ -86,9 +86,9 @@ def test_series_branch_follows_the_abs_rule(monkeypatch):
             turn = mp.expjpi(mp.mpf(k) / 12)
             cases += [turn * r / T for r in radii]
         for nu in cases:
-            rate = kernels._fixed_rate(nu, T, F)
+            rate = closed_form._fixed_rate(nu, T, F)
             calls.clear()
-            kernels._moment_set(1, rate, zero, t, F)
+            closed_form._moment_set(1, rate, zero, t, F)
             with mp.workprec(8 * F):        # exact for these integers
                 expect = mp.hypot(rate[0], rate[1]) * t < mp.ldexp(1, 2 * F - 1)
             assert bool(calls) == expect, nu
@@ -100,8 +100,8 @@ def test_series_moments_match_the_mpf_series(monkeypatch):
     M_0..M_3 on a grid of real and complex nu, nu = 0 and |nu T| just under
     1/2 included.  Prints how many points match exactly."""
     calls = []
-    series = kernels._series_moments
-    monkeypatch.setattr(kernels, "_series_moments",
+    series = closed_form._series_moments
+    monkeypatch.setattr(closed_form, "_series_moments",
                         lambda *args: calls.append(args) or series(*args))
     points = exact = 0
     for T in (Fraction(1, 1000), Fraction(1, 4), Fraction(1), Fraction(7, 2)):
@@ -109,13 +109,13 @@ def test_series_moments_match_the_mpf_series(monkeypatch):
             with mp.workprec(F + 16):
                 Tm = to_mpf(T)
                 t = to_fixed(Tm, F)
-                zero = kernels._fixed_rate(0, Tm, F)
+                zero = closed_form._fixed_rate(0, Tm, F)
                 radii = [mp.mpf(r) for r in ("1e-30", "0.1", "0.3")] + [0.5 - mp.mpf(2) ** -30]
                 turns = [1, -1, mp.expjpi(mp.mpf(1) / 3), mp.expjpi(mp.mpf(-3) / 4)]
                 for nu in [mp.mpf(0)] + [turn * r / Tm for turn in turns for r in radii]:
-                    one = kernels._fixed_rate(nu, Tm, F)
+                    one = closed_form._fixed_rate(nu, Tm, F)
                     calls.clear()
-                    plus, minus = kernels._moment_set(3, one, zero, t, F)
+                    plus, minus = closed_form._moment_set(3, one, zero, t, F)
                     assert calls and plus is minus
                     nu_t = mp.mpc(mp.ldexp(one[0], -F), mp.ldexp(one[1], -F))
                     for j, got in enumerate(plus):
@@ -133,25 +133,25 @@ def test_real_nu_divides_by_nu_alone_to_the_same_integers(monkeypatch):
     recursion through |nu|^2 (reference_calculus.complex_division_moment_set),
     on the series and the recursion branch, d <= 2, T in {1/1000, 1, 4}."""
     calls = []
-    series = kernels._series_moments
-    monkeypatch.setattr(kernels, "_series_moments",
+    series = closed_form._series_moments
+    monkeypatch.setattr(closed_form, "_series_moments",
                         lambda *args: calls.append(args) or series(*args))
     F = 200
     for T in (Fraction(1, 1000), Fraction(1), Fraction(4)):
         with mp.workprec(F + 16):
             Tm = to_mpf(T)
             t = to_fixed(Tm, F)
-            reals = [kernels._fixed_rate(r / Tm, Tm, F)
+            reals = [closed_form._fixed_rate(r / Tm, Tm, F)
                      for r in (0, mp.mpf("-0.1"), mp.mpf("0.15"), mp.mpf("-0.3"), mp.mpf(-2),
                                mp.mpf("-37.5"))]
             pairs = [(one, other) for one in reals for other in reals]
-            pairs += [(z, z) for z in (kernels._fixed_rate(mp.mpc(r, 7) / Tm, Tm, F)
+            pairs += [(z, z) for z in (closed_form._fixed_rate(mp.mpc(r, 7) / Tm, Tm, F)
                                        for r in (mp.mpf("-0.05"), -5))]
         branches = set()
         for one, other in pairs:
             for d in range(3):
                 calls.clear()
-                got = kernels._moment_set(d, one, other, t, F)
+                got = closed_form._moment_set(d, one, other, t, F)
                 branches.add(bool(calls))
                 assert got == complex_division_moment_set(d, one, other, t, F), (T, d)
                 assert all(im == 0 for _, im in got[-1])
@@ -170,13 +170,13 @@ def test_moment_set_is_integer_only(monkeypatch):
     with mp.workprec(F + 16):
         T = mp.mpf("0.7")
         t = to_fixed(T, F)
-        rates = [kernels._fixed_rate(lam, T, F) for lam in
+        rates = [closed_form._fixed_rate(lam, T, F) for lam in
                  (0, mp.mpf("-0.3"), mp.mpc("0.1", "0.2"), mp.mpc(-5, 7), mp.mpf(-6))]
     zero, small, turn, fast, real = rates
     cases = [(zero, zero), (small, zero), (small, turn), (turn, turn), (fast, real), (fast, fast)]
-    expect = [kernels._moment_set(2, one, other, t, F) for one, other in cases]
-    monkeypatch.setattr(kernels, "mp", _NoMpmath())
-    assert [kernels._moment_set(2, one, other, t, F) for one, other in cases] == expect
+    expect = [closed_form._moment_set(2, one, other, t, F) for one, other in cases]
+    monkeypatch.setattr(closed_form, "mp", _NoMpmath())
+    assert [closed_form._moment_set(2, one, other, t, F) for one, other in cases] == expect
 
 
 @pytest.mark.parametrize("kernel", [

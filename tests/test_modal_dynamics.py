@@ -5,11 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from beamctl import modal_dynamics
+from beamctl import closed_form, modal_dynamics
 from beamctl.cli import write_trajectory_csv
+from beamctl.closed_form import closed_form_state
 from beamctl.errors import SamplingError
 from beamctl.kernels import ControlSignal, Kernel
-from beamctl.modal_dynamics import ModalState, closed_form_state, simulate_oracle, state_pair_norm
+from beamctl.modal_dynamics import ModalState, simulate_oracle, state_pair_norm
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary, Spectrum, mode_eigenvalues
 from reference_calculus import convolve, curvature
@@ -19,6 +20,11 @@ def unit_control(bits=256):
     # f'' = 1, so f(t) = t^2/2
     return ControlSignal(kernels=(Kernel("const"),), coefficients=(mp.mpf(1),),
                          horizon=Fraction(1), precision_bits=bits)
+
+
+def rest(horizon=Fraction(1)):
+    """The zero control: on both routes, the free flow."""
+    return ControlSignal((Kernel("const"),), (0,), horizon)
 
 
 def test_modal_state_shapes():
@@ -39,7 +45,7 @@ def one_mode(rho, bits=256):
 def test_free_flow_underdamped_oracle():
     # rho=1, n=1, u0=1, u1=0: u(t) = e^{-t/2}(cos(sqrt3 t/2) + sin(sqrt3 t/2)/sqrt3)
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(1)), st)
+    out = closed_form_state(one_mode(Fraction(1)), st, rest())
     assert abs(float(out.values[0]) - 0.659700153392) < 1e-11
     with mp.workprec(300):
         expect = mp.exp(mp.mpf(-1) / 2) * (mp.cos(mp.sqrt(3) / 2)
@@ -50,7 +56,7 @@ def test_free_flow_underdamped_oracle():
 def test_free_flow_critical_oracle():
     # rho=2, n=1, u0=1, u1=0: u(t) = (1+t) e^{-t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(2)), st)
+    out = closed_form_state(one_mode(Fraction(2)), st, rest())
     with mp.workprec(300):
         assert abs(out.values[0] - 2 / mp.e) < mp.mpf(2) ** -240
         # velocity: u'(t) = -t e^{-t}
@@ -60,7 +66,7 @@ def test_free_flow_critical_oracle():
 def test_free_flow_overdamped_oracle():
     # rho=5/2, n=1: u(t) = (4/3) e^{-t/2} - (1/3) e^{-2t}
     st = ModalState.dirichlet(values=(1,), velocities=(0,))
-    out = closed_form_state(one_mode(Fraction(5, 2)), st)
+    out = closed_form_state(one_mode(Fraction(5, 2)), st, rest())
     with mp.workprec(300):
         expect = mp.mpf(4) / 3 * mp.exp(mp.mpf(-1) / 2) - mp.exp(-2) / 3
         assert abs(out.values[0] - expect) < mp.mpf(2) ** -240
@@ -70,7 +76,7 @@ def test_free_flow_neumann_zero_mode_drifts():
     # the constant mode has no restoring force: u_0(t) = u0 + u1 t exactly
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(2))
     st = ModalState.neumann(values=(0.25, 1, 0), velocities=(0.5, 0, 0.3))
-    out = closed_form_state(cfg, st)
+    out = closed_form_state(cfg, st, rest(cfg.horizon))
     assert out.boundary is Boundary.NEUMANN and len(out.values) == 3
     assert out.values[0] == mp.mpf("1.25")
     assert out.velocities[0] == mp.mpf("0.5")
@@ -190,8 +196,8 @@ def test_pair_norm_keeps_its_digits_below_the_normal_range(value):
 def test_oracle_free_flow_matches_closed_form():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0, -0.4), velocities=(0, 0.3, 0))
-    traj = simulate_oracle(cfg, st, None)
-    expect = closed_form_state(cfg, st)
+    traj = simulate_oracle(cfg, st, rest())
+    expect = closed_form_state(cfg, st, rest())
     got = traj.final_state()
     for a, b in zip(got.values, expect.values):
         assert abs(float(a) - float(b)) < 1e-11
@@ -220,9 +226,9 @@ def test_oracle_free_flow_matches_closed_form_at_24_modes():
     scale = np.arange(1, 25) ** 2.0
     st = ModalState.dirichlet(values=tuple(rng.standard_normal(24) / scale),
                               velocities=tuple(rng.standard_normal(24) / scale))
-    traj = simulate_oracle(cfg, st, None)
+    traj = simulate_oracle(cfg, st, rest())
     assert traj.degree > 64
-    got, expect = traj.final_state(), closed_form_state(cfg, st)
+    got, expect = traj.final_state(), closed_form_state(cfg, st, rest())
     for a, b in zip(got.values + got.velocities, expect.values + expect.velocities):
         assert abs(float(a) - float(b)) <= 1e-12
 
@@ -238,10 +244,29 @@ def test_oracle_reads_no_root_and_no_moment(monkeypatch):
         raise AssertionError("the oracle read the closed-form route's calculus")
 
     monkeypatch.setattr(Spectrum, "roots", unavailable)
-    monkeypatch.setattr(ControlSignal, "moments", unavailable)
+    monkeypatch.setattr(closed_form, "control_moments", unavailable)
+    monkeypatch.setattr(closed_form, "_moment_set", unavailable)
     got = simulate_oracle(cfg, st, curved_control()).final_state()
     for a, b in zip(got.values + got.velocities, expect.values + expect.velocities):
         assert abs(float(a) - float(b)) <= 1e-12
+
+
+def test_closed_form_reads_no_sample_and_no_proxy(monkeypatch):
+    """The mirror case: the closed form gives the same state with the oracle
+    route's proxy, term table and node sums unavailable."""
+    cfg = BeamConfig(Boundary.NEUMANN, Fraction(3), 3, Fraction(1))
+    st = ModalState.neumann(values=(0.1, 1, 0, 0.3), velocities=(0.2, 0, 0.5, 0))
+    expect = closed_form_state(cfg, st, curved_control())
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the closed form read the oracle route's calculus")
+
+    monkeypatch.setattr(ControlSignal, "proxy", property(unavailable))
+    monkeypatch.setattr(ControlSignal, "term_table", property(unavailable))
+    monkeypatch.setattr(ControlSignal, "_sample_extended", unavailable)
+    with pytest.raises(AssertionError, match="oracle route"):
+        simulate_oracle(cfg, st, curved_control())
+    assert closed_form_state(cfg, st, curved_control()) == expect
 
 
 def test_oracle_refuses_a_series_unresolved_at_the_node_cap(monkeypatch):
@@ -249,7 +274,7 @@ def test_oracle_refuses_a_series_unresolved_at_the_node_cap(monkeypatch):
     st = ModalState.dirichlet(values=(0,) * 23 + (1,), velocities=(0,) * 24)
     monkeypatch.setattr(modal_dynamics, "_MAX_NODES", 128)
     with pytest.raises(SamplingError) as got:
-        simulate_oracle(cfg, st, None)
+        simulate_oracle(cfg, st, rest())
     assert got.value.degree == 128
     assert got.value.observed_error > got.value.tolerance
 
@@ -258,8 +283,8 @@ def test_every_route_checks_state_and_config_alike():
     """The closed form, the oracle and assembly refuse a state of the wrong
     boundary or mode count with one message."""
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
-    routes = (lambda st: closed_form_state(cfg, st), lambda st: simulate_oracle(cfg, st, None),
-              lambda st: assemble(cfg, st))
+    routes = (lambda st: closed_form_state(cfg, st, rest()),
+              lambda st: simulate_oracle(cfg, st, rest()), lambda st: assemble(cfg, st))
     for state, text in ((ModalState.neumann((0, 1, 0), (0, 0, 0)), "neumann state with n_modes=2"),
                         (ModalState.dirichlet((1,), (0,)), "dirichlet state with n_modes=1")):
         messages = set()
@@ -273,7 +298,7 @@ def test_every_route_checks_state_and_config_alike():
 def test_trajectory_csv_layout(tmp_path):
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    traj = simulate_oracle(cfg, st, None, samples=11)
+    traj = simulate_oracle(cfg, st, rest(), samples=11)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
@@ -285,7 +310,7 @@ def test_trajectory_csv_layout(tmp_path):
     # Neumann: the constant mode is listed first, as n = 0
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(1))
     st = ModalState.neumann(values=(0.5, 1, 0), velocities=(0, 0, 0))
-    traj = simulate_oracle(cfg, st, None, samples=11)
+    traj = simulate_oracle(cfg, st, rest(), samples=11)
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 11 * 3
@@ -303,14 +328,15 @@ def curved_control(horizon=Fraction(1)):
 def test_trajectory_has_exactly_the_requested_rows(samples):
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    assert len(simulate_oracle(cfg, st, None).times) == 201
+    zero = rest()
+    assert len(simulate_oracle(cfg, st, zero).times) == 201
     for count in (2, 11, 201, samples):
-        traj = simulate_oracle(cfg, st, None, samples=count)
+        traj = simulate_oracle(cfg, st, zero, samples=count)
         assert traj.times == tuple(np.linspace(0.0, 1.0, count).tolist())
         assert traj.times[-1] == 1.0
         assert len(traj.values) == len(traj.velocities) == count
     with pytest.raises(ValueError):
-        simulate_oracle(cfg, st, None, samples=1)
+        simulate_oracle(cfg, st, zero, samples=1)
 
 
 def test_oracle_never_evaluates_the_proxy(monkeypatch):
@@ -354,8 +380,8 @@ def test_oracle_carries_data_near_the_float64_limit():
     # oracle never squares it, so the run must end where the closed form does
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 3, Fraction(1))
     st = ModalState.dirichlet(values=(1e160, -3e159, 2e159), velocities=(0, 5e159, -4e159))
-    got = simulate_oracle(cfg, st, None).final_state()
-    expect = closed_form_state(cfg, st)
+    got = simulate_oracle(cfg, st, rest()).final_state()
+    expect = closed_form_state(cfg, st, rest())
     for a, b in zip(got.values + got.velocities, expect.values + expect.velocities):
         assert abs(float(a) - float(b)) <= 1e-10 * abs(float(b))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from beamctl import modal_dynamics, moment_problem
+from beamctl import closed_form, moment_problem
 from beamctl.cli import build_initial_state
 from beamctl.errors import ResonanceDefect, UncontrollableMode
 from beamctl.modal_dynamics import ModalState
@@ -188,6 +188,6 @@ def test_assembly_never_evaluates_the_free_flow(monkeypatch, name):
     def unavailable(*args, **kwargs):
         raise AssertionError("assembly evaluated the free flow")
 
-    monkeypatch.setattr(modal_dynamics, "closed_form_state", unavailable)
+    monkeypatch.setattr(closed_form, "closed_form_state", unavailable)
     monkeypatch.setattr(moment_problem, "closed_form_state", unavailable, raising=False)
     assert assemble(config, state0).n_rows > 2

@@ -10,8 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from beamctl.cli import build_initial_state
+from beamctl.closed_form import closed_form_state
 from beamctl.kernels import ControlSignal
-from beamctl.modal_dynamics import closed_form_state, simulate_oracle
+from beamctl.modal_dynamics import simulate_oracle
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
 

@@ -15,13 +15,8 @@ from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl import synthesis
-from beamctl.synthesis import (
-    biorthogonal_family,
-    cholesky_factor,
-    gram_matrix,
-    solve_min_norm,
-)
-from reference_calculus import gram_entry
+from beamctl.synthesis import FixedMatrix, cholesky_factor, gram_matrix, solve_min_norm
+from reference_calculus import biorthogonal_family, entries, fixed_matrix, gram_entry
 
 CRIT_DATA = dict(values=(1, 0, 0.3, 0, 0, 0), velocities=(0, 0.2, 0, 0, 0, 0))
 
@@ -144,7 +139,7 @@ def test_gram_matrix_matches_gram_entry(boundary, rho, modes, horizon, bits):
         state = decaying_data(boundary, modes)
     system = assemble(cfg, state)
     assert (len(system.collisions) == 2) == (rho == Fraction(5, 2))
-    G = gram_matrix(system)
+    G = entries(gram_matrix(system))
     n = system.n_rows
     with mp.workprec(bits + GUARD_BITS):
         for i in range(n):
@@ -184,6 +179,7 @@ def test_cholesky_reconstructs_gram():
     G = gram_matrix(system)
     with mp.workprec(320):
         L, cond = cholesky_factor(G, 256)
+        L, G = entries(L), entries(G)
         m = G.rows
         worst = mp.mpf(0)
         for i in range(m):
@@ -195,24 +191,17 @@ def test_cholesky_reconstructs_gram():
 
 
 def test_cholesky_rejects_singular_matrix():
-    with mp.workprec(128):
-        G = mp.matrix([[1, 1], [1, 1]])
-        with pytest.raises(NumericalRankDeficiency) as info:
-            cholesky_factor(G, 128)
-        assert info.value.pivot_index == 1
+    with pytest.raises(NumericalRankDeficiency) as info:
+        cholesky_factor(FixedMatrix(((1, 1), (1, 1)), 0), 128)
+    assert info.value.pivot_index == 1
 
 
-@pytest.mark.parametrize("diagonal, off, index", [
-    ((0, 1), 0, 0), ((1, 0), 0, 1), ((1, -1), 0, 1), ((1, "nan"), 0, 1), ((1, "inf"), 0, 1),
-    ((1, 1), "nan", 1), ((1, 1), "inf", 1),
-], ids=["zero-first", "zero-second", "negative", "nan", "inf", "nan-off-diagonal",
-        "inf-off-diagonal"])
-def test_cholesky_rejects_bad_diagonal(diagonal, off, index):
-    with mp.workprec(128):
-        G = mp.matrix([[diagonal[0], off], [off, diagonal[1]]])
-        with pytest.raises(NumericalRankDeficiency) as info:
-            cholesky_factor(G, 128)
-        assert info.value.pivot_index == index
+@pytest.mark.parametrize("diagonal, index", [((0, 1), 0), ((1, 0), 1), ((1, -1), 1)],
+                         ids=["zero-first", "zero-second", "negative"])
+def test_cholesky_rejects_bad_diagonal(diagonal, index):
+    with pytest.raises(NumericalRankDeficiency) as info:
+        cholesky_factor(FixedMatrix(((diagonal[0], 0), (0, diagonal[1])), 0), 128)
+    assert info.value.pivot_index == index
 
 
 def test_cholesky_reconstructs_badly_scaled_matrix():
@@ -225,7 +214,8 @@ def test_cholesky_reconstructs_badly_scaled_matrix():
     with mp.workprec(320):
         G = mp.matrix([[scale[i] * scale[j] * mp.mpf(2) ** -abs(i - j) for j in range(m)]
                        for i in range(m)])
-        L, cond = cholesky_factor(G, 256)
+        L, cond = cholesky_factor(fixed_matrix(G, 256), 256)
+        L = entries(L)
         for i in range(m):
             for j in range(m):
                 s = mp.fsum(L[i, k] * L[j, k] for k in range(min(i, j) + 1))
@@ -260,7 +250,7 @@ def test_solver_reproduces_targets():
     system = small_system()
     report = solve_min_norm(system)
     assert report.max_residual < 1e-60
-    G = gram_matrix(system)
+    G = entries(gram_matrix(system))
     with mp.workprec(320):
         c = report.coefficients
         # cost^2 = c^T G c
@@ -323,7 +313,7 @@ def worst_log2_pivot_ratio(system):
     of a plain mpf LDL^T of the Gram, at twice the precision the ladder
     settles on."""
     bits = 2 * solve_min_norm(system).precision_bits_used
-    G = gram_matrix(system.with_precision(bits))
+    G = entries(gram_matrix(system.with_precision(bits)))
     n = G.rows
     with mp.workprec(bits + GUARD_BITS):
         A = [[G[i, j] for j in range(n)] for i in range(n)]
@@ -419,7 +409,7 @@ def test_biorthogonal_family_identity():
     controls, norms = biorthogonal_family(system)
     m = system.n_rows
     assert len(controls) == len(norms) == m
-    G = gram_matrix(system)
+    G = entries(gram_matrix(system))
     with mp.workprec(320):
         for i in range(m):
             ci = controls[i].coefficients

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from beamctl.kernels import ControlSignal
-from beamctl.modal_dynamics import ModalState, closed_form_state
+from beamctl.modal_dynamics import ModalState
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl import verification
 from beamctl.verification import (
@@ -15,6 +15,7 @@ from beamctl.verification import (
     null_control_experiment,
     pair_norm_scale,
 )
+from reference_calculus import closed_form_state as reference_state
 
 
 def small_config(**kw):
@@ -37,7 +38,7 @@ def test_zero_control_reduces_to_free_flow():
                          precision_bits=128)
     with mp.workprec(200):
         final = closed_form_final_state(config, state0, zero)
-        free = closed_form_state(config, state0)
+        free = reference_state(config, state0, None, config.horizon)
         for a, b in zip(final.values + final.velocities,
                         free.values + free.velocities):
             assert abs(a - b) < mp.mpf(2) ** -100
