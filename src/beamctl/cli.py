@@ -106,51 +106,55 @@ SHARED_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand, each with exactly the flags it reads."""
-    def flags(parser, *names):
-        for name in names:
-            parser.add_argument(name, **SHARED_FLAGS[name])
-        return parser
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """One subparser per subcommand, each with exactly the flags it reads.
 
-    # each subparser copies these groups' actions once; neither has a parent
-    common = flags(argparse.ArgumentParser(add_help=False),
-                   "--precision-bits", "--out", "--config")
-    solve = flags(argparse.ArgumentParser(add_help=False),
-                  "--rho", "--modes", "--boundary", "--seed", "--data")
+    Given the subcommand `only` (main's, read off argv), the others are
+    listed for --help and get no flags.
+    """
+    common = ("--precision-bits", "--out", "--config")
+    solve = ("--rho", "--modes", "--boundary", "--seed", "--data") + common
+    # name -> (handler, help, its SHARED_FLAGS, its own (flag, keywords))
+    commands = {
+        "spectrum": (cmd_spectrum, "eigenvalue table, gaps and collision pairs",
+                     common + ("--rho", "--modes"), ()),
+        "synthesize": (cmd_synthesize, "solve the moment system and emit the control",
+                       solve + ("--horizon",), ()),
+        "verify": (cmd_verify, "synthesize, then verify along both evaluation routes",
+                   solve + ("--horizon",), (
+                       ("--tolerance", dict(type=float, default=1e-6, help="relative final-norm "
+                                            "threshold for the verdict (default 1e-6)")),)),
+        # exactly one of the three ratio sources, checked after the config overlay
+        "condensation": (cmd_condensation, "Diophantine condensation estimate of the rate "
+                         "families", common, (
+                             ("--rho", dict(help="damping coefficient rho > 2, exact decimal "
+                                                 "or fraction")),
+                             ("--ratio-sqrt", dict(type=int, help="branch ratio sqrt(D) for a "
+                                                                  "positive integer D")),
+                             ("--ratio-cf", dict(help="branch ratio from continued-fraction "
+                                                      "quotients 'a0,a1,...'")),
+                             ("--nmax", dict(type=int, default=200)),
+                             ("--tail-start", dict(type=int, default=10)))),
+        "cost-sweep": (cmd_cost_sweep, "minimum control cost across horizons, with blow-up "
+                       "fit", solve, (
+                           ("--horizons", dict(default="0.25,0.5,1,2", help="comma-separated "
+                                               "horizons (default 0.25,0.5,1,2)")),)),
+    }
     parser = argparse.ArgumentParser(
         prog="beamctl",
         description="Boundary null control of a structurally damped beam: "
                     "synthesis, verification and spectral diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, parents, *names):
+    for name, (func, help, shared, own) in commands.items():
+        if only not in (None, name):
+            sub.add_parser(name, help=help)
+            continue
         # no abbreviations, so a flag a subcommand lacks is never read as a
         # prefix of one it has (cost-sweep --horizon as --horizons)
-        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
-        return flags(p, *names)
-
-    command("spectrum", cmd_spectrum, "eigenvalue table, gaps and collision pairs",
-            [common], "--rho", "--modes")
-    command("synthesize", cmd_synthesize, "solve the moment system and emit the control",
-            [solve, common], "--horizon")
-    p = command("verify", cmd_verify, "synthesize, then verify along both evaluation routes",
-                [solve, common], "--horizon")
-    p.add_argument("--tolerance", type=float, default=1e-6,
-                   help="relative final-norm threshold for the verdict (default 1e-6)")
-    p = command("condensation", cmd_condensation,
-                "Diophantine condensation estimate of the rate families", [common])
-    # exactly one of the three ratio sources, checked after the config overlay
-    p.add_argument("--rho", help="damping coefficient rho > 2, exact decimal or fraction")
-    p.add_argument("--ratio-sqrt", type=int, help="branch ratio sqrt(D) for a positive integer D")
-    p.add_argument("--ratio-cf", help="branch ratio from continued-fraction quotients 'a0,a1,...'")
-    p.add_argument("--nmax", type=int, default=200)
-    p.add_argument("--tail-start", type=int, default=10)
-    p = command("cost-sweep", cmd_cost_sweep,
-                "minimum control cost across horizons, with blow-up fit", [solve, common])
-    p.add_argument("--horizons", default="0.25,0.5,1,2",
-                   help="comma-separated horizons (default 0.25,0.5,1,2)")
+        for flag, keywords in [(f, SHARED_FLAGS[f]) for f in shared] + list(own):
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -416,8 +420,8 @@ def cmd_cost_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         apply_config_file(args)
         return args.func(args)

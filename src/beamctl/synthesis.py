@@ -9,24 +9,26 @@ and f(0) = f'(0) = 0 by construction).
 
 The Gram matrix of nearly dependent kernels is famously ill conditioned;
 entries are computed in closed form, real by construction, from one
-exponential per rate and one moment pair per rate pair, and factored, scaled
-to unit diagonal, by a Cholesky routine that watches its own pivots.  A pivot
-collapsing below 2^(-precision_bits/2) of the largest one seen means the
-matrix has lost definiteness at the working precision: the solver then
-reassembles everything at doubled precision, up to PRECISION_CEILING bits,
-or gives up with a quantitative report.  Rungs that an upper bound on the
-pivots, read from the kernel rates alone, proves too coarse are tried
-without factoring: the ladder starts at the first rung the bound does not
-refuse, and always factors the ceiling.  There is no approximate fallback: a
-returned control meets its moment targets to the working precision.
+exponential per rate and one moment pair per rate pair, and factored by a
+generalized Schur algorithm on the kernels' displacement structure (d/du k =
+Lambda k, so Lambda G + G Lambda^T = k(T) k(T)^T - k(0) k(0)^T) that watches
+its own pivots.  A pivot collapsing below 2^(-precision_bits/2) of the
+largest one seen means the matrix has lost definiteness at the working
+precision: the solver then reassembles everything at doubled precision, up
+to PRECISION_CEILING bits, or gives up with a quantitative report.  Rungs
+that an upper bound on the pivots, read from the kernel rates alone, proves
+too coarse are tried without factoring: the ladder starts at the first rung
+the bound does not refuse, and always factors the ceiling.  There is no
+approximate fallback: a returned control meets its moment targets to the
+working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
 fraction bits in the Gram (_gram_scale, by closed_form._fixed_point_bits)
-and precision_bits + GUARD_BITS in its unit-diagonal factor; the Gram's
-rates and moments come from closed_form._fixed_rate and
-closed_form._moment_set, the moment calculus the closed-form final state
-uses too.  mpf stays at the edges: each rate's e^(lam T) and the returned
-coefficients.
+and F + 32 in its factor; the Gram's rates and moments come from
+closed_form._fixed_rate and closed_form._moment_set, the moment calculus the
+closed-form final state uses too, and the factor's generators from the
+Gram's first column.  mpf stays at the edges: each rate's e^(lam T) and the
+returned coefficients.
 """
 from __future__ import annotations
 
@@ -73,13 +75,15 @@ def _gram_scale(system: MomentSystem) -> int:
     """Fraction bits of a system's Gram (closed_form._fixed_point_bits), its
     magnitude bits those below the smallest G_jj >= w^2 min(h, h^3) / 10
     (each kernel keeps a share of its value near u = 0 on [0, h], h = min(T,
-    1/(2 max |lam|)), w = min(1, least expsin frequency))."""
+    1/(2 max |lam|)), w = min(1, least expsin frequency)), and log2 of 1 /
+    min |Re lam| > 1, which the factor's displacement divides by."""
     T = system.config.horizon
     rates = [k.real_form(T)[:2] for k in system.kernels]  # (lam, Im)
     w = min([1.0] + [float(mp.im(lam)) for lam, imag in rates if imag])
     top = 2 * max(abs(lam) for lam, _ in rates) or 1e-300     # an mpf: it may pass float64
+    slow = min([1.0] + [abs(mp.re(lam)) for lam, _ in rates if lam])
     log_h = min(math.log2(T), -float(mp.log(top, 2)))
-    floor = 2 * math.log2(w) + min(log_h, 3 * log_h) - math.log2(10)
+    floor = 2 * math.log2(w) + min(log_h, 3 * log_h) + float(mp.log(slow, 2)) - math.log2(10)
     return _fixed_point_bits(system.config.precision_bits, math.ceil(max(0.0, -floor)), T)
 
 
@@ -134,44 +138,196 @@ def gram_matrix(system: MomentSystem) -> FixedMatrix:
     return FixedMatrix(tuple(map(tuple, G)), F)
 
 
-def cholesky_factor(G: FixedMatrix, precision_bits: int):
-    """Lower-triangular factor of a symmetric matrix, with pivot monitoring.
+def _displacement(system: MomentSystem, G: FixedMatrix, E: int):
+    """(groups, re, im, a, b) of the kernels at E fraction bits: re + i im is
+    each row's rate, a = k(T) and b = k(0) the generators of G.
 
-    Returns (L, condition_estimate), L a FixedMatrix, the estimate the ratio
-    of the largest to the smallest squared pivot.  Raises
+    d/du k = Lambda k, u = T - s, so Lambda G + G Lambda^T = a a^T - b b^T,
+    and on column 0 (const' = 0) a = b + Lambda G_(:,0).  Past the flatness
+    pair, whose block is nilpotent (linear' = -const), Lambda is block
+    diagonal in assemble's row groups: "real" (exp), "pair" (expcos, expsin
+    at z = beta + i omega: a rotation) and "jordan" (exp, polyexp at one
+    rate: (u e^(lam u))' = e^(lam u) + lam u e^(lam u)).
+    """
+    kinds, n, F = [k.kind for k in system.kernels], system.n_rows, G.scale
+    if kinds[:2] != ["const", "linear"]:
+        raise ValueError("the Gram factor wants the flatness rows first")
+    with mp.workprec(E):
+        rates = [mp.mpc(k.real_form(1)[0]) for k in system.kernels]
+    re, im = [to_fixed(z.real, E) for z in rates], [to_fixed(z.imag, E) for z in rates]
+    T, col = system.config.horizon, [row[0] for row in G.ints]
+    b = [0 if kind in ("polyexp", "expsin") else 1 << E for kind in kinds]
+    b[1] = (T.numerator << E) // T.denominator
+    a = [b[0], 0] + [b[j] + (re[j] * col[j] >> F) for j in range(2, n)]
+    groups, j = [], 2
+    while j < n:
+        kind, partner = kinds[j], kinds[j + 1] if j + 1 < n and rates[j] == rates[j + 1] else None
+        if (kind, partner) == ("expcos", "expsin"):
+            groups.append(("pair", (j, j + 1)))
+            a[j] -= im[j] * col[j + 1] >> F
+            a[j + 1] += im[j] * col[j] >> F
+        elif (kind, partner) == ("exp", "polyexp"):
+            groups.append(("jordan", (j, j + 1)))
+            a[j + 1] += col[j] << E - F
+        elif kind == "exp":
+            groups.append(("real", (j,)))
+        else:
+            raise ValueError(f"no displacement structure at row {j} ({kind})")
+        j += len(groups[-1][1])
+    return groups, re, im, a, b
+
+
+def cholesky_factor(system: MomentSystem, G: FixedMatrix):
+    """Lower-triangular factor of the system's Gram G, with pivot monitoring.
+
+    Returns (L, condition_estimate), L a FixedMatrix with G = L L^T, the
+    estimate the ratio of the largest to the smallest squared pivot.  Raises
     NumericalRankDeficiency, past which digits are noise, at a row whose
     pivot drops below 2^(-precision_bits/2) of the largest one seen, or with
     a nonpositive pivot or diagonal entry.
 
-    Row by row, so a failing rung stops at its pivot, on D^(-1/2) G D^(-1/2),
-    D = diag(G), whose factor H is held times 2^P, P = precision_bits +
-    GUARD_BITS, each entry one exact integer dot product and one rounded
-    division; L = D^(1/2) H.  Pivot tests compare h_j G_jj as integers.
+    A block generalized Schur factor (Gohberg, Kailath & Olshevsky, Math.
+    Comp. 64, 1995; Kailath & Sayed, SIAM Rev. 37, 1995): O(n^2) products,
+    where a row-by-row Cholesky takes O(n^3).  Each Schur complement keeps
+    the displacement of G (_displacement) with generators updated as g <- g
+    - L_iB L_BB^-1 g_B per pivot block B, one row or a pair's two.  They give
+    B's columns, its own block and so its pivots included, by one small
+    Sylvester solve per row group (_real_columns, _pair_columns); the
+    flatness pair, whose Sylvester operator is singular, takes G's first two
+    columns instead.
+
+    Everything is held times 2^E, E = F + 32.  Pivots and columns come from
+    the generators alone, so each rounding perturbs the current Schur
+    complement of one matrix, by 2^-E |g_i| |g_j| / |lam_i + conj lam_j|
+    (the Gram's scale covers 1 / min |Re lam|), and no error compounds.
+    Pivots read off G less L's rows, as a Cholesky has them, would mix two
+    matrices: that error grew about a thousandfold per row on the 66-row
+    Gram of rho = 2 at 32 modes.
     """
-    P = precision_bits + GUARD_BITS
-    A, F = G.ints, G.scale
-    shift = max(0, 2 * (P + 16) - min((r[j].bit_length() for j, r in enumerate(A)), default=0))
-    shift += (shift + F) & 1            # R_j = sqrt(G_jj) 2^((F + shift) / 2), P + 16 bits or more
-    roots = [isqrt(max(r[j], 0) << shift) for j, r in enumerate(A)]
-    rows, pivots, top = [], [], 0       # rows of H times 2^P; h_j G_jj times 2^(2P + F)
-    for j, r in enumerate(A):
-        if r[j] <= 0:
-            raise NumericalRankDeficiency(
-                j, quotient(r[j] << 2 * P, top or 1 << (2 * P + F)), precision_bits)
-        row = []
-        for k in range(j):
-            dot = (r[k] << (2 * P + shift)) // (roots[j] * roots[k]) - sum(map(mul, row, rows[k]))
-            row.append((2 * dot + rows[k][k]) // (2 * rows[k][k]))
-        h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
-        s = h * r[j]
-        if s <= 0 or s << precision_bits // 2 < top:
-            raise NumericalRankDeficiency(j, quotient(s, top) if top else 1.0, precision_bits)
+    bits = system.config.precision_bits
+    A, F, n = G.ints, G.scale, G.rows
+    E = F + 32
+    up = E - F
+    groups, re, im, a, b = _displacement(system, G, E)
+    L = [[] for _ in range(n)]
+    pivots, top = [], 0
+
+    def pivot(j, s):
+        """Test row j's diagonal entry and pivot s (times 2^E) against the
+        largest pivot so far; the square root of s."""
+        nonlocal top
+        if A[j][j] <= 0:
+            raise NumericalRankDeficiency(j, quotient(A[j][j] << up, top or 1 << E), bits)
+        if s <= 0 or s << bits // 2 < top:
+            raise NumericalRankDeficiency(j, quotient(s, top) if top else 1.0, bits)
         pivots.append(s)
         top = max(top, s)
-        rows.append(row + [isqrt(h)])
-    L = FixedMatrix(tuple(tuple(R * x for x in row) for R, row in zip(roots, rows)),
-                    P + (F + shift) // 2)
-    return L, quotient(top, min(pivots)) if pivots else 1.0
+        return isqrt(s << E)
+
+    groups.insert(0, ("flat", (0, 1)))
+    while groups:
+        kind, rows = groups.pop(0)
+        j = rows[0]
+        if kind in ("real", "jordan"):     # one pivot row
+            aj, bj, lb = a[j], b[j], re[j]
+            d = (aj * aj - bj * bj) // (2 * lb) if lb else 0    # rate 0: the const row again
+            l11 = pivot(j, d)
+            r1 = (1 << 2 * E) // l11
+            L[j].append(l11)
+            cols = _real_columns(groups, a, b, re, im, aj, bj, lb, E)
+            if kind == "jordan":    # the polyexp row, still coupled to its pivot
+                p = rows[1]
+                cols.insert(0, (p, (a[p] * aj - b[p] * bj - (d << E)) // (2 * lb)))
+                groups.insert(0, ("real", (p,)))
+            ga, gb = aj * r1 >> E, bj * r1 >> E          # L_BB^-1 g_B
+            for r, x in cols:
+                x = x * r1 >> E
+                L[r].append(x)
+                a[r] -= x * ga >> E
+                b[r] -= x * gb >> E
+            continue
+        s = rows[1]
+        if kind == "flat":
+            d11, d21, d22 = A[j][j] << up, A[s][j] << up, A[s][s] << up
+            cols = [(r, A[r][0] << up, A[r][1] << up) for r in range(2, n)]
+        else:
+            (_, d11, d21), (_, _, d22) = _pair_columns([(kind, rows)], a, b, re, im, j, s, E)
+            cols = _pair_columns(groups, a, b, re, im, j, s, E)
+        l11 = pivot(j, d11)
+        r1 = (1 << 2 * E) // l11
+        l21 = (d21 << E) // l11
+        l22 = pivot(s, d22 - (l21 * l21 >> E))
+        r2 = (1 << 2 * E) // l22
+        L[j].append(l11)
+        L[s] += [l21, l22]
+        ga1, gb1 = a[j] * r1 >> E, b[j] * r1 >> E        # L_BB^-1 g_B
+        ga2, gb2 = (a[s] - (l21 * ga1 >> E)) * r2 >> E, (b[s] - (l21 * gb1 >> E)) * r2 >> E
+        for r, x1, x2 in cols:
+            x1 = x1 * r1 >> E
+            x2 = (x2 - (x1 * l21 >> E)) * r2 >> E
+            L[r] += [x1, x2]
+            a[r] -= x1 * ga1 + x2 * ga2 >> E
+            b[r] -= x1 * gb1 + x2 * gb2 >> E
+    return FixedMatrix(tuple(map(tuple, L)), E), quotient(top, min(pivots)) if pivots else 1.0
+
+
+def _over(xr: int, xi: int, wr: int, wi: int) -> tuple:
+    """(xr + i xi) / (wr + i wi), each part floored; the result's scale is
+    x's less w's."""
+    n2 = wr * wr + wi * wi
+    return (xr * wr + xi * wi) // n2, (xi * wr - xr * wi) // n2
+
+
+def _real_columns(groups, a, b, re, im, aj, bj, lb, E) -> list:
+    """(row, S_rj) times 2^E for every row of the groups, j a one-row pivot at
+    rate lb with generators aj, bj: (lam_r + lb) S_rj = a_r aj - b_r bj, a
+    pair's two rows as one complex entry, a Jordan block by substitution."""
+    out = []
+    for kind, rows in groups:
+        r = rows[0]
+        if kind == "pair":
+            c, s = rows
+            x = _over(a[c] * aj - b[c] * bj, a[s] * aj - b[s] * bj, re[c] + lb, im[c])
+            out += [(c, x[0]), (s, x[1])]
+            continue
+        x = (a[r] * aj - b[r] * bj) // (re[r] + lb)
+        out.append((r, x))
+        if kind == "jordan":
+            p = rows[1]
+            out.append((p, (a[p] * aj - b[p] * bj - (x << E)) // (re[r] + lb)))
+    return out
+
+
+def _pair_columns(groups, a, b, re, im, c0, s0, E) -> list:
+    """(row, S_r,c0, S_r,s0) times 2^E for every row of the groups, (c0, s0)
+    a pair pivot at z = beta + i omega, A = a_c0 + i a_s0 and B = b_c0 + i
+    b_s0.  A real row's two entries are one complex x = (a_r A - b_r B) /
+    (lam_r + z), a Jordan block's by substitution.  Another pair's 2 x 2
+    block X acts on v = v_c + i v_s as X v = p v + q conj(v), with p (z_i +
+    conj z) = (A_i conj A - B_i conj B) / 2 and q (z_i + z) = (A_i A - B_i
+    B) / 2."""
+    out = []
+    zr, zi = re[c0], im[c0]
+    Ar, Ai, Br, Bi = a[c0], a[s0], b[c0], b[s0]
+    for kind, rows in groups:
+        r = rows[0]
+        if kind != "pair":
+            x = _over(a[r] * Ar - b[r] * Br, a[r] * Ai - b[r] * Bi, re[r] + zr, zi)
+            out.append((r, *x))
+            if kind == "jordan":
+                p = rows[1]
+                out.append((p, *_over(a[p] * Ar - b[p] * Br - (x[0] << E),
+                                      a[p] * Ai - b[p] * Bi - (x[1] << E), re[r] + zr, zi)))
+            continue
+        c, s = rows
+        ar, ai, br, bi = a[c], a[s], b[c], b[s]
+        wr = 2 * (re[c] + zr)
+        pr, pi = _over(ar * Ar + ai * Ai - br * Br - bi * Bi,
+                       ai * Ar - ar * Ai - bi * Br + br * Bi, wr, 2 * (im[c] - zi))
+        qr, qi = _over(ar * Ar - ai * Ai - br * Br + bi * Bi,
+                       ar * Ai + ai * Ar - br * Bi - bi * Br, wr, 2 * (im[c] + zi))
+        out += [(c, pr + qr, qi - pi), (s, pi + qi, pr - qr)]
+    return out
 
 
 def _solve(L: FixedMatrix, targets) -> list:
@@ -220,7 +376,7 @@ class SynthesisReport:
 def _attempt(system: MomentSystem) -> SynthesisReport:
     bits = system.config.precision_bits
     G = gram_matrix(system)
-    L, cond = cholesky_factor(G, bits)
+    L, cond = cholesky_factor(system, G)
     with mp.workprec(bits + GUARD_BITS):
         targets = [to_mpf(t) for t in system.targets]
         # targets far below 1 are solved times 2^shift, so that c keeps its bits

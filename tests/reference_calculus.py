@@ -11,17 +11,21 @@ complex_division_moment_set is the integer recursion through |nu|^2 that
 _moment_set keeps for complex nu only, and gamma_route_targets the moment
 targets by the free flow at T, which assembly no longer evaluates.
 entries reads a FixedMatrix as an mp.matrix, fixed_matrix writes an
-mp.matrix as one, and biorthogonal_family solves the Gram's factor for the
-columns of its inverse.  ulp_close is the tests' comparison in units of the
+mp.matrix as one, integer_cholesky is the row-by-row integer Cholesky that
+the Gram's structured factor (synthesis.cholesky_factor) replaced, for any
+symmetric FixedMatrix, and biorthogonal_family solves the Gram's factor for
+the columns of its inverse.  ulp_close is the tests' comparison in units of the
 last place.
 """
 import math
-from math import comb
+from math import comb, isqrt
+from operator import mul
 
 import mpmath as mp
 
 from beamctl import closed_form
-from beamctl._numutil import GUARD_BITS, strip_imag, to_fixed, to_mpf
+from beamctl._numutil import GUARD_BITS, quotient, strip_imag, to_fixed, to_mpf
+from beamctl.errors import NumericalRankDeficiency
 from beamctl.kernels import ControlSignal
 from beamctl.modal_dynamics import ModalState
 from beamctl.spectrum import DampingRegime
@@ -199,6 +203,44 @@ def fixed_matrix(G, precision_bits):
     return FixedMatrix(tuple(tuple(to_fixed(x, F) for x in row) for row in G.tolist()), F)
 
 
+def integer_cholesky(G, precision_bits):
+    """Lower-triangular factor of any symmetric FixedMatrix, row by row, with
+    synthesis.cholesky_factor's pivot test: (L, condition_estimate), or
+    NumericalRankDeficiency at a row whose pivot drops below
+    2^(-precision_bits/2) of the largest one seen, or with a nonpositive
+    pivot or diagonal entry.
+
+    On D^(-1/2) G D^(-1/2), D = diag(G), whose factor H is held times 2^P,
+    P = precision_bits + GUARD_BITS, each entry one exact integer dot
+    product and one rounded division; L = D^(1/2) H.  Pivot tests compare
+    h_j G_jj as integers.  O(n^3) products, and no structure assumed.
+    """
+    P = precision_bits + GUARD_BITS
+    A, F = G.ints, G.scale
+    shift = max(0, 2 * (P + 16) - min((r[j].bit_length() for j, r in enumerate(A)), default=0))
+    shift += (shift + F) & 1            # R_j = sqrt(G_jj) 2^((F + shift) / 2), P + 16 bits or more
+    roots = [isqrt(max(r[j], 0) << shift) for j, r in enumerate(A)]
+    rows, pivots, top = [], [], 0       # rows of H times 2^P; h_j G_jj times 2^(2P + F)
+    for j, r in enumerate(A):
+        if r[j] <= 0:
+            raise NumericalRankDeficiency(
+                j, quotient(r[j] << 2 * P, top or 1 << (2 * P + F)), precision_bits)
+        row = []
+        for k in range(j):
+            dot = (r[k] << (2 * P + shift)) // (roots[j] * roots[k]) - sum(map(mul, row, rows[k]))
+            row.append((2 * dot + rows[k][k]) // (2 * rows[k][k]))
+        h = (1 << 2 * P) - sum(x * x for x in row)      # pivot of H, times 4^P
+        s = h * r[j]
+        if s <= 0 or s << precision_bits // 2 < top:
+            raise NumericalRankDeficiency(j, quotient(s, top) if top else 1.0, precision_bits)
+        pivots.append(s)
+        top = max(top, s)
+        rows.append(row + [isqrt(h)])
+    L = FixedMatrix(tuple(tuple(R * x for x in row) for R, row in zip(roots, rows)),
+                    P + (F + shift) // 2)
+    return L, quotient(top, min(pivots)) if pivots else 1.0
+
+
 def biorthogonal_family(system):
     """Curvature profiles biorthogonal to the kernels, with their norms.
 
@@ -206,7 +248,7 @@ def biorthogonal_family(system):
     gives the minimum-norm profile g_m in the kernel span with
     <g_m, k_j> = delta_mj; its norm is sqrt((G^-1)_mm)."""
     bits = system.config.precision_bits
-    L = cholesky_factor(gram_matrix(system), bits)[0]
+    L = cholesky_factor(system, gram_matrix(system))[0]
     n = L.rows
     controls, norms = [], []
     with mp.workprec(bits + GUARD_BITS):

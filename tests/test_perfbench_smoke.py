@@ -1,6 +1,7 @@
-"""The benchmark's verify workload runs clean: one pass of every case, with
-its flatness and quadrature checks, so a sampler change that breaks them
-fails here and not first in a benchmark run."""
+"""The benchmark's verify and synthesize-ladder workloads run clean: one pass
+of every case, with its flatness, quadrature and cost checks, so a sampler or
+Gram factor change that breaks them fails here and not first in a benchmark
+run."""
 import json
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_perfbench_verify_regimes_passes_its_checks():
+def run_workload(workload):
+    """One pass of a perfbench workload at seed 1; its result line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify-regimes",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -19,6 +21,15 @@ def test_perfbench_verify_regimes_passes_its_checks():
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] > 0
+    return result
+
+
+def test_perfbench_verify_regimes_passes_its_checks():
+    run_workload("verify-regimes")
+
+
+def test_perfbench_synthesize_ladder_passes_its_checks():
+    run_workload("synthesize-ladder")
 
 
 # names the span recorders look up that beamctl no longer has, so their

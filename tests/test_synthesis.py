@@ -11,12 +11,14 @@ import pytest
 from beamctl._numutil import GUARD_BITS, to_mpf
 from beamctl.cli import write_control_csv
 from beamctl.errors import NumericalRankDeficiency
+from beamctl.kernels import Kernel
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
 from beamctl import synthesis
 from beamctl.synthesis import FixedMatrix, cholesky_factor, gram_matrix, solve_min_norm
-from reference_calculus import biorthogonal_family, entries, fixed_matrix, gram_entry
+from reference_calculus import (biorthogonal_family, entries, fixed_matrix, gram_entry,
+                                integer_cholesky)
 
 CRIT_DATA = dict(values=(1, 0, 0.3, 0, 0, 0), velocities=(0, 0.2, 0, 0, 0, 0))
 
@@ -163,8 +165,9 @@ def test_solve_matches_elementwise_reference(rho, modes, bits, horizon):
     assert report.precision_trace == trace
     assert len(trace) > 1
     for failed in trace[:-1]:
+        rung = system.with_precision(failed)
         with pytest.raises(NumericalRankDeficiency) as info:
-            cholesky_factor(gram_matrix(system.with_precision(failed)), failed)
+            cholesky_factor(rung, gram_matrix(rung))
         assert info.value.pivot_index == pivots[failed]
     used = report.precision_bits_used
     with mp.workprec(used + GUARD_BITS):
@@ -178,7 +181,7 @@ def test_cholesky_reconstructs_gram():
     system = small_system()
     G = gram_matrix(system)
     with mp.workprec(320):
-        L, cond = cholesky_factor(G, 256)
+        L, cond = cholesky_factor(system, G)
         L, G = entries(L), entries(G)
         m = G.rows
         worst = mp.mpf(0)
@@ -192,7 +195,7 @@ def test_cholesky_reconstructs_gram():
 
 def test_cholesky_rejects_singular_matrix():
     with pytest.raises(NumericalRankDeficiency) as info:
-        cholesky_factor(FixedMatrix(((1, 1), (1, 1)), 0), 128)
+        integer_cholesky(FixedMatrix(((1, 1), (1, 1)), 0), 128)
     assert info.value.pivot_index == 1
 
 
@@ -200,8 +203,30 @@ def test_cholesky_rejects_singular_matrix():
                          ids=["zero-first", "zero-second", "negative"])
 def test_cholesky_rejects_bad_diagonal(diagonal, index):
     with pytest.raises(NumericalRankDeficiency) as info:
-        cholesky_factor(FixedMatrix(((diagonal[0], 0), (0, diagonal[1])), 0), 128)
+        integer_cholesky(FixedMatrix(((diagonal[0], 0), (0, diagonal[1])), 0), 128)
     assert info.value.pivot_index == index
+
+
+def test_structured_factor_rejects_a_bad_diagonal_and_a_repeated_kernel():
+    """A nonpositive Gram diagonal entry, one kernel twice, or an exp row at
+    rate 0 (the const row again) stops the structured factor at that row with
+    NumericalRankDeficiency, as it stops the reference, never with a division
+    by zero."""
+    system = small_system(128)
+    G = gram_matrix(system)
+    ints = [list(row) for row in G.ints]
+    ints[3][3] = 0
+    with pytest.raises(NumericalRankDeficiency) as info:
+        cholesky_factor(system, FixedMatrix(tuple(map(tuple, ints)), G.scale))
+    assert info.value.pivot_index == 3
+    for rates, row in (((-1, -1), 3), ((0, -1), 2)):
+        kernels = tuple(Kernel("exp", rate=mp.mpf(r)) for r in rates)
+        degenerate = replace(system, kernels=system.kernels[:2] + kernels, targets=(0, 0, 1, 1))
+        G = gram_matrix(degenerate)
+        for factor in (lambda: cholesky_factor(degenerate, G), lambda: integer_cholesky(G, 128)):
+            with pytest.raises(NumericalRankDeficiency) as info:
+                factor()
+            assert info.value.pivot_index == row
 
 
 def test_cholesky_reconstructs_badly_scaled_matrix():
@@ -214,7 +239,7 @@ def test_cholesky_reconstructs_badly_scaled_matrix():
     with mp.workprec(320):
         G = mp.matrix([[scale[i] * scale[j] * mp.mpf(2) ** -abs(i - j) for j in range(m)]
                        for i in range(m)])
-        L, cond = cholesky_factor(fixed_matrix(G, 256), 256)
+        L, cond = integer_cholesky(fixed_matrix(G, 256), 256)
         L = entries(L)
         for i in range(m):
             for j in range(m):
