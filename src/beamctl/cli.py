@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ._numutil import GUARD_BITS, as_fraction, decimal_str, to_mpf
+from ._numutil import as_fraction, decimal_str
 from .condensation import condensation_estimate, ratio_from_quotients, ratio_from_sqrt
 from .errors import (
     ImaginaryResidue,
@@ -109,8 +109,8 @@ SHARED_FLAGS = {
 def build_parser(only=None) -> argparse.ArgumentParser:
     """One subparser per subcommand, each with exactly the flags it reads.
 
-    Given the subcommand `only` (main's, read off argv), the others are
-    listed for --help and get no flags.
+    Given a subcommand `only` (main's, read off argv), only that one is
+    built; otherwise all five, so --help and an invalid choice list them.
     """
     common = ("--precision-bits", "--out", "--config")
     solve = ("--rho", "--modes", "--boundary", "--seed", "--data") + common
@@ -146,8 +146,7 @@ def build_parser(only=None) -> argparse.ArgumentParser:
                     "synthesis, verification and spectral diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, shared, own) in commands.items():
-        if only not in (None, name):
-            sub.add_parser(name, help=help)
+        if only in commands and only != name:
             continue
         # no abbreviations, so a flag a subcommand lacks is never read as a
         # prefix of one it has (cost-sweep --horizon as --horizons)
@@ -201,7 +200,8 @@ def beam_config(args: argparse.Namespace) -> BeamConfig:
 def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> ModalState:
     """Initial data from a fixture name or explicit mode:value:velocity triples.
 
-    Every descriptor becomes exact Fraction triples.  'mode1' is 1:1:0, unit
+    Every descriptor becomes exact Fraction triples, and the state keeps
+    them, so each ladder rung reads the data at its own precision.  'mode1' is 1:1:0, unit
     displacement on the first oscillatory mode.  'random' draws Gaussian
     float64 data from `seed` with a 1/n^2 amplitude decay on every
     oscillatory mode whose trace in config.spectrum is nonzero (under
@@ -251,10 +251,7 @@ def build_initial_state(descriptor: str, config: BeamConfig, seed: int = 0) -> M
                 f"mode {mode} outside the configured range {first}..{config.n_modes}")
         values[mode - first], velocities[mode - first] = val, vel
 
-    with mp.workprec(config.precision_bits + GUARD_BITS):
-        return ModalState(config.boundary,
-                          tuple(to_mpf(v) for v in values),
-                          tuple(to_mpf(v) for v in velocities))
+    return ModalState(config.boundary, tuple(values), tuple(velocities))
 
 
 def _write_json(path: str, doc: dict) -> None:

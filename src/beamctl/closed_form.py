@@ -7,12 +7,13 @@ Its one primitive is the truncated moment
 computed for d = 0..D at once by _moment_set, on integers only, at nu =
 lam + mu and lam + conj mu from two rates encoded by _fixed_rate (each
 rate's e^(lam T) at a fixed binary point): one series pass for all orders
-when |nu T| < 1/2, the usual recursion in d otherwise.  Gram entries
-(synthesis.gram_matrix) and the control's moments K(p, lam) = int_0^T
-f''(s) (T-s)^p e^(lam (T-s)) ds (control_moments), which give f(T), f'(T)
-and the modal Duhamel responses at T, are sums of M_d, one moment pair per
-rate pair.  closed_form_state evolves each mode to T through the two
-fundamental solutions of its roots.
+when |nu T| < 1/2, the usual recursion in d otherwise.  The Gram's columns
+at its rate-0 rows (synthesis.gram_matrix, one moment set per rate) and
+the control's moments K(p, lam) = int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds
+(control_moments, one moment pair per key rate and kernel rate), which
+give f(T), f'(T) and the modal Duhamel responses at T, are sums of M_d.
+closed_form_state evolves each mode to T through the two fundamental
+solutions of its roots.
 
 Of the control this route reads its data, each kernel's Kernel.real_form
 and ControlSignal.term_scale_bound, and nothing of the oracle route's

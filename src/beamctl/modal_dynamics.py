@@ -90,7 +90,7 @@ class ModalState:
 
     def amplitude(self, n: int) -> float:
         i = self.mode_index(n)
-        return max(abs(float(self.values[i])), abs(float(self.velocities[i])))
+        return max(abs(float(to_mpf(self.values[i]))), abs(float(to_mpf(self.velocities[i]))))
 
     @staticmethod
     def dirichlet(values, velocities) -> "ModalState":
@@ -179,8 +179,8 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     ns = np.asarray(state0.modes, dtype=np.float64)
     damp, stiff = float(to_mpf(config.rho)) * ns ** 2, ns ** 4
     x = np.asarray([float(v) for v in config.spectrum.traces])
-    v0 = np.asarray([float(v) for v in state0.values])
-    dv0 = np.asarray([float(v) for v in state0.velocities])
+    v0 = np.asarray([float(to_mpf(v)) for v in state0.values])
+    dv0 = np.asarray([float(to_mpf(v)) for v in state0.velocities])
     proxy = control.proxy
     f2 = proxy.coefficients[:proxy.degree + 1, 2]
 

@@ -7,12 +7,11 @@ Gram matrix.  The boundary signal is then rebuilt from f'' by double
 integration in closed form (the two flatness rows guarantee f(T) = f'(T) = 0,
 and f(0) = f'(0) = 0 by construction).
 
-The Gram matrix of nearly dependent kernels is famously ill conditioned;
-entries are computed in closed form, real by construction, from one
-exponential per rate and one moment pair per rate pair, and factored by a
-generalized Schur algorithm on the kernels' displacement structure (d/du k =
-Lambda k, so Lambda G + G Lambda^T = k(T) k(T)^T - k(0) k(0)^T) that watches
-its own pivots.  A pivot collapsing below 2^(-precision_bits/2) of the
+The Gram matrix of nearly dependent kernels is famously ill conditioned.
+One calculus builds and factors it: the column solves of the kernels'
+displacement structure (d/du k = Lambda k, so Lambda G + G Lambda^T = k(T)
+k(T)^T - k(0) k(0)^T), the factor being a generalized Schur algorithm that
+watches its own pivots.  A pivot collapsing below 2^(-precision_bits/2) of the
 largest one seen means the matrix has lost definiteness at the working
 precision: the solver then reassembles everything at doubled precision, up
 to PRECISION_CEILING bits, or gives up with a quantitative report.  Rungs
@@ -24,11 +23,11 @@ working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
 fraction bits in the Gram (_gram_scale, by closed_form._fixed_point_bits)
-and F + 32 in its factor; the Gram's rates and moments come from
-closed_form._fixed_rate and closed_form._moment_set, the moment calculus the
-closed-form final state uses too, and the factor's generators from the
-Gram's first column.  mpf stays at the edges: each rate's e^(lam T) and the
-returned coefficients.
+and F + 32 in its column solves; the columns of its rate-0 rows, whose
+Sylvester operator is singular, are sums of closed_form._moment_set, the
+moment calculus the closed-form final state uses too, and the generators
+come from the Gram's first column.  mpf stays at the edges: each rate's
+e^(lam T) and the returned coefficients.
 """
 from __future__ import annotations
 
@@ -87,60 +86,59 @@ def _gram_scale(system: MomentSystem) -> int:
     return _fixed_point_bits(system.config.precision_bits, math.ceil(max(0.0, -floor)), T)
 
 
-def _term_pair_sums(P, Q, m, w: int) -> list:
-    """[Re, Im] of sum c e M_(p+q) over the parts (c, p) of P and (e, q) of Q,
-    each floored after division by w: one product for single monomials."""
-    if len(P) == len(Q) == 1:
-        ((c, p),), ((e, q),) = P, Q
-        ce, (re, im) = c * e, m[p + q]
-        return [ce * re // w, ce * im // w]
-    return [sum(c * e * m[p + q][k] for c, p in P for e, q in Q) // w for k in (0, 1)]
-
-
 def gram_matrix(system: MomentSystem) -> FixedMatrix:
     """Symmetric Gram matrix of the system's kernels over [0, horizon].
 
-    Each kernel is Re, or Im, of one term P(u) e^(lam u), P a real polynomial
-    (Kernel.real_form).  By Re x Re y = Re(x y + x conj y) / 2 and its Im
-    analogues an entry is half a sum or difference of Re or Im parts of
-    S+ = sum c d M_(p+q)(lam + mu, T) and of S-, that sum at lam + conj(mu):
-    real by construction.  Each rate's e^(lam T), each rate pair's two moment
-    sets (one for real mu) and each term pair's entries are computed once.
+    Each kernel is Re, or Im, of one term P(u) e^(lam u) (Kernel.real_form).
+    Against a rate-0 row (the flatness pair, an exp row at rate 0) an entry
+    is Re, or Im, of sum c d M_(p+q) at lam plus, or less, the same at
+    conj(lam): one _moment_set call per rate.  Every other entry solves
+    Lambda G + G Lambda^T = a a^T - b b^T by the factor's column solves, on
+    the generators of column 0, at E = F + 32 fraction bits; a polyexp
+    column p subtracts its exp partner j's: (Lambda_I + lam) X_Ip = a_I a_p
+    - b_I b_p - X_Ij.
     """
-    F = _gram_scale(system)
+    F, n = _gram_scale(system), system.n_rows
+    E = F + 32
+    G = [[0] * n for _ in range(n)]
     with mp.workprec(F + 16):
         T, den = to_mpf(system.config.horizon), system.config.horizon.denominator
-        rates = {}      # rate -> [position, highest power of u]
-        terms = {}      # (rate position, ((c den, p), ...)) -> position, den = T's denominator
-        rows = []       # per kernel: (term position, 1 for an Im part, 0 for Re)
-        for kernel in system.kernels:
-            lam, imag, poly = kernel.real_form(T)
-            rate = rates.setdefault(lam, [len(rates), 0])
-            rate[1] = max(rate[1], *(p for _, p in poly))
-            poly = tuple((int(mp.nint(c * den)), p) for c, p in poly)   # c is 1, -1 or T
-            rows.append((terms.setdefault((rate[0], poly), len(terms)), int(imag)))
-        fixed = [_fixed_rate(lam, T, F) for lam in rates]
-        top, terms, t = [top for _, top in rates.values()], list(terms), to_fixed(T, F)
-        moments = {}    # (r, s) -> ([M_d(lam_r + lam_s, T)], [M_d(lam_r + conj(lam_s), T)])
-        table = {}      # (u, v) -> the entries [2 a + b] of terms u, v, a and b as in rows
-        G = [[0] * len(rows) for _ in rows]
-        for i, (u, a) in enumerate(rows):
-            for j, (v, b) in enumerate(rows[i:], i):
-                if (u, v) not in table:
-                    (r, P), (s, Q) = terms[u], terms[v]
-                    if (r, s) not in moments:
-                        moments[r, s] = _moment_set(top[r] + top[s], fixed[r], fixed[s], t, F)
-                    plus, minus = moments[r, s]
-                    sp = _term_pair_sums(P, Q, plus, 2 * den * den)
-                    sm = sp if minus is plus else _term_pair_sums(P, Q, minus, 2 * den * den)
-                    table[u, v] = (sp[0] + sm[0], sp[1] - sm[1], sp[1] + sm[1], sm[0] - sp[0])
-                G[i][j] = G[j][i] = table[u, v][2 * a + b]
+        forms = [k.real_form(T) for k in system.kernels]
+        zero = [j for j, (lam, _, _) in enumerate(forms) if not lam]     # the rate-0 rows
+        # c is 1, -1 or T: times T's denominator an integer
+        polys = [[(int(mp.nint(c * den)), p) for c, p in poly] for _, _, poly in forms]
+        origin, t, w = _fixed_rate(0, T, F), to_fixed(T, F), 2 * den * den
+        for i, (lam, imag, _) in enumerate(forms):
+            if not i or lam != forms[i - 1][0]:     # a rate's rows are adjacent
+                # orders to the highest power at this rate plus 1, the linear row's
+                d = 1 + max(p for f in forms[i:i + 2] if f[0] == lam for _, p in f[2])
+                sets = _moment_set(d, origin, _fixed_rate(lam, T, F), t, F)
+            for j in zero:
+                s = [sum(c * e * m[p + q][imag] for c, p in polys[i] for e, q in polys[j]) // w
+                     for m in sets]
+                G[i][j] = G[j][i] = s[0] - s[1] if imag else s[0] + s[1]
+    groups, re, im, a, b = _displacement(system, [row[0] for row in G], F, E)
+    live = [(kind, rows) for kind, rows in groups if rows[0] not in zero]
+    for k, (kind, rows) in enumerate(live):
+        rest, j = live[k:], rows[0]
+        if kind == "pair":
+            out = _pair_columns(rest, a, b, re, im, *rows, E)
+        else:
+            out = _real_columns(rest, a, b, re, im, a[j], b[j], re[j], E)
+        if kind == "jordan":
+            p = rows[1]
+            out = [(r, x, y) for (r, x), (_, y) in
+                   zip(out, _real_columns(rest, a, b, re, im, a[p], b[p], re[j], E, dict(out)))]
+        for r, *xs in out:      # row r's entries in the columns of rows
+            for c, x in zip(rows, xs):
+                G[r][c] = G[c][r] = x >> E - F
     return FixedMatrix(tuple(map(tuple, G)), F)
 
 
-def _displacement(system: MomentSystem, G: FixedMatrix, E: int):
+def _displacement(system: MomentSystem, col: list, F: int, E: int):
     """(groups, re, im, a, b) of the kernels at E fraction bits: re + i im is
-    each row's rate, a = k(T) and b = k(0) the generators of G.
+    each row's rate, a = k(T) and b = k(0) the generators of G, read off its
+    column 0 (col, at F fraction bits).
 
     d/du k = Lambda k, u = T - s, so Lambda G + G Lambda^T = a a^T - b b^T,
     and on column 0 (const' = 0) a = b + Lambda G_(:,0).  Past the flatness
@@ -149,13 +147,13 @@ def _displacement(system: MomentSystem, G: FixedMatrix, E: int):
     at z = beta + i omega: a rotation) and "jordan" (exp, polyexp at one
     rate: (u e^(lam u))' = e^(lam u) + lam u e^(lam u)).
     """
-    kinds, n, F = [k.kind for k in system.kernels], system.n_rows, G.scale
+    kinds, n = [k.kind for k in system.kernels], system.n_rows
     if kinds[:2] != ["const", "linear"]:
         raise ValueError("the Gram factor wants the flatness rows first")
     with mp.workprec(E):
         rates = [mp.mpc(k.real_form(1)[0]) for k in system.kernels]
     re, im = [to_fixed(z.real, E) for z in rates], [to_fixed(z.imag, E) for z in rates]
-    T, col = system.config.horizon, [row[0] for row in G.ints]
+    T = system.config.horizon
     b = [0 if kind in ("polyexp", "expsin") else 1 << E for kind in kinds]
     b[1] = (T.numerator << E) // T.denominator
     a = [b[0], 0] + [b[j] + (re[j] * col[j] >> F) for j in range(2, n)]
@@ -208,7 +206,7 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
     A, F, n = G.ints, G.scale, G.rows
     E = F + 32
     up = E - F
-    groups, re, im, a, b = _displacement(system, G, E)
+    groups, re, im, a, b = _displacement(system, [row[0] for row in A], F, E)
     L = [[] for _ in range(n)]
     pivots, top = [], 0
 
@@ -230,15 +228,13 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
         j = rows[0]
         if kind in ("real", "jordan"):     # one pivot row
             aj, bj, lb = a[j], b[j], re[j]
-            d = (aj * aj - bj * bj) // (2 * lb) if lb else 0    # rate 0: the const row again
+            block = [(kind, rows)] + groups     # at rate 0 the const row again: pivot 0
+            (_, d), *cols = _real_columns(block, a, b, re, im, aj, bj, lb, E) if lb else [(j, 0)]
             l11 = pivot(j, d)
             r1 = (1 << 2 * E) // l11
             L[j].append(l11)
-            cols = _real_columns(groups, a, b, re, im, aj, bj, lb, E)
             if kind == "jordan":    # the polyexp row, still coupled to its pivot
-                p = rows[1]
-                cols.insert(0, (p, (a[p] * aj - b[p] * bj - (d << E)) // (2 * lb)))
-                groups.insert(0, ("real", (p,)))
+                groups.insert(0, ("real", rows[1:]))
             ga, gb = aj * r1 >> E, bj * r1 >> E          # L_BB^-1 g_B
             for r, x in cols:
                 x = x * r1 >> E
@@ -248,11 +244,10 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
             continue
         s = rows[1]
         if kind == "flat":
-            d11, d21, d22 = A[j][j] << up, A[s][j] << up, A[s][s] << up
-            cols = [(r, A[r][0] << up, A[r][1] << up) for r in range(2, n)]
+            cols = [(r, A[r][0] << up, A[r][1] << up) for r in range(n)]
         else:
-            (_, d11, d21), (_, _, d22) = _pair_columns([(kind, rows)], a, b, re, im, j, s, E)
-            cols = _pair_columns(groups, a, b, re, im, j, s, E)
+            cols = _pair_columns([(kind, rows)] + groups, a, b, re, im, j, s, E)
+        (_, d11, d21), (_, _, d22), *cols = cols
         l11 = pivot(j, d11)
         r1 = (1 << 2 * E) // l11
         l21 = (d21 << E) // l11
@@ -278,23 +273,25 @@ def _over(xr: int, xi: int, wr: int, wi: int) -> tuple:
     return (xr * wr + xi * wi) // n2, (xi * wr - xr * wi) // n2
 
 
-def _real_columns(groups, a, b, re, im, aj, bj, lb, E) -> list:
+def _real_columns(groups, a, b, re, im, aj, bj, lb, E, less=None) -> list:
     """(row, S_rj) times 2^E for every row of the groups, j a one-row pivot at
-    rate lb with generators aj, bj: (lam_r + lb) S_rj = a_r aj - b_r bj, a
-    pair's two rows as one complex entry, a Jordan block by substitution."""
+    rate lb with generators aj, bj: (lam_r + lb) S_rj = a_r aj - b_r bj - l_r,
+    a pair's two rows as one complex entry, a Jordan block by substitution;
+    l_r is 0, or less[r] times 2^E: a Jordan partner's column."""
     out = []
     for kind, rows in groups:
         r = rows[0]
-        if kind == "pair":
-            c, s = rows
-            x = _over(a[c] * aj - b[c] * bj, a[s] * aj - b[s] * bj, re[c] + lb, im[c])
-            out += [(c, x[0]), (s, x[1])]
+        x = a[r] * aj - b[r] * bj - (less[r] << E if less else 0)
+        if kind == "real":
+            out.append((r, x // (re[r] + lb)))
             continue
-        x = (a[r] * aj - b[r] * bj) // (re[r] + lb)
-        out.append((r, x))
-        if kind == "jordan":
-            p = rows[1]
-            out.append((p, (a[p] * aj - b[p] * bj - (x << E)) // (re[r] + lb)))
+        s = rows[1]
+        y = a[s] * aj - b[s] * bj - (less[s] << E if less else 0)
+        if kind == "pair":
+            out += zip(rows, _over(x, y, re[r] + lb, im[r]))
+            continue
+        x //= re[r] + lb
+        out += [(r, x), (s, (y - (x << E)) // (re[r] + lb))]
     return out
 
 

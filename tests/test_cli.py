@@ -299,6 +299,27 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     assert sum(map(len, ACCEPTED_DESTS.values())) == 41
 
 
+@pytest.mark.parametrize("only", [None, "bogus", *ACCEPTED_DESTS])
+def test_build_parser_builds_only_the_named_subcommand(only):
+    parser = build_parser(only)
+    built = {only} if only in ACCEPTED_DESTS else set(ACCEPTED_DESTS)
+    for command in ACCEPTED_DESTS:
+        if command in built:
+            assert parser.parse_args([command]).command == command
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command])
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "invalid"])
+def test_help_and_an_invalid_choice_list_every_subcommand(capsys, argv, code):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    shown = capsys.readouterr()
+    assert all(command in shown.out + shown.err for command in ACCEPTED_DESTS)
+
+
 # (subcommand, flag, value, config section, config key) a subcommand does not read
 UNREAD = [
     ("spectrum", "--horizon", "5", "beam", "horizon"),
@@ -362,25 +383,39 @@ def test_mode1_is_the_triple_1_1_0(tmp_path):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
 def test_random_data_keeps_each_float64_draw_exactly(boundary):
-    # each slot is the draw over n^2, rounded once at the working precision
-    import mpmath as mp
+    # each slot is the draw over n^2 as an exact Fraction, rounded by no rung
+    from fractions import Fraction
+
     import numpy as np
 
     from beamctl import BeamConfig
-    from beamctl._numutil import GUARD_BITS
     from beamctl.cli import build_initial_state
 
     config = BeamConfig(boundary, 1, 5, 1, 128)
     state = build_initial_state("random", config, seed=3)
     rng = np.random.default_rng(3)
     first = config.boundary.first_mode
-    with mp.workprec(128 + GUARD_BITS):
-        for n in state.modes:
-            if n == 0 or config.spectrum.traces[n - first] == 0:
-                assert state.values[n - first] == state.velocities[n - first] == 0
-                continue
-            assert state.values[n - first] == mp.mpf(float(rng.standard_normal())) / n ** 2
-            assert state.velocities[n - first] == mp.mpf(float(rng.standard_normal())) / n ** 2
+    for n in state.modes:
+        if n == 0 or config.spectrum.traces[n - first] == 0:
+            assert state.values[n - first] == state.velocities[n - first] == 0
+            continue
+        assert state.values[n - first] == Fraction(float(rng.standard_normal())) / n ** 2
+        assert state.velocities[n - first] == Fraction(float(rng.standard_normal())) / n ** 2
+
+
+def test_climbed_rungs_read_the_data_exactly(tmp_path):
+    # 1/3 stays a Fraction: the 424-bit rung reads it to 424 bits, not as
+    # rounded for the 53-bit rung
+    from fractions import Fraction
+
+    from beamctl._numutil import decimal_str
+
+    code, out = run(tmp_path, "synthesize", "--rho", "3", "--modes", "24",
+                    "--precision-bits", "53", "--data", "1:1/3:0")
+    assert code == 0
+    doc = load(out, "synthesis.json")
+    assert doc["precision_trace"] == [53, 106, 212, 424]
+    assert doc["state0"]["values"][0] == decimal_str(Fraction(1, 3), 424)
 
 
 def test_condensation_rational_ratio_exits_three(tmp_path):

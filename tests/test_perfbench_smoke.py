@@ -1,7 +1,6 @@
-"""The benchmark's verify and synthesize-ladder workloads run clean: one pass
-of every case, with its flatness, quadrature and cost checks, so a sampler or
-Gram factor change that breaks them fails here and not first in a benchmark
-run."""
+"""The benchmark's three workloads run clean: one pass of every case, with
+its flatness, quadrature and cost checks, so a sampler, Gram or factor
+change that breaks them fails here and not first in a benchmark run."""
 import json
 import subprocess
 import sys
@@ -26,6 +25,10 @@ def run_workload(workload):
 
 def test_perfbench_verify_regimes_passes_its_checks():
     run_workload("verify-regimes")
+
+
+def test_perfbench_synthesize_wide_passes_its_checks():
+    run_workload("synthesize-wide")
 
 
 def test_perfbench_synthesize_ladder_passes_its_checks():
