@@ -43,7 +43,7 @@ from .errors import (
     UncontrollableMode,
 )
 from .kernels import ControlSignal
-from .modal_dynamics import ModalState, Trajectory
+from .modal_dynamics import ModalState, Trajectory, _exact_norm
 from .moment_problem import assemble
 from .spectrum import (
     BeamConfig,
@@ -360,7 +360,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _write_report(args, report.to_json_dict())
     write_control_csv(report.synthesis.control, _out_path(args, "control.csv"))
     write_trajectory_csv(report.trajectory, _out_path(args, "trajectory.csv"))
-    rel = report.final_norm / max(report.initial_norm, 1e-300)
+    rel = float(_exact_norm(report.final_norm) / (_exact_norm(report.initial_norm) or 1))
     print(f"verify: verdict {report.verdict.value}, final/initial {rel:.3e}, "
           f"route deviation {report.oracle_deviation:.3e}")
     return EXIT_OK if report.verdict is Verdict.CONTROLLED else EXIT_UNCONTROLLABLE

@@ -7,13 +7,14 @@ Its one primitive is the truncated moment
 computed for d = 0..D at once by _moment_set, on integers only, at nu =
 lam + mu and lam + conj mu from two rates encoded by _fixed_rate (each
 rate's e^(lam T) at a fixed binary point): one series pass for all orders
-when |nu T| < 1/2, the usual recursion in d otherwise.  The Gram's columns
-at its rate-0 rows (synthesis.gram_matrix, one moment set per rate) and
-the control's moments K(p, lam) = int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds
+when |nu T| < 1/2, the usual recursion in d otherwise.  The control's
+moments K(p, lam) = int_0^T f''(s) (T-s)^p e^(lam (T-s)) ds
 (control_moments, one moment pair per key rate and kernel rate), which
-give f(T), f'(T) and the modal Duhamel responses at T, are sums of M_d.
-closed_form_state evolves each mode to T through the two fundamental
-solutions of its roots.
+give f(T), f'(T) and the modal Duhamel responses at T, are sums of M_d,
+and nothing outside this module takes a moment set: synthesis builds the
+Gram from the kernels' displacement structure and borrows only the
+fixed-point sizing, _fixed_point_bits.  closed_form_state evolves each
+mode to T through the two fundamental solutions of its roots.
 
 Of the control this route reads its data, each kernel's Kernel.real_form
 and ControlSignal.term_scale_bound, and nothing of the oracle route's
@@ -37,9 +38,10 @@ __all__ = [
 
 
 def _fixed_point_bits(precision_bits: int, magnitude_bits: int, horizon) -> int:
-    """Fraction bits F of a fixed-point moment sum (the Gram's, or a control's
-    moments): precision_bits + GUARD_BITS + 16, the caller's magnitude_bits
-    (how far below 1 its sums must reach), and 3 log2(2T) for divisions by nu."""
+    """Fraction bits F of a fixed-point sum (the Gram's entries, or a
+    control's moments): precision_bits + GUARD_BITS + 16, the caller's
+    magnitude_bits (how far below 1 its sums must reach), and 3 log2(2T)
+    for divisions by nu."""
     return (precision_bits + GUARD_BITS + 16 + magnitude_bits
             + 3 * max(0, math.ceil(math.log2(horizon) + 1)))
 

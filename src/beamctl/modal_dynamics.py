@@ -44,6 +44,8 @@ __all__ = [
     "simulate_oracle",
 ]
 
+_SAMPLES = 201      # uniform report times of a trajectory, 0 and T included
+
 
 @dataclass(frozen=True)
 class ModalState:
@@ -88,9 +90,11 @@ class ModalState:
             raise ValueError(f"mode {n} outside state range")
         return self.modes.index(n)
 
-    def amplitude(self, n: int) -> float:
+    def amplitude(self, n: int) -> mp.mpf:
+        """Larger of mode n's |value| and |velocity|, an mpf at the working
+        precision, so that data below float64's range keeps its size."""
         i = self.mode_index(n)
-        return max(abs(float(to_mpf(self.values[i]))), abs(float(to_mpf(self.velocities[i]))))
+        return max(abs(to_mpf(self.values[i])), abs(to_mpf(self.velocities[i])))
 
     @staticmethod
     def dirichlet(values, velocities) -> "ModalState":
@@ -131,6 +135,13 @@ def state_pair_norm(state: ModalState, p) -> float:
     return _TinyNorm(norm) if 0 < norm < float_info.min else float(norm)
 
 
+def _exact_norm(norm) -> mp.mpf:
+    """The mpf a pair norm (state_pair_norm) was rounded from, a _TinyNorm's
+    own below float64's normal range: compared as that, a norm keeps its
+    size however small the data."""
+    return getattr(norm, "exact", mp.mpf(norm))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Physical-state history from the spectral oracle at uniform times on [0, T]."""
@@ -148,8 +159,7 @@ class Trajectory:
         return self.state_at(len(self.times) - 1)
 
 
-def simulate_oracle(config: BeamConfig, state0: ModalState,
-                    control: ControlSignal, samples: int = 201) -> Trajectory:
+def simulate_oracle(config: BeamConfig, state0: ModalState, control: ControlSignal) -> Trajectory:
     """Spectral integration of the modal system in float64 (Greengard, SIAM
     J. Numer. Anal. 28, 1991).
 
@@ -167,13 +177,11 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     SamplingError.  The oracle reads no root of the spectrum and no moment.
     The physical state has u'' = w + x_n f'' and the same initial data, since
     f(0) = f'(0) = 0, so u' and u are that series integrated from t = 0.  It
-    reports them at `samples` uniform times, the last at T.  A control with
+    reports them at _SAMPLES uniform times, the last at T.  A control with
     zero coefficients gives the free flow.
     """
     import numpy as np
     state0.check_fits(config)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
 
     T = float(to_mpf(config.horizon))
     ns = np.asarray(state0.modes, dtype=np.float64)
@@ -208,7 +216,7 @@ def simulate_oracle(config: BeamConfig, state0: ModalState,
     du[0] += dv0
     u = J @ du
     u[0] += v0
-    times = np.linspace(0.0, T, samples)
+    times = np.linspace(0.0, T, _SAMPLES)
     values, velocities = np.split(_clenshaw(2.0 * times / T - 1.0, np.hstack([u, du])), 2)
     return Trajectory(config.boundary, tuple(times.tolist()), tuple(map(tuple, values.T.tolist())),
                       tuple(map(tuple, velocities.T.tolist())), m)

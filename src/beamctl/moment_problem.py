@@ -60,14 +60,15 @@ INVISIBLE_RTOL = mp.mpf("1e-14")        # even cosine modes, against max amplitu
 COLLISION_RTOL = mp.mpf("1e-9")         # target agreement on merged rows
 
 
-def data_l2_norm(state: ModalState) -> float:
-    """Plain l2 size of the data: all modal values and velocities together."""
+def data_l2_norm(state: ModalState) -> mp.mpf:
+    """Plain l2 size of the data: all modal values and velocities together,
+    an mpf, whose exponent does not underflow where a float64 would."""
     total = mp.mpf(0)
     for v in state.values:
         total += to_mpf(v) ** 2
     for v in state.velocities:
         total += to_mpf(v) ** 2
-    return float(mp.sqrt(total))
+    return mp.sqrt(total)
 
 
 def neumann_admissibility(state0: ModalState, precision_bits: int = 256) -> Tuple[float, float]:
@@ -207,8 +208,8 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
                 continue
             if x == 0:
                 amp = state0.amplitude(n)
-                if max_amp > 0 and amp > float(INVISIBLE_RTOL) * max_amp:
-                    raise UncontrollableMode(n, amp, float(INVISIBLE_RTOL) * max_amp)
+                if max_amp > 0 and amp > INVISIBLE_RTOL * max_amp:
+                    raise UncontrollableMode(n, float(amp), float(INVISIBLE_RTOL * max_amp))
                 dropped.append(n)
             else:
                 active.append((i, n, x))
@@ -241,9 +242,9 @@ def assemble(config: BeamConfig, state0: ModalState) -> MomentSystem:
                     j = merged[key]
                     gap = abs(target - targets[j])
                     pair = (row_modes[j][0], n)
-                    if gap > COLLISION_RTOL * max(norm, 1e-300):
+                    if gap > COLLISION_RTOL * norm:
                         raise ResonanceDefect(float(to_mpf(kernel.rate)), float(gap),
-                                              norm, pair=pair)
+                                              float(norm), pair=pair)
                     targets[j] = (targets[j] + target) / 2
                     labels[j] = f"{labels[j]}+mode{n}-{suffix}"
                     row_modes[j] = row_modes[j] + (n,)

@@ -22,12 +22,12 @@ approximate fallback: a returned control meets its moment targets to the
 working precision.
 
 All of it runs on integers with a fixed binary point (FixedMatrix), F
-fraction bits in the Gram (_gram_scale, by closed_form._fixed_point_bits)
-and F + 32 in its column solves; the columns of its rate-0 rows, whose
-Sylvester operator is singular, are sums of closed_form._moment_set, the
-moment calculus the closed-form final state uses too, and the generators
-come from the Gram's first column.  mpf stays at the edges: each rate's
-e^(lam T) and the returned coefficients.
+fraction bits in the Gram (_gram_scale, by closed_form._fixed_point_bits,
+the one name this module takes from the closed form) and F + 32 in its
+column solves.  The entries among the rate-0 rows, where the Sylvester
+operator is singular, integrate polynomials and are exact.  mpf stays at
+the edges: each rate's e^(lam T), once, in the Gram (the factor reads k(T)
+off the Gram's column 0), and the returned coefficients.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import mpmath as mp
 
 from ._numutil import GUARD_BITS, decimal_str, quotient, to_fixed, to_mpf
 from .errors import NumericalRankDeficiency
-from .closed_form import _fixed_point_bits, _fixed_rate, _moment_set
+from .closed_form import _fixed_point_bits
 from .kernels import ControlSignal
 from .moment_problem import MomentSystem
 
@@ -89,63 +89,53 @@ def _gram_scale(system: MomentSystem) -> int:
 def gram_matrix(system: MomentSystem) -> FixedMatrix:
     """Symmetric Gram matrix of the system's kernels over [0, horizon].
 
-    Each kernel is Re, or Im, of one term P(u) e^(lam u) (Kernel.real_form).
-    Against a rate-0 row (the flatness pair, an exp row at rate 0) an entry
-    is Re, or Im, of sum c d M_(p+q) at lam plus, or less, the same at
-    conj(lam): one _moment_set call per rate.  Every other entry solves
-    Lambda G + G Lambda^T = a a^T - b b^T by the factor's column solves, on
-    the generators of column 0, at E = F + 32 fraction bits; a polyexp
-    column p subtracts its exp partner j's: (Lambda_I + lam) X_Ip = a_I a_p
-    - b_I b_p - X_Ij.
+    Each kernel is Re, or Im, of one term P(u) e^(lam u) (Kernel.real_form),
+    so the generators a = k(T) take one mp.exp per distinct rate.  Among
+    the rate-0 rows (the flatness pair, and an exp row at rate 0, which is
+    const again) an entry is the integral of a polynomial, T, T^2/2 or
+    T^3/3, and is exact.  Every other entry solves Lambda G + G Lambda^T =
+    a a^T - b b^T by the factor's column solves (_columns), one pivot block
+    of _displacement at a time, the flatness pair first, at E = F + 32
+    fraction bits.
     """
     F, n = _gram_scale(system), system.n_rows
     E = F + 32
     G = [[0] * n for _ in range(n)]
-    with mp.workprec(F + 16):
-        T, den = to_mpf(system.config.horizon), system.config.horizon.denominator
-        forms = [k.real_form(T) for k in system.kernels]
-        zero = [j for j, (lam, _, _) in enumerate(forms) if not lam]     # the rate-0 rows
-        # c is 1, -1 or T: times T's denominator an integer
-        polys = [[(int(mp.nint(c * den)), p) for c, p in poly] for _, _, poly in forms]
-        origin, t, w = _fixed_rate(0, T, F), to_fixed(T, F), 2 * den * den
-        for i, (lam, imag, _) in enumerate(forms):
-            if not i or lam != forms[i - 1][0]:     # a rate's rows are adjacent
-                # orders to the highest power at this rate plus 1, the linear row's
-                d = 1 + max(p for f in forms[i:i + 2] if f[0] == lam for _, p in f[2])
-                sets = _moment_set(d, origin, _fixed_rate(lam, T, F), t, F)
-            for j in zero:
-                s = [sum(c * e * m[p + q][imag] for c, p in polys[i] for e, q in polys[j]) // w
-                     for m in sets]
-                G[i][j] = G[j][i] = s[0] - s[1] if imag else s[0] + s[1]
-    groups, re, im, a, b = _displacement(system, [row[0] for row in G], F, E)
-    live = [(kind, rows) for kind, rows in groups if rows[0] not in zero]
-    for k, (kind, rows) in enumerate(live):
-        rest, j = live[k:], rows[0]
-        if kind == "pair":
-            out = _pair_columns(rest, a, b, re, im, *rows, E)
-        else:
-            out = _real_columns(rest, a, b, re, im, a[j], b[j], re[j], E)
-        if kind == "jordan":
-            p = rows[1]
-            out = [(r, x, y) for (r, x), (_, y) in
-                   zip(out, _real_columns(rest, a, b, re, im, a[p], b[p], re[j], E, dict(out)))]
-        for r, *xs in out:      # row r's entries in the columns of rows
+    groups, re, im, b = _displacement(system, E)
+    T, a, zero, exps = system.config.horizon, [], [], {}
+    with mp.workprec(E + 16):
+        t = to_mpf(T)
+        for j, kernel in enumerate(system.kernels):
+            lam, imag, poly = kernel.real_form(t)
+            if lam not in exps:
+                exps[lam] = mp.exp(lam * t)
+            v = sum(c * t ** p for c, p in poly) * exps[lam]
+            a.append(to_fixed(v.imag if imag else v.real, E))
+            if not lam:
+                zero.append(j)
+    for i in zero:
+        for j in zero:      # T^m / m, m - 1 being how many of i, j are the linear row
+            m = 1 + (i == 1) + (j == 1)
+            G[i][j] = (T.numerator ** m << F) // (m * T.denominator ** m)
+    for k, (kind, rows) in enumerate(groups):       # a rate-0 pivot skips the rate-0 rows
+        rest = [g for g in groups[k:] if rows[0] not in zero or g[1][0] not in zero]
+        for r, *xs in _columns(kind, rows, rest, a, b, re, im, E):      # row r's entries
             for c, x in zip(rows, xs):
                 G[r][c] = G[c][r] = x >> E - F
     return FixedMatrix(tuple(map(tuple, G)), F)
 
 
-def _displacement(system: MomentSystem, col: list, F: int, E: int):
-    """(groups, re, im, a, b) of the kernels at E fraction bits: re + i im is
-    each row's rate, a = k(T) and b = k(0) the generators of G, read off its
-    column 0 (col, at F fraction bits).
+def _displacement(system: MomentSystem, E: int):
+    """(groups, re, im, b) of the kernels at E fraction bits: the pivot
+    blocks of Lambda, re + i im each row's rate and b = k(0), a generator of
+    G.
 
-    d/du k = Lambda k, u = T - s, so Lambda G + G Lambda^T = a a^T - b b^T,
-    and on column 0 (const' = 0) a = b + Lambda G_(:,0).  Past the flatness
-    pair, whose block is nilpotent (linear' = -const), Lambda is block
-    diagonal in assemble's row groups: "real" (exp), "pair" (expcos, expsin
-    at z = beta + i omega: a rotation) and "jordan" (exp, polyexp at one
-    rate: (u e^(lam u))' = e^(lam u) + lam u e^(lam u)).
+    d/du k = Lambda k, u = T - s, so Lambda G + G Lambda^T = a a^T - b b^T
+    with a = k(T).  Lambda is block diagonal in assemble's row groups, each
+    a (kind, rows) group: "flat" (const, linear at rate 0, nilpotent:
+    linear' = -const), "real" (exp), "pair" (expcos, expsin at z = beta + i
+    omega: a rotation) and "jordan" (exp, polyexp at one nonzero rate: (u
+    e^(lam u))' = e^(lam u) + lam u e^(lam u)).
     """
     kinds, n = [k.kind for k in system.kernels], system.n_rows
     if kinds[:2] != ["const", "linear"]:
@@ -156,23 +146,19 @@ def _displacement(system: MomentSystem, col: list, F: int, E: int):
     T = system.config.horizon
     b = [0 if kind in ("polyexp", "expsin") else 1 << E for kind in kinds]
     b[1] = (T.numerator << E) // T.denominator
-    a = [b[0], 0] + [b[j] + (re[j] * col[j] >> F) for j in range(2, n)]
-    groups, j = [], 2
+    groups, j = [("flat", (0, 1))], 2
     while j < n:
         kind, partner = kinds[j], kinds[j + 1] if j + 1 < n and rates[j] == rates[j + 1] else None
         if (kind, partner) == ("expcos", "expsin"):
             groups.append(("pair", (j, j + 1)))
-            a[j] -= im[j] * col[j + 1] >> F
-            a[j + 1] += im[j] * col[j] >> F
-        elif (kind, partner) == ("exp", "polyexp"):
+        elif (kind, partner) == ("exp", "polyexp") and rates[j]:
             groups.append(("jordan", (j, j + 1)))
-            a[j + 1] += col[j] << E - F
         elif kind == "exp":
             groups.append(("real", (j,)))
         else:
             raise ValueError(f"no displacement structure at row {j} ({kind})")
         j += len(groups[-1][1])
-    return groups, re, im, a, b
+    return groups, re, im, b
 
 
 def cholesky_factor(system: MomentSystem, G: FixedMatrix):
@@ -188,11 +174,13 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
     Comp. 64, 1995; Kailath & Sayed, SIAM Rev. 37, 1995): O(n^2) products,
     where a row-by-row Cholesky takes O(n^3).  Each Schur complement keeps
     the displacement of G (_displacement) with generators updated as g <- g
-    - L_iB L_BB^-1 g_B per pivot block B, one row or a pair's two.  They give
-    B's columns, its own block and so its pivots included, by one small
-    Sylvester solve per row group (_real_columns, _pair_columns); the
-    flatness pair, whose Sylvester operator is singular, takes G's first two
-    columns instead.
+    - L_iB L_BB^-1 g_B per pivot block B: an exp row alone, or the two rows
+    of a flatness, pair or Jordan block.  They give B's columns, its own
+    block and so its pivots included, by the Gram's column solves
+    (_columns).  a = k(T) is read off G's column 0 (const' = 0, so a = b +
+    Lambda G_(:,0)), so no exponential is evaluated twice, and the flatness
+    pair, first, takes G's first two columns; an exp row at rate 0 is the
+    const row again, with pivot 0.
 
     Everything is held times 2^E, E = F + 32.  Pivots and columns come from
     the generators alone, so each rounding perturbs the current Schur
@@ -206,7 +194,15 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
     A, F, n = G.ints, G.scale, G.rows
     E = F + 32
     up = E - F
-    groups, re, im, a, b = _displacement(system, [row[0] for row in A], F, E)
+    groups, re, im, b = _displacement(system, E)
+    a = [b[0], 0] + [b[j] + (re[j] * A[j][0] >> F) for j in range(2, n)]
+    for kind, rows in groups:
+        j, s = rows[0], rows[-1]
+        if kind == "pair":
+            a[j] -= im[j] * A[s][0] >> F
+            a[s] += im[j] * A[j][0] >> F
+        elif kind == "jordan":
+            a[s] += A[j][0] << up
     L = [[] for _ in range(n)]
     pivots, top = [], 0
 
@@ -222,31 +218,24 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
         top = max(top, s)
         return isqrt(s << E)
 
-    groups.insert(0, ("flat", (0, 1)))
-    while groups:
-        kind, rows = groups.pop(0)
-        j = rows[0]
-        if kind in ("real", "jordan"):     # one pivot row
-            aj, bj, lb = a[j], b[j], re[j]
-            block = [(kind, rows)] + groups     # at rate 0 the const row again: pivot 0
-            (_, d), *cols = _real_columns(block, a, b, re, im, aj, bj, lb, E) if lb else [(j, 0)]
+    for k, (kind, rows) in enumerate(groups):
+        j, s = rows[0], rows[-1]
+        if kind == "real":      # one pivot row
+            (_, d), *cols = _columns(kind, rows, groups[k:], a, b, re, im, E) if re[j] else [(j, 0)]
             l11 = pivot(j, d)
             r1 = (1 << 2 * E) // l11
             L[j].append(l11)
-            if kind == "jordan":    # the polyexp row, still coupled to its pivot
-                groups.insert(0, ("real", rows[1:]))
-            ga, gb = aj * r1 >> E, bj * r1 >> E          # L_BB^-1 g_B
+            ga, gb = a[j] * r1 >> E, b[j] * r1 >> E          # L_BB^-1 g_B
             for r, x in cols:
                 x = x * r1 >> E
                 L[r].append(x)
                 a[r] -= x * ga >> E
                 b[r] -= x * gb >> E
             continue
-        s = rows[1]
         if kind == "flat":
             cols = [(r, A[r][0] << up, A[r][1] << up) for r in range(n)]
         else:
-            cols = _pair_columns([(kind, rows)] + groups, a, b, re, im, j, s, E)
+            cols = _columns(kind, rows, groups[k:], a, b, re, im, E)
         (_, d11, d21), (_, _, d22), *cols = cols
         l11 = pivot(j, d11)
         r1 = (1 << 2 * E) // l11
@@ -266,6 +255,23 @@ def cholesky_factor(system: MomentSystem, G: FixedMatrix):
     return FixedMatrix(tuple(map(tuple, L)), E), quotient(top, min(pivots)) if pivots else 1.0
 
 
+def _columns(kind: str, rows: tuple, groups, a, b, re, im, E: int) -> list:
+    """Columns of the pivot block rows, a _displacement group of that kind,
+    for every row of the groups, times 2^E: (row, S_rj) for an exp row j,
+    (row, S_rj, S_rs) for a two-row block (j, s).  A flat or jordan block's
+    second column subtracts Lambda_sj S_rj, Lambda_sj being -1 (linear' =
+    -const) or 1 (polyexp' = exp + lam polyexp)."""
+    j, s = rows[0], rows[-1]
+    if kind == "pair":
+        return _pair_columns(groups, a, b, re, im, j, s, E)
+    out = _real_columns(groups, a, b, re, im, a[j], b[j], re[j], E)
+    if kind == "real":
+        return out
+    less = {r: x if kind == "jordan" else -x for r, x in out}
+    return [(r, x, y) for (r, x), (_, y) in
+            zip(out, _real_columns(groups, a, b, re, im, a[s], b[s], re[j], E, less))]
+
+
 def _over(xr: int, xi: int, wr: int, wi: int) -> tuple:
     """(xr + i xi) / (wr + i wi), each part floored; the result's scale is
     x's less w's."""
@@ -277,7 +283,8 @@ def _real_columns(groups, a, b, re, im, aj, bj, lb, E, less=None) -> list:
     """(row, S_rj) times 2^E for every row of the groups, j a one-row pivot at
     rate lb with generators aj, bj: (lam_r + lb) S_rj = a_r aj - b_r bj - l_r,
     a pair's two rows as one complex entry, a Jordan block by substitution;
-    l_r is 0, or less[r] times 2^E: a Jordan partner's column."""
+    l_r is 0, or less[r] times 2^E: a two-row pivot's coupling to its first
+    column (_columns)."""
     out = []
     for kind, rows in groups:
         r = rows[0]

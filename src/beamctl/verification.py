@@ -28,12 +28,8 @@ from typing import Optional, Sequence, Tuple
 from ._numutil import as_fraction
 from .closed_form import closed_form_state
 from .kernels import ControlSignal
-from .modal_dynamics import (
-    ModalState,
-    Trajectory,
-    simulate_oracle,
-    state_pair_norm,
-)
+from .modal_dynamics import (ModalState, Trajectory, _exact_norm, simulate_oracle,
+                             state_pair_norm)
 from .moment_problem import assemble
 from .spectrum import BeamConfig, Boundary
 from .synthesis import SynthesisReport, solve_min_norm
@@ -114,8 +110,10 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
 
     The verdict is CONTROLLED only if both the closed-form and the oracle
     final states are small: pair norm at most `tolerance` times the initial
-    pair norm.  The oracle does not depend on `tolerance`: it sizes its
-    degree from the control's own series.
+    pair norm, each compared as the mpf it was rounded from, with no clamp
+    and no float64 underflow, so that the verdict is relative at any data
+    size.  The oracle does not depend on `tolerance`: it sizes its degree
+    from the control's own series.
     Data the control cannot act on raises before any synthesis happens (see
     the moment assembly), so a returned report always carries an actual
     control.
@@ -137,9 +135,9 @@ def null_control_experiment(config: BeamConfig, state0: ModalState,
     oracle_final_norm = state_pair_norm(oracle_final, p)
     deviation = _max_componentwise_gap(final, oracle_final)
 
-    floor = tolerance * max(initial_norm, 1e-300)
+    floor = tolerance * _exact_norm(initial_norm)
     verdict = (Verdict.CONTROLLED
-               if final_norm <= floor and oracle_final_norm <= floor
+               if _exact_norm(final_norm) <= floor and _exact_norm(oracle_final_norm) <= floor
                else Verdict.RESIDUAL_TOO_LARGE)
     return VerificationReport(
         config=solved_config,

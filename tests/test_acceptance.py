@@ -208,7 +208,7 @@ def test_forced_response_routes_agree_on_random_controls():
             control = ControlSignal(kernels=system.kernels, coefficients=coeffs,
                                     horizon=T, precision_bits=192)
             closed = closed_form_state(cfg, zero, control)
-            oracle = simulate_oracle(cfg, zero, control, samples=2).final_state()
+            oracle = simulate_oracle(cfg, zero, control).final_state()
             for a, b in zip(closed.values + closed.velocities,
                             oracle.values + oracle.velocities):
                 worst = max(worst, abs(float(a) - float(b)))

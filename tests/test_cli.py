@@ -193,6 +193,16 @@ def test_verify_controls_24_modes_of_random_data(tmp_path):
     assert doc["oracle_degree"] < 452       # below twice the f'' series' 226 coefficients
 
 
+@pytest.mark.parametrize("scale", ["1", "1e-200", "1e-320"])
+def test_resonance_exit_does_not_depend_on_the_data_scale(tmp_path, scale):
+    # rho = 5/2 collides mode 2's slow rate with mode 1's fast one, where
+    # these targets disagree by a share of the data's size that no scale moves
+    code, out = run(tmp_path, "verify", "--rho", "5/2", "--modes", "2",
+                    "--data", f"1:{scale}:0,2:{scale}:0", *FAST)
+    assert code == 3
+    assert load(out, "verification.json")["error"]["type"] == "ResonanceDefect"
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
 def test_verify_non_finite_tolerance_exits_two(tmp_path, capsys, tolerance):
     code, out = run(tmp_path, "verify", "--modes", "2", "--data", "1:1:0",

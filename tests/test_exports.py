@@ -48,11 +48,17 @@ def _imports(module: str) -> list:
 
 def test_routes_import_across_one_boundary():
     """The oracle route (kernels, modal_dynamics) imports nothing of the closed
-    form; the closed form takes only the control's data from kernels and the
-    state type from modal_dynamics, and touches no sampler or proxy."""
+    form, and synthesis only its fixed-point sizing (_fixed_point_bits), so
+    the M_d calculus stays one module's; the closed form takes only the
+    control's data from kernels and the state type from modal_dynamics, and
+    touches no sampler or proxy."""
     for module in ("kernels", "modal_dynamics"):
         for source, names in _imports(module):
             assert "closed_form" not in source.split(".") + sorted(names), (module, source)
+    for source, names in _imports("synthesis"):
+        assert "closed_form" not in names, source      # no whole-module import
+        if "closed_form" in source.split("."):
+            assert names == {"_fixed_point_bits"}, names
     allowed = {"kernels": {"Kernel", "ControlSignal"}, "modal_dynamics": {"ModalState"}}
     for source, names in _imports("closed_form"):
         base = source.split(".")[-1]

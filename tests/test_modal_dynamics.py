@@ -298,22 +298,22 @@ def test_every_route_checks_state_and_config_alike():
 def test_trajectory_csv_layout(tmp_path):
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    traj = simulate_oracle(cfg, st, rest(), samples=11)
+    traj = simulate_oracle(cfg, st, rest())
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,n,value,velocity"
-    assert len(lines) == 1 + 11 * 2
+    assert len(lines) == 1 + 201 * 2
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 1
     assert abs(float(first[2]) - 1.0) < 1e-15
     # Neumann: the constant mode is listed first, as n = 0
     cfg = BeamConfig(Boundary.NEUMANN, Fraction(1), 2, Fraction(1))
     st = ModalState.neumann(values=(0.5, 1, 0), velocities=(0, 0, 0))
-    traj = simulate_oracle(cfg, st, rest(), samples=11)
+    traj = simulate_oracle(cfg, st, rest())
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 1 + 11 * 3
+    assert len(lines) == 1 + 201 * 3
     assert [int(line.split(",")[1]) for line in lines[1:4]] == [0, 1, 2]
     assert abs(float(lines[1].split(",")[2]) - 0.5) < 1e-15
 
@@ -324,19 +324,13 @@ def curved_control(horizon=Fraction(1)):
                          horizon=horizon, precision_bits=128)
 
 
-@pytest.mark.parametrize("samples", [4000, 4094, 4199])
-def test_trajectory_has_exactly_the_requested_rows(samples):
+def test_trajectory_has_exactly_the_requested_rows():
     cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
-    zero = rest()
-    assert len(simulate_oracle(cfg, st, zero).times) == 201
-    for count in (2, 11, 201, samples):
-        traj = simulate_oracle(cfg, st, zero, samples=count)
-        assert traj.times == tuple(np.linspace(0.0, 1.0, count).tolist())
-        assert traj.times[-1] == 1.0
-        assert len(traj.values) == len(traj.velocities) == count
-    with pytest.raises(ValueError):
-        simulate_oracle(cfg, st, zero, samples=1)
+    traj = simulate_oracle(cfg, st, rest())
+    assert traj.times == tuple(np.linspace(0.0, 1.0, 201).tolist())
+    assert traj.times[-1] == 1.0
+    assert len(traj.values) == len(traj.velocities) == 201
 
 
 def test_oracle_never_evaluates_the_proxy(monkeypatch):
@@ -362,17 +356,8 @@ def test_oracle_never_evaluates_the_proxy(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     monkeypatch.setattr(proxy_type, "__call__", spy)
-    simulate_oracle(cfg, st, control, samples=11)
+    simulate_oracle(cfg, st, control)
     assert calls == []
-
-
-def test_final_state_does_not_depend_on_samples():
-    cfg = BeamConfig(Boundary.NEUMANN, Fraction(3), 3, Fraction(1))
-    st = ModalState.neumann(values=(0.1, 1, 0, 0.3), velocities=(0.2, 0, 0.5, 0))
-    few = simulate_oracle(cfg, st, curved_control(), samples=2)
-    many = simulate_oracle(cfg, st, curved_control(), samples=201)
-    assert len(few.times) == 2
-    assert few.final_state() == many.final_state()
 
 
 def test_oracle_carries_data_near_the_float64_limit():

@@ -15,7 +15,7 @@ from beamctl.kernels import Kernel
 from beamctl.modal_dynamics import ModalState
 from beamctl.moment_problem import assemble
 from beamctl.spectrum import BeamConfig, Boundary
-from beamctl import synthesis
+from beamctl import closed_form, synthesis
 from beamctl.synthesis import FixedMatrix, cholesky_factor, gram_matrix, solve_min_norm
 from reference_calculus import (biorthogonal_family, entries, fixed_matrix, gram_entry,
                                 integer_cholesky)
@@ -128,14 +128,18 @@ def elementwise_ladder(system):
     (Boundary.DIRICHLET, Fraction(3), 5, 1),        # irrational exp rates
     (Boundary.DIRICHLET, Fraction(5, 2), 4, 1),     # merged collision rows
     (Boundary.NEUMANN, Fraction(1), 5, 1),
-    (Boundary.DIRICHLET, Fraction(40), 5, 1),       # series-branch slow rates, fast up to 1000
-    (Boundary.DIRICHLET, Fraction(1), 5, Fraction(1, 1000)),    # every moment set on the series
-    (Boundary.DIRICHLET, Fraction(2), 5, 4),        # T^j growth in the recursion
+    (Boundary.DIRICHLET, Fraction(40), 5, 1),       # slow rates near -1/40, fast up to -1000
+    (Boundary.DIRICHLET, Fraction(1), 5, Fraction(1, 1000)),    # every |lam T| small
+    (Boundary.DIRICHLET, Fraction(2), 5, 4),        # the flatness block up to T^3 / 3 = 64/3
     (Boundary.DIRICHLET, Fraction(1, 10 ** 30), 5, 1),  # rate sums with Re 1e-30 of |Im|
     (Boundary.DIRICHLET, Fraction(10 ** 30), 5, 1),     # slow rates near -1e-30, fast near -1e30
     (Boundary.DIRICHLET, Fraction(1), 5, Fraction(1, 100000)),
+    # the linear column divides twice by a small rate: lam T near -1e-3 ...
+    (Boundary.DIRICHLET, Fraction(2), 5, Fraction(1, 1000)),
+    # ... and a slow rate near -1e-10 beside fast ones near -1e10
+    (Boundary.DIRICHLET, Fraction(10 ** 10), 5, Fraction(1, 1000)),
 ], ids=["rho1", "rho2", "rho3", "rho5/2-merged", "neumann-rho1", "rho40", "T1/1000", "T4",
-        "rho1e-30", "rho1e30", "T1e-5"])
+        "rho1e-30", "rho1e30", "T1e-5", "rho2-T1/1000", "rho1e10-T1/1000"])
 def test_gram_matrix_matches_gram_entry(boundary, rho, modes, horizon, bits):
     cfg = BeamConfig(boundary, rho, modes, horizon, bits)
     if rho == Fraction(5, 2):
@@ -254,22 +258,25 @@ def test_cholesky_reconstructs_badly_scaled_matrix():
 
 @pytest.mark.parametrize("rho", [Fraction(1), Fraction(2), Fraction(3)],
                          ids=["rho1-underdamped", "rho2-critical", "rho3-real"])
-def test_gram_moment_sets_only_for_rate_zero_columns(monkeypatch, rho):
-    """One _moment_set call per rate, each pairing rate 0 with it: the
-    columns of the rate-0 rows.  Every other entry comes from the
+def test_gram_takes_one_exponential_per_rate(monkeypatch, rho):
+    """One mp.exp per distinct kernel rate, rate 0 included, gives the
+    generators k(T), and no moment set of the closed form is taken: the
+    rate-0 rows' own entries are exact and every other entry comes from the
     displacement's column solves (test_gram_matrix_matches_gram_entry)."""
     cfg = BeamConfig(Boundary.DIRICHLET, rho, 6, Fraction(1), 128)
     system = assemble(cfg, decaying_data(Boundary.DIRICHLET, 6))
     calls = []
-    moments = synthesis._moment_set
-    monkeypatch.setattr(synthesis, "_moment_set", lambda *args: calls.append(args) or moments(*args))
+    exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda z: calls.append(z) or exp(z))
+
+    def unavailable(*args):
+        raise AssertionError("the Gram took a moment set of the closed form")
+
+    monkeypatch.setattr(closed_form, "_moment_set", unavailable)
     gram_matrix(system)
     with mp.workprec(128 + GUARD_BITS):
         rates = {k.real_form(1)[0] for k in system.kernels}
     assert len(calls) == len(rates)
-    for d, zero, _, _, F in calls:
-        assert zero == (0, 0, 1 << F, 0)
-        assert d <= 2
 
 
 def test_solver_reproduces_targets():

@@ -76,6 +76,37 @@ def test_experiment_flags_unreachable_tolerance():
     assert loose.trajectory == report.trajectory
 
 
+def exact_pair_norm_squared(state, p):
+    """The squared pair norm of a state, in exact rationals."""
+    def exact(x):
+        if isinstance(x, mp.mpf):
+            man, exp = x.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+        return Fraction(x)
+    return sum(Fraction(n) ** (2 * p) * exact(u) ** 2 + Fraction(n) ** (2 * p - 4) * exact(du) ** 2
+               for n, u, du in zip(state.modes, state.values, state.velocities))
+
+
+@pytest.mark.parametrize("scale", ["1", "1e-200", "1e-320", "0"])
+def test_controlled_verdict_holds_both_final_norms_to_the_tolerance(scale):
+    """Whenever the verdict is controlled, both final pair norms are at most
+    the tolerance times the initial one, compared exactly, at any data size.
+    Data at 1e-320 is subnormal in float64, which the oracle holds to a few
+    bits: its verdict is residual-too-large, never a pass by a clamp."""
+    config, s = small_config(), Fraction(scale)
+    state0 = ModalState.dirichlet(values=(s, 0), velocities=(0, 3 * s / 10))
+    report = null_control_experiment(config, state0, tolerance=1e-6)
+    p = report.norm_scale
+    bound = Fraction(1e-6) ** 2 * exact_pair_norm_squared(state0, p)
+    closed = closed_form_final_state(report.config, state0, report.synthesis.control)
+    if report.verdict is Verdict.CONTROLLED:
+        for final in (closed, report.trajectory.final_state()):
+            assert exact_pair_norm_squared(final, p) <= bound
+    else:
+        assert scale == "1e-320"
+        assert exact_pair_norm_squared(report.trajectory.final_state(), p) > bound
+
+
 def test_experiment_rejects_bad_tolerance():
     config = small_config()
     state0 = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
