@@ -324,12 +324,15 @@ def curved_control(horizon=Fraction(1)):
                          horizon=horizon, precision_bits=128)
 
 
-def test_trajectory_has_exactly_the_requested_rows():
-    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, Fraction(1))
+@pytest.mark.parametrize("horizon_ms", [4000, 4094, 4199])
+def test_trajectory_has_exactly_the_requested_rows(horizon_ms):
+    # 201 uniform rows whatever the horizon, the last one at T exactly
+    T = Fraction(horizon_ms, 1000)
+    cfg = BeamConfig(Boundary.DIRICHLET, Fraction(1), 2, T)
     st = ModalState.dirichlet(values=(1, 0), velocities=(0, 0))
     traj = simulate_oracle(cfg, st, rest())
-    assert traj.times == tuple(np.linspace(0.0, 1.0, 201).tolist())
-    assert traj.times[-1] == 1.0
+    assert traj.times == tuple(np.linspace(0.0, float(T), 201).tolist())
+    assert traj.times[-1] == float(T)
     assert len(traj.values) == len(traj.velocities) == 201
 
 
